@@ -253,11 +253,6 @@ def _h_monomial(rho: Specialization, n: int, degree: int) -> GradedScalar:
     return GradedScalar.monomial(rho.h(n), n, degree)
 
 
-def schur_series(lam: Partition, rho: Specialization, degree: int) -> GradedScalar:
-    """Graded s_lambda(rho): homogeneous of degree |lambda|."""
-    return GradedScalar.monomial(schur(lam, rho), lam.size(), degree)
-
-
 def sp_char_series(lam: Partition, rho: Specialization, degree: int) -> GradedScalar:
     """Graded symplectic character, via the h-form determinant over series."""
     n = lam.length()

@@ -3,9 +3,10 @@
 One executable, subcommand style.  Every report starts with a ``# config:``
 line echoing the resolved options as sorted JSON, so identical invocations
 produce byte-identical output.  Exit codes: 0 success, 1 identity or
-tolerance failure, 2 configuration error.  Scans may run on a thread pool
-(SPOSCHUR_THREADS); rows are gathered and sorted before writing, so the
-output does not depend on scheduling.
+tolerance failure, 2 configuration error.  The rows of kernel-eval,
+correlations, th-dets, bo-check and tw-cdf may be computed on a thread pool
+(SPOSCHUR_THREADS); bulk-scan and edge-scan run serially.  Rows are written
+in a fixed order, so the output does not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -470,7 +471,7 @@ def main(argv: list[str] | None = None) -> int:
         from .kernels import reset_numeric_caches
 
         _apply_config_file(args, argv)
-        reset_numeric_caches()  # identical config must give identical bytes
+        reset_numeric_caches()  # each invocation starts from empty caches
         return args.fn(args)
     except (SposchurError, ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,6 +29,22 @@ from .specializations import Specialization
 FAMILIES = ("sp", "o", "sp-dual", "o-dual")
 
 
+def log_z_terms(family: str, p_plus_k, p_minus_k, p_minus_2k, k: int):
+    """The degree-k pieces of log Z, on Fractions or floats alike.
+
+    Returns (cross, even): the p+_k p-_k / k term, which carries the grading
+    of both sides, and the p-_{2k} / (2k) - (p-_k)^2 / (2k) term, which
+    carries the minus side's grading twice.
+    """
+    dual = family.endswith("dual")
+    cross = p_plus_k * p_minus_k / k
+    if dual:
+        cross *= (-1) ** (k + 1)
+    # +p_{2k} for sp, -p_{2k} for o; conjugating the Schur factor flips it
+    sign = 1 if family.startswith("sp") != dual else -1
+    return cross, sign * p_minus_2k / (2 * k) - p_minus_k**2 / (2 * k)
+
+
 def log_normalization_series(
     family: str,
     rho_plus: Specialization,
@@ -42,24 +58,19 @@ def log_normalization_series(
         raise ValueError(f"unknown family {family!r}")
     if weight_minus < 1:
         raise ValueError("the minus side must carry the grading for a finite check")
-    dual = family.endswith("dual")
-    sp_side = family.startswith("sp")
     coeffs = [Fraction(0)] * (degree + 1)
     for k in range(1, degree + 1):
         d = (weight_plus + weight_minus) * k
-        if d <= degree:
-            cross = rho_plus.p(k) * rho_minus.p(k) / k
-            if dual:
-                cross *= (-1) ** (k + 1)
-            if cross:
-                coeffs[d] += cross
         d2 = 2 * weight_minus * k
-        if d2 <= degree:
-            # +p_{2k} for sp, -p_{2k} for o; conjugating the Schur factor flips it
-            sign = 1 if sp_side != dual else -1
-            contrib = sign * rho_minus.p(2 * k) / (2 * k) - rho_minus.p(k) ** 2 / (2 * k)
-            if contrib:
-                coeffs[d2] += contrib
+        if d > degree and d2 > degree:
+            break
+        cross, even = log_z_terms(
+            family, rho_plus.p(k), rho_minus.p(k), rho_minus.p(2 * k), k
+        )
+        if d <= degree and cross:
+            coeffs[d] += cross
+        if d2 <= degree and even:
+            coeffs[d2] += even
     return GradedScalar(coeffs)
 
 

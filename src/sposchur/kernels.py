@@ -38,7 +38,12 @@ from .errors import (
     QuadratureNotConverged,
 )
 from .measures import MeasureSpec
-from .special import bessel_j_array
+from .special import _j_cache, bessel_j, bessel_j_values
+from .specializations import Specialization
+
+_MODE_TOL = 1e-15  # boundary modes relative to the largest mode
+_MAX_FFT = 1 << 20
+
 
 def _check_family(family: str) -> None:
     if family not in ("sp", "o"):
@@ -52,13 +57,17 @@ class KernelConfig:
     r_z: float = 1.2
     r_w: float = 0.8
     nodes: int = 64
-    representation: str = "contour"  # contour | bessel | fourier
     tol: float = 1e-12
     max_nodes: int = 1 << 14
 
     def __post_init__(self):
         if self.nodes < 4 or self.nodes & (self.nodes - 1):
             raise ValueError("node count must be a power of two >= 4")
+
+
+def powersum_table(rho: Specialization) -> list[tuple[int, float]]:
+    """(k, float p_k) for the nonzero power sums of a finitely supported rho."""
+    return [(k, float(rho.p(k))) for k in range(1, (rho.max_support or 0) + 1) if rho.p(k)]
 
 
 class SymbolF:
@@ -81,18 +90,33 @@ class SymbolF:
         self.annulus_z = annulus_z  # open interval of admissible |z|
         self.annulus_w = annulus_w
         self.label = label
-        self._mode_cache: dict[tuple[bool, float], tuple[int, np.ndarray, float]] = {}
+        self._mode_cache: dict[bool, tuple[int, np.ndarray, float]] = {}
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def plancherel(cls, theta: float) -> "SymbolF":
-        t = float(theta)
+    def exp_laurent(
+        cls, terms: Sequence[tuple[float, int, bool]], label: str = "powersum"
+    ) -> "SymbolF":
+        """F = exp(sum of terms), analytic on the punctured plane.
+
+        A term (c, k, False) is c z^k / |k|; a term (c, k, True) is
+        c (z^k + z^-k) / k.  Terms are summed in the order given.
+        """
+        terms = list(terms)
 
         def ev(z):
-            return np.exp(t * (z - 1.0 / z))
+            acc = np.zeros_like(z)
+            for c, k, paired in terms:
+                acc = acc + c * ((z**k + z**-k) if paired else z**k) / abs(k)
+            return np.exp(acc)
 
-        return cls(ev, (0.0, math.inf), (0.0, math.inf), label=f"plancherel({t})")
+        return cls(ev, (0.0, math.inf), (0.0, math.inf), label=label)
+
+    @classmethod
+    def plancherel(cls, theta: float) -> "SymbolF":
+        t = float(theta)
+        return cls.exp_laurent([(t, 1, False), (-t, -1, False)], label=f"plancherel({t})")
 
     @classmethod
     def from_measure(cls, spec: MeasureSpec) -> "SymbolF":
@@ -134,34 +158,14 @@ class SymbolF:
             return cls(ev, (y_hi, x_lo), (y_hi, x_lo), label="alphabet")
 
         # finitely supported power sums: log F is a Laurent polynomial
-        kp = rp.max_support or 0
-        km = rm.max_support or 0
-        plus = [(k, float(rp.p(k))) for k in range(1, kp + 1) if rp.p(k)]
-        minus = [(k, float(rm.p(k))) for k in range(1, km + 1) if rm.p(k)]
-
+        plus, minus = powersum_table(rp), powersum_table(rm)
         if not dual:
-
-            def ev(z):
-                z = np.asarray(z, dtype=complex)
-                acc = np.zeros_like(z)
-                for k, pv in plus:
-                    acc = acc + pv * z**k / k
-                for k, pv in minus:
-                    acc = acc - pv * (z**k + z**-k) / k
-                return np.exp(acc)
-
+            terms = [(pv, k, False) for k, pv in plus] + [(-pv, k, True) for k, pv in minus]
         else:
-
-            def ev(z):
-                z = np.asarray(z, dtype=complex)
-                acc = np.zeros_like(z)
-                for k, pv in minus:
-                    acc = acc + (-1) ** (k + 1) * pv * (z**k + z**-k) / k
-                for k, pv in plus:
-                    acc = acc - (-1) ** (k + 1) * pv * z**k / k
-                return np.exp(acc)
-
-        return cls(ev, (0.0, math.inf), (0.0, math.inf), label="powersum")
+            terms = [((-1) ** (k + 1) * pv, k, True) for k, pv in minus] + [
+                ((-1) ** k * pv, k, False) for k, pv in plus
+            ]
+        return cls.exp_laurent(terms)
 
     # -- evaluation and contours ------------------------------------------------
 
@@ -203,20 +207,16 @@ class SymbolF:
     # -- Laurent modes --------------------------------------------------------------
 
     def modes(
-        self,
-        inverse: bool,
-        radius: float = 1.0,
-        min_order: int = 0,
-        tol: float = 1e-16,
-        recompute: bool = True,
+        self, inverse: bool, min_order: int = 0, recompute: bool = True
     ) -> tuple[int, np.ndarray, float]:
-        """Cached Laurent coefficients of F (or 1/F) on |z| = radius.
+        """Cached Laurent coefficients of F (or 1/F) on the unit circle.
 
-        Returns (half_window, coefficients for n in [-W, W], aliasing estimate).
-        The FFT size doubles until the boundary modes fall below tol.
+        Returns (half_window W, coefficients for n in [-W, W], largest boundary
+        mode).  The boundary modes are those with |n| > W/2.  The FFT size
+        doubles from 256 until they fall to 1e-15 of the largest mode;
+        QuadratureNotConverged is raised when they have not at 2^20 points.
         """
-        key = (inverse, radius)
-        cached = self._mode_cache.get(key)
+        cached = self._mode_cache.get(inverse)
         if cached is not None and cached[0] >= min_order:
             return cached
         if cached is not None and not recompute:
@@ -224,27 +224,25 @@ class SymbolF:
                 f"mode {min_order} beyond cached window {cached[0]}"
             )
         n = 256
-        while True:
-            k = np.arange(n)
-            z = radius * np.exp(2j * np.pi * k / n)
-            vals = self(z)
+        while n <= _MAX_FFT:
+            vals = self(np.exp(2j * np.pi * np.arange(n) / n))
             if inverse:
                 vals = 1.0 / vals
             raw = np.fft.fft(vals) / n
             w = n // 2 - 1
-            idx = np.concatenate([np.arange(-w, 0) % n, np.arange(0, w + 1)])
-            coeffs = raw[idx]  # order: -W..-1, 0..W
-            scale = radius ** np.concatenate([np.arange(-w, 0), np.arange(0, w + 1)])
-            coeffs = (coeffs / scale).real
-            edge = max(abs(coeffs[0]), abs(coeffs[-1]))
-            if (edge < tol and w >= max(min_order, 8)) or n >= (1 << 20):
-                out = (w, coeffs, float(edge))
-                self._mode_cache[key] = out
-                return out
+            coeffs = np.concatenate([raw[n - w :], raw[: w + 1]]).real  # -W..-1, 0..W
+            mags = np.abs(coeffs)
+            edge = float(max(mags[: w // 2].max(), mags[-(w // 2) :].max()))
+            if w >= max(min_order, 8) and edge <= _MODE_TOL * mags.max():
+                self._mode_cache[inverse] = (w, coeffs, edge)
+                return w, coeffs, edge
             n *= 2
+        raise QuadratureNotConverged(
+            f"Laurent modes of {self.label} not converged at {_MAX_FFT} points"
+        )
 
-    def mode(self, order: int, inverse: bool = False, radius: float = 1.0) -> float:
-        w, coeffs, _ = self.modes(inverse, radius, min_order=abs(order))
+    def mode(self, order: int, inverse: bool = False) -> float:
+        w, coeffs, _ = self.modes(inverse, min_order=abs(order))
         return float(coeffs[order + w])
 
 
@@ -366,30 +364,6 @@ def kernel_contour_grid(
 # Bessel representation (Plancherel symbols)
 # ---------------------------------------------------------------------------
 
-_plancherel_j: dict[tuple[float, int], np.ndarray] = {}
-
-
-def _j_values(x: float, indices: np.ndarray) -> np.ndarray:
-    """J_index(x) for an integer index array, via the parity rule.
-
-    The cached array length is quantized so its contents are a pure function
-    of the cache key; values then never depend on evaluation history (or on
-    thread scheduling), only on (x, index).
-    """
-    need = int(np.max(np.abs(indices)))
-    margin = int(16.0 * max(x, 1.0) ** (1.0 / 3.0) + 60)
-    bucket = 256 * (1 + max(need, int(math.ceil(x)) + margin) // 256)
-    arr = _plancherel_j.get((x, bucket))
-    if arr is None:
-        arr = bessel_j_array(bucket, x)
-        if len(_plancherel_j) > 16:
-            _plancherel_j.clear()
-        _plancherel_j[(x, bucket)] = arr
-    mag = np.abs(indices)
-    vals = arr[mag]
-    odd_neg = (indices < 0) & (mag % 2 == 1)
-    return np.where(odd_neg, -vals, vals)
-
 
 def kernel_bessel_with_error(
     theta: float, family: str, a: int, b: int
@@ -401,14 +375,14 @@ def kernel_bessel_with_error(
     x = 2.0 * float(theta)
     upper = int(math.ceil(x + 16.0 * max(x, 1.0) ** (1.0 / 3.0) + 60))
     i1 = np.arange(1, max(2, upper - min(a, b) + 1))
-    s1 = float(np.sum(_j_values(x, a + i1) * _j_values(x, b + i1)))
+    s1 = float(np.sum(bessel_j_values(a + i1, x) * bessel_j_values(b + i1, x)))
     i2 = np.arange(0, max(1, upper - b + 1))
-    s2 = float(np.sum(_j_values(x, a - i2) * _j_values(x, b + i2)))
+    s2 = float(np.sum(bessel_j_values(a - i2, x) * bessel_j_values(b + i2, x)))
     if family == "sp":
         value = s1 + s2
     else:
         # sum_{i>=0} J_{a+i} J_{b+i} = J_a J_b + s1-with-i>=1
-        value = float(_j_values(x, np.array([a]))[0] * _j_values(x, np.array([b]))[0]) + s1 - s2
+        value = bessel_j(a, x) * bessel_j(b, x) + s1 - s2
     return value, 1e-15 * (len(i1) + len(i2)) ** 0.5
 
 
@@ -426,8 +400,6 @@ def kernel_fourier_with_error(
     family: str,
     a: int,
     b: int,
-    radius_z: float = 1.0,
-    radius_w: float = 1.0,
     recompute: bool = True,
 ) -> tuple[float, float]:
     """Kernel from the Laurent modes of F and 1/F.
@@ -437,8 +409,8 @@ def kernel_fourier_with_error(
     """
     _check_family(family)
     need = max(abs(a), abs(b)) + 16
-    wc, cvals, err_c = F.modes(False, radius_z, min_order=need, recompute=recompute)
-    wd, dvals, err_d = F.modes(True, radius_w, min_order=need, recompute=recompute)
+    wc, cvals, err_c = F.modes(False, min_order=need, recompute=recompute)
+    wd, dvals, err_d = F.modes(True, min_order=need, recompute=recompute)
 
     def c(n: int) -> float:
         return float(cvals[n + wc]) if abs(n) <= wc else 0.0
@@ -504,19 +476,10 @@ def dual_base_symbol(spec: MeasureSpec) -> SymbolF:
         return SymbolF(ev, (y_hi, hi), (y_hi, hi), label="dual-base")
     if rp.max_support is None or rm.max_support is None:
         raise ValueError("dual base symbol needs alphabets or finite power sums")
-    plus = [(k, float(rp.p(k))) for k in range(1, rp.max_support + 1) if rp.p(k)]
-    minus = [(k, float(rm.p(k))) for k in range(1, rm.max_support + 1) if rm.p(k)]
-
-    def ev(z):
-        z = np.asarray(z, dtype=complex)
-        acc = np.zeros_like(z)
-        for k, pv in plus:
-            acc = acc + (-1) ** (k - 1) * pv * z**k / k
-        for k, pv in minus:
-            acc = acc - pv * (z**k + z**-k) / k
-        return np.exp(acc)
-
-    return SymbolF(ev, (0.0, math.inf), (0.0, math.inf), label="dual-base")
+    terms = [((-1) ** (k - 1) * pv, k, False) for k, pv in powersum_table(rp)] + [
+        (-pv, k, True) for k, pv in powersum_table(rm)
+    ]
+    return SymbolF.exp_laurent(terms, label="dual-base")
 
 
 def dual_lattice_kernel(
@@ -585,12 +548,6 @@ def correlation_det(kernel: Callable[[int, int], float], points: Sequence[int]) 
     return float(np.linalg.det(mat))
 
 
-def kernel_matrix(
-    kernel: Callable[[int, int], float], sites: Sequence[int]
-) -> np.ndarray:
-    return np.array([[kernel(a, b) for b in sites] for a in sites], dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # persistable mode caches: JSON header line + little-endian float64 payload
 # ---------------------------------------------------------------------------
@@ -599,24 +556,21 @@ def kernel_matrix(
 def reset_numeric_caches() -> None:
     """Clear shared numeric caches (Bessel arrays, quadrature couplings).
 
-    Cached Bessel arrays are recomputed with a start index that depends on
-    the largest order requested so far, which can flip last-ulp bits; the CLI
-    clears caches per invocation so identical configs give identical bytes.
+    Every cached value is a pure function of its key (Bessel arrays have a
+    length fixed by x and the order bucket), so clearing changes no result;
+    it only frees memory.
     """
-    from .special import _array_cache
-
-    _plancherel_j.clear()
+    _j_cache.clear()
     _coupling_cache.clear()
-    _array_cache.clear()
 
 
-def save_mode_cache(path: str | Path, F: SymbolF, inverse: bool = False, radius: float = 1.0) -> None:
-    w, coeffs, err = F.modes(inverse, radius)
+def save_mode_cache(path: str | Path, F: SymbolF, inverse: bool = False) -> None:
+    w, coeffs, err = F.modes(inverse)
     header = {
         "kind": "laurent-modes",
         "label": F.label,
         "inverse": inverse,
-        "radius": radius,
+        "radius": 1.0,
         "half_window": w,
         "aliasing_estimate": err,
         "dtype": "<f8",

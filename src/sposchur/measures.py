@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .characters import character, character_series, schur, schur_series
+from .characters import character, schur
 from .errors import CutoffTooSmall, DivergentNormalization
-from .identities import FAMILIES, character_sum_series, normalization_series
+from .identities import FAMILIES, character_sum_series, log_z_terms, normalization_series
 from .partitions import Partition, enumerate_partitions, partitions_of_size
 from .series import GradedScalar
 from .specializations import Specialization
@@ -55,13 +55,10 @@ class MeasureSpec:
     family: str
     rho_plus: Specialization
     rho_minus: Specialization
-    numeric_mode: str = "float"  # "float" or "exact-graded"
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if self.numeric_mode not in ("float", "exact-graded"):
-            raise ValueError(f"unknown numeric mode {self.numeric_mode!r}")
 
     @property
     def char_family(self) -> str:
@@ -73,19 +70,6 @@ class MeasureSpec:
 
     # -- normalization -------------------------------------------------------
 
-    def _log_z_term(self, k: int) -> float:
-        sp_side = self.family.startswith("sp")
-        sign_even = 1 if (sp_side != self.dual) else -1
-        pk_minus = float(self.rho_minus.p(k))
-        cross = float(self.rho_plus.p(k)) * pk_minus / k
-        if self.dual:
-            cross *= (-1) ** (k + 1)
-        return (
-            cross
-            + sign_even * float(self.rho_minus.p(2 * k)) / (2 * k)
-            - pk_minus**2 / (2 * k)
-        )
-
     def log_z(self, kmax: int = 400, tol: float = 3e-17) -> float:
         """log of the partition function Z.
 
@@ -93,14 +77,22 @@ class MeasureSpec:
         specializations are summed until the terms decay below tol, raising
         DivergentNormalization when they fail to.
         """
-        fin = self.rho_minus.max_support
+        rp, rm = self.rho_plus, self.rho_minus
+
+        def log_z_term(k: int) -> float:
+            cross, even = log_z_terms(
+                self.family, float(rp.p(k)), float(rm.p(k)), float(rm.p(2 * k)), k
+            )
+            return cross + even
+
+        fin = rm.max_support
         if fin is not None:
             # every term carries a rho_minus factor, so k <= max support
-            return sum(self._log_z_term(k) for k in range(1, fin + 1))
+            return sum(log_z_term(k) for k in range(1, fin + 1))
         total = 0.0
         prev = math.inf
         for k in range(1, kmax + 1):
-            term = self._log_z_term(k)
+            term = log_z_term(k)
             total += term
             mag = abs(term)
             if mag < tol and prev < tol:
@@ -131,14 +123,6 @@ class MeasureSpec:
         """Normalized (possibly negative) weight of a single partition."""
         return float(self.unnormalized_weight(lam)) / self.z()
 
-    def weight_series(self, lam: Partition, degree: int) -> GradedScalar:
-        """Exact graded weight: character series product divided by the Z series."""
-        c = character_series(self.char_family, lam, self.rho_plus, degree)
-        s = schur_series(
-            lam.conjugate() if self.dual else lam, self.rho_minus, degree
-        )
-        return (c * s).divide_exact(self.z_series(degree))
-
     # -- serialization ------------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -146,7 +130,6 @@ class MeasureSpec:
             "family": self.family,
             "rho_plus": self.rho_plus.to_json(),
             "rho_minus": self.rho_minus.to_json(),
-            "numeric_mode": self.numeric_mode,
         }
 
     @classmethod
@@ -155,7 +138,6 @@ class MeasureSpec:
             family=doc["family"],
             rho_plus=Specialization.from_json(doc["rho_plus"]),
             rho_minus=Specialization.from_json(doc["rho_minus"]),
-            numeric_mode=doc.get("numeric_mode", "float"),
         )
 
 
@@ -180,23 +162,26 @@ def plancherel_measure(family: str, theta) -> MeasureSpec:
 _BLOCK = 4  # sizes per adaptive extension block
 
 
-def _adaptive_sum(
+def _sum_weights(
     spec: MeasureSpec,
-    keep: Callable[[Partition], bool],
+    keeps: list[Callable[[Partition], bool]],
     tol: float,
     start: int,
     max_cutoff: int | None = None,
-) -> BruteForceResult:
-    """Sum weights of partitions passing `keep`, extending the size cutoff.
+) -> list[BruteForceResult]:
+    """Sum the weights of the partitions passing each predicate in one pass.
 
-    The cutoff grows in blocks of a few sizes; block increments decay
-    geometrically for contractive specializations (superexponentially in the
-    Plancherel case), so the last increment is an honest tail estimate.
+    Each partition's weight is evaluated at most once and credited to every
+    predicate it passes.  The size cutoff grows in blocks of a few sizes
+    until every predicate's last block adds less than tol/10; block
+    increments decay geometrically for contractive specializations
+    (superexponentially in the Plancherel case), so the last increment is an
+    honest tail estimate.
     """
     exact_in = spec.rho_plus.is_exact(8) and spec.rho_minus.is_exact(8)
     zero = Fraction(0) if exact_in else 0.0
-    total = zero
-    block = zero
+    totals = [zero] * len(keeps)
+    blocks = [zero] * len(keeps)
     cutoff = max(8, start)
     seen = 0
     n = 0
@@ -205,27 +190,35 @@ def _adaptive_sum(
         while n <= cutoff:
             for lam in partitions_of_size(n):
                 seen += 1
-                if keep(lam):
-                    w = spec.unnormalized_weight(lam)
-                    if w:
-                        block += w
+                w = None
+                for i, keep in enumerate(keeps):
+                    if keep(lam):
+                        if w is None:
+                            w = spec.unnormalized_weight(lam)
+                            if not w:
+                                break
+                        blocks[i] += w
             n += 1
-        total += block
-        increment = abs(float(block))
-        block = zero
-        if increment < tol / 10 and not first_checkpoint:
+        increments = [abs(float(b)) for b in blocks]
+        for i in range(len(keeps)):
+            totals[i] += blocks[i]
+            blocks[i] = zero
+        if max(increments, default=0.0) < tol / 10 and not first_checkpoint:
             z = spec.z()
-            return BruteForceResult(
-                value=float(total) / z,
-                tail_estimate=increment / z + 1e-15,
-                cutoff=cutoff,
-            )
+            return [
+                BruteForceResult(value=float(t) / z, tail_estimate=inc / z + 1e-15, cutoff=cutoff)
+                for t, inc in zip(totals, increments)
+            ]
         first_checkpoint = False
         if seen > _PARTITION_BUDGET or (max_cutoff and cutoff >= max_cutoff):
             raise CutoffTooSmall(
                 f"no stabilization below tol={tol} within cutoff {cutoff}"
             )
         cutoff += _BLOCK
+
+
+def _occupies_all(points: list[int]) -> Callable[[Partition], bool]:
+    return lambda lam: all(lam.occupies(p) for p in points)
 
 
 def correlation_bruteforce(
@@ -236,15 +229,13 @@ def correlation_bruteforce(
 ) -> BruteForceResult:
     """Probability that all `points` are occupied, by summing partition weights.
 
-    The cutoff starts at max(8, 2 max|point|) and doubles until the last block
+    The cutoff starts at max(8, 2 max|point|) and grows until the last block
     of sizes contributes less than tol/10.  Raises CutoffTooSmall when the
-    partition budget is exhausted before stabilization.
+    partition budget or max_cutoff is exhausted before stabilization.
     """
     pts = sorted(set(int(p) for p in points))
-    start = max(8, 2 * max((abs(p) for p in pts), default=0))
-    return _adaptive_sum(
-        spec, lambda lam: all(lam.occupies(p) for p in pts), tol, start, max_cutoff
-    )
+    start = 2 * max((abs(p) for p in pts), default=0)
+    return _sum_weights(spec, [_occupies_all(pts)], tol, start, max_cutoff)[0]
 
 
 def hole_probability_bruteforce(
@@ -252,9 +243,7 @@ def hole_probability_bruteforce(
 ) -> BruteForceResult:
     """Probability that `point` is NOT occupied (independently accumulated)."""
     p = int(point)
-    return _adaptive_sum(
-        spec, lambda lam: not lam.occupies(p), tol, start=max(8, 2 * abs(p))
-    )
+    return _sum_weights(spec, [lambda lam: not lam.occupies(p)], tol, 2 * abs(p))[0]
 
 
 def correlation_bruteforce_batch(
@@ -264,53 +253,11 @@ def correlation_bruteforce_batch(
 ) -> list[BruteForceResult]:
     """Brute-force correlations for many point sets in one enumeration pass.
 
-    Each partition's weight is evaluated once and credited to every point set
-    its configuration contains; the adaptive cutoff policy is shared, driven
-    by the slowest-stabilizing set.
+    The cutoff policy is shared, driven by the slowest-stabilizing set.
     """
     sets = [sorted(set(int(p) for p in pts)) for pts in point_sets]
-    exact_in = spec.rho_plus.is_exact(8) and spec.rho_minus.is_exact(8)
-    zero = Fraction(0) if exact_in else 0.0
-    totals = [zero] * len(sets)
-    blocks = [zero] * len(sets)
-    start = max(
-        [8] + [2 * max((abs(p) for p in pts), default=0) for pts in sets]
-    )
-    cutoff = start
-    seen = 0
-    n = 0
-    first_checkpoint = True
-    while True:
-        while n <= cutoff:
-            for lam in partitions_of_size(n):
-                seen += 1
-                w = None
-                for i, pts in enumerate(sets):
-                    if all(lam.occupies(p) for p in pts):
-                        if w is None:
-                            w = spec.unnormalized_weight(lam)
-                            if not w:
-                                break
-                        blocks[i] += w
-            n += 1
-        increments = [abs(float(b)) for b in blocks]
-        for i in range(len(sets)):
-            totals[i] += blocks[i]
-            blocks[i] = zero
-        if max(increments, default=0.0) < tol / 10 and not first_checkpoint:
-            z = spec.z()
-            return [
-                BruteForceResult(
-                    value=float(totals[i]) / z,
-                    tail_estimate=increments[i] / z + 1e-15,
-                    cutoff=cutoff,
-                )
-                for i in range(len(sets))
-            ]
-        first_checkpoint = False
-        if seen > _PARTITION_BUDGET:
-            raise CutoffTooSmall(f"batched sums not stabilized below tol={tol}")
-        cutoff += _BLOCK
+    start = max([2 * max((abs(p) for p in pts), default=0) for pts in sets], default=0)
+    return _sum_weights(spec, [_occupies_all(pts) for pts in sets], tol, start)
 
 
 def total_mass_series(spec: MeasureSpec, degree: int) -> GradedScalar:

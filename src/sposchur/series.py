@@ -14,7 +14,7 @@ checkable degree by degree.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import TruncationOverflow
 
@@ -214,10 +214,3 @@ class GradedScalar:
             quot = [a / c for a in self.coeffs[v:]]
             return GradedScalar(quot + [Fraction(0)] * v)
         raise ValueError("divisor is neither a unit nor a monomial")
-
-
-def graded_sum(terms: Iterable[GradedScalar], degree: int) -> GradedScalar:
-    total = GradedScalar.zero(degree)
-    for t in terms:
-        total = total + t
-    return total

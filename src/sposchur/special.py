@@ -87,28 +87,39 @@ def bessel_j_array(n_max: int, x: float) -> np.ndarray:
     return out
 
 
-_array_cache: dict[tuple[float, int], np.ndarray] = {}
+_j_cache: dict[tuple[float, int], np.ndarray] = {}
+
+
+def bessel_j_values(indices: np.ndarray, x: float) -> np.ndarray:
+    """J_n(x), x >= 0, for an integer array of orders n (any sign).
+
+    Negative orders come from the parity rule J_{-n} = (-1)^n J_n.
+
+    Arrays are cached with a length of 256 * (1 + N // 256), where N is the
+    larger of the highest order requested and the recurrence margin beyond x.
+    A value therefore depends only on the orders asked for and x, never on
+    what was evaluated before (or on thread scheduling).
+    """
+    x = float(x)
+    indices = np.asarray(indices)
+    need = int(np.max(np.abs(indices)))
+    margin = int(16.0 * max(x, 1.0) ** (1.0 / 3.0) + 60)
+    bucket = 256 * (1 + max(need, int(math.ceil(x)) + margin) // 256)
+    arr = _j_cache.get((x, bucket))
+    if arr is None:
+        arr = bessel_j_array(bucket, x)
+        if len(_j_cache) > 16:
+            _j_cache.clear()
+        _j_cache[(x, bucket)] = arr
+    mag = np.abs(indices)
+    vals = arr[mag]
+    odd_neg = (indices < 0) & (mag % 2 == 1)
+    return np.where(odd_neg, -vals, vals)
 
 
 def bessel_j(n: int, x: float) -> float:
-    """J_n(x) for integer n (any sign) and x >= 0.
-
-    Cached arrays have quantized length, so the returned value is a pure
-    function of (n, x) regardless of evaluation history.
-    """
-    x = float(x)
-    sign = 1
-    if n < 0:
-        n = -n
-        sign = -1 if n % 2 else 1
-    bucket = 64 * (1 + n // 64)
-    arr = _array_cache.get((x, bucket))
-    if arr is None:
-        arr = bessel_j_array(bucket, x)
-        if len(_array_cache) > 64:
-            _array_cache.clear()
-        _array_cache[(x, bucket)] = arr
-    return sign * float(arr[n])
+    """J_n(x) for integer n (any sign) and x >= 0."""
+    return float(bessel_j_values(np.array([n]), x)[0])
 
 
 def bessel_j_quadrature(n: int, x: float, nodes: int = 512) -> float:

@@ -55,8 +55,8 @@ class Specialization:
         self._meta = _meta or {}
         self._lock = threading.Lock()
         self._p_cache: dict[int, object] = {}
-        self._h_cache: list = [_one_like(self)]
-        self._e_cache: list = [_one_like(self)]
+        self._h_cache: list = [Fraction(1)]
+        self._e_cache: list = [Fraction(1)]
 
     # -- constructors ------------------------------------------------------
 
@@ -205,10 +205,6 @@ class Specialization:
         """H(rho; t) = sum h_n t^n = exp(sum p_k t^k / k), truncated."""
         return GradedScalar([self.h(n) for n in range(degree + 1)])
 
-    def e_series(self, degree: int) -> GradedScalar:
-        """E(rho; t) = sum e_n t^n = exp(sum (-1)^(k+1) p_k t^k / k), truncated."""
-        return GradedScalar([self.e(n) for n in range(degree + 1)])
-
     # -- serialization ----------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -245,10 +241,6 @@ class Specialization:
 
     def __repr__(self) -> str:
         return f"Specialization(kind={self.kind!r})"
-
-
-def _one_like(rho: Specialization) -> Fraction:
-    return Fraction(1)
 
 
 def h_values(rho: Specialization, n_max: int) -> list:

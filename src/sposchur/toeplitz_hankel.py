@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureNotConverged, TruncationInsufficient
+from .errors import TruncationInsufficient
 from .identities import character_sum_series
-from .kernels import SymbolF, lattice_kernel
+from .kernels import SymbolF, lattice_kernel, powersum_table
 from .measures import MeasureSpec
 from .series import GradedScalar
 from .specializations import Specialization
@@ -62,14 +62,26 @@ class FredholmConfig:
 
 
 class Symbol:
-    """Wiener-Hopf symbol attached to a pair of specializations."""
+    """Wiener-Hopf symbol attached to a pair of specializations.
+
+    `f` and `f_tilde` are the SymbolF functions f(z) = exp(R_+(z) + R_-(z))
+    and f~(z) = 1/f(-z).
+    """
 
     def __init__(self, rho_plus: Specialization, rho_minus: Specialization):
         if rho_plus.max_support is None or rho_minus.max_support is None:
             raise ValueError("symbols need finitely supported power sums")
         self.rho_plus = rho_plus
         self.rho_minus = rho_minus
-        self._coeff_cache: dict[tuple[str, int], np.ndarray] = {}
+        f = SymbolF.exp_laurent(
+            [(pv, k, False) for k, pv in powersum_table(rho_plus)]
+            + [(pv, -k, False) for k, pv in powersum_table(rho_minus)],
+            label="f",
+        )
+        self.f = f
+        self.f_tilde = SymbolF(
+            lambda z: 1.0 / f(-z), f.annulus_z, f.annulus_w, label="f_tilde"
+        )
 
     @classmethod
     def plancherel(cls, theta) -> "Symbol":
@@ -77,68 +89,15 @@ class Symbol:
             Specialization.plancherel(2 * theta), Specialization.plancherel(theta)
         )
 
-    def summability(self) -> float:
-        """sum_k k (|rho_k^+|^2 + |rho_k^-|^2); finite by construction here."""
-        total = 0.0
-        for k in range(1, max(self.rho_plus.max_support, self.rho_minus.max_support) + 1):
-            total += (float(self.rho_plus.p(k)) / k) ** 2 * k
-            total += (float(self.rho_minus.p(k)) / k) ** 2 * k
-        return total
-
-    # -- evaluation ---------------------------------------------------------
-
-    def f_values(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        acc = np.zeros_like(z)
-        for k in range(1, (self.rho_plus.max_support or 0) + 1):
-            pv = float(self.rho_plus.p(k))
-            if pv:
-                acc = acc + pv * z**k / k
-        for k in range(1, (self.rho_minus.max_support or 0) + 1):
-            pv = float(self.rho_minus.p(k))
-            if pv:
-                acc = acc + pv * z**-k / k
-        return np.exp(acc)
-
-    def f_tilde_values(self, z: np.ndarray) -> np.ndarray:
-        return 1.0 / self.f_values(-np.asarray(z, dtype=complex))
-
     # -- Fourier coefficients --------------------------------------------------
 
     def fourier_coeffs(self, which: str, lo: int, hi: int) -> np.ndarray:
-        """Float Fourier coefficients on the index window [lo, hi].
-
-        Trapezoidal rule on the unit circle (an FFT), size doubling until the
-        requested window is stable to 1e-13.
-        """
+        """Float Fourier coefficients of f or f~ on the index window [lo, hi]."""
         if which not in ("f", "f_tilde"):
             raise ValueError("which must be 'f' or 'f_tilde'")
-        need = max(abs(lo), abs(hi))
-        cached = self._coeff_cache.get((which, 0))
-        if cached is not None and len(cached) // 2 >= need + 1:
-            w = (len(cached) - 1) // 2
-            return cached[w + lo : w + hi + 1]
-        n = 256
-        while n < 8 * need + 8:
-            n *= 2
-        prev = None
-        while n <= (1 << 20):
-            k = np.arange(n)
-            z = np.exp(2j * np.pi * k / n)
-            vals = self.f_values(z) if which == "f" else self.f_tilde_values(z)
-            raw = np.fft.fft(vals) / n
-            w = n // 4
-            idx = np.concatenate([np.arange(-w, 0) % n, np.arange(0, w + 1)])
-            coeffs = raw[idx].real
-            if prev is not None:
-                wp = (len(prev) - 1) // 2
-                m = min(w, wp)
-                if np.max(np.abs(coeffs[w - m : w + m + 1] - prev[wp - m : wp + m + 1])) < 1e-13:
-                    self._coeff_cache[(which, 0)] = coeffs
-                    return coeffs[w + lo : w + hi + 1]
-            prev = coeffs
-            n *= 2
-        raise QuadratureNotConverged("Fourier coefficients did not stabilize")
+        F = self.f if which == "f" else self.f_tilde
+        w, coeffs, _ = F.modes(False, min_order=max(abs(lo), abs(hi)))
+        return coeffs[w + lo : w + hi + 1]
 
     def fourier_coeff(self, which: str, k: int) -> float:
         return float(self.fourier_coeffs(which, k, k)[0])

@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sposchur.errors import ContourViolation, QuadratureNotConverged
@@ -245,11 +247,18 @@ def test_quadrature_not_converged_raises():
         kernel_contour(KernelConfig(max_nodes=128, tol=1e-15), F, "sp", 0, 0)
 
 
+def test_unconverged_modes_raise():
+    # |Re z| = |cos t| has modes decaying only like 1/n^2
+    F = SymbolF(lambda z: np.abs(z.real), (0.0, math.inf), (0.0, math.inf))
+    with pytest.raises(QuadratureNotConverged):
+        F.modes(False)
+
+
 def test_coefficient_cache_miss():
     from sposchur.errors import CoefficientCacheMiss
 
     F = SymbolF.plancherel(0.5)
-    F.modes(False, 1.0, min_order=4)  # small cached window
+    F.modes(False, min_order=4)  # small cached window
     with pytest.raises(CoefficientCacheMiss):
         kernel_fourier(F, "sp", 400, 400, recompute=False)
 

@@ -1,12 +1,15 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from sposchur.errors import CutoffTooSmall, DivergentNormalization
+from sposchur.identities import FAMILIES, log_normalization_series
 from sposchur.measures import (
     MeasureSpec,
     correlation_bruteforce,
+    correlation_bruteforce_batch,
     hole_probability_bruteforce,
     plancherel_measure,
     total_mass_series,
@@ -46,7 +49,7 @@ def test_weights_sum_to_one_exact_graded():
     rp = Specialization.from_powersums({1: Fraction(1, 2), 2: Fraction(1, 3)})
     rm = Specialization.from_powersums({1: Fraction(2, 5), 3: Fraction(-1, 4)})
     for family in ("sp", "o", "sp-dual", "o-dual"):
-        spec = MeasureSpec(family, rp, rm, numeric_mode="exact-graded")
+        spec = MeasureSpec(family, rp, rm)
         assert total_mass_series(spec, 8) == GradedScalar.one(8), family
 
 
@@ -70,6 +73,33 @@ def test_bruteforce_deep_sea_and_far_right():
     assert deep.value == pytest.approx(1.0, abs=1e-7)
     far = correlation_bruteforce(m, [7], tol=1e-8)
     assert abs(far.value) < 1e-6
+
+
+def test_single_set_equals_batch_of_one():
+    for theta in (Fraction(2, 5), 0.4):
+        m = plancherel_measure("o", theta)
+        for pts in ([0], [-1, 2]):
+            single = correlation_bruteforce(m, pts, tol=1e-9)
+            (batch,) = correlation_bruteforce_batch(m, [pts], tol=1e-9)
+            assert single == batch, (theta, pts)
+
+
+def test_log_z_matches_log_normalization_series():
+    rng = random.Random(5)
+
+    def rho():
+        return Specialization.from_powersums(
+            {k: Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for k in (1, 2, 3)}
+        )
+
+    for _ in range(3):
+        rp, rm = rho(), rho()
+        for family in FAMILIES:
+            series = log_normalization_series(family, rp, rm, 6)
+            expected = sum(float(c) for c in series.coeffs)
+            assert MeasureSpec(family, rp, rm).log_z() == pytest.approx(
+                expected, rel=1e-14, abs=1e-15
+            ), family
 
 
 def test_inclusion_exclusion_consistency():

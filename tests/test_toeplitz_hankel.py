@@ -49,14 +49,14 @@ def test_trivial_symbol_coefficients():
 
 
 def test_plancherel_symbol_modified_bessel_coefficients():
-    theta = 0.4
-    sym = Symbol.plancherel(theta)
-    # f(z) = exp(theta(2z + 1/z)): f_n = sqrt(2)^n I_n(2 sqrt(2) theta)
-    for n in range(-3, 4):
-        expected = (math.sqrt(2.0)) ** n * modified_bessel_i(abs(n), 2 * math.sqrt(2) * theta)
-        if n < 0:
-            expected = math.sqrt(2.0) ** n * modified_bessel_i(-n, 2 * math.sqrt(2) * theta)
-        assert sym.fourier_coeff("f", n) == pytest.approx(expected, abs=1e-13), n
+    for theta, tol in ((0.4, {"abs": 1e-13}), (4.0, {"rel": 1e-13})):
+        sym = Symbol.plancherel(theta)
+        # f(z) = exp(theta(2z + 1/z)): f_n = sqrt(2)^n I_n(2 sqrt(2) theta)
+        for n in range(-3, 4):
+            expected = (math.sqrt(2.0)) ** n * modified_bessel_i(abs(n), 2 * math.sqrt(2) * theta)
+            if n < 0:
+                expected = math.sqrt(2.0) ** n * modified_bessel_i(-n, 2 * math.sqrt(2) * theta)
+            assert sym.fourier_coeff("f", n) == pytest.approx(expected, **tol), (theta, n)
 
 
 def test_plancherel_f_tilde_equals_f():
