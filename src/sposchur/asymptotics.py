@@ -135,12 +135,16 @@ def bulk_scan(
 ) -> list[ScanRow]:
     """Lattice kernel at a = alpha theta + offset versus the sine kernel."""
     rows = []
+    offsets = list(offsets)
+    if not offsets:  # no window, no kernel call
+        return rows
+    phi = phi_plus(alpha)
     for theta in thetas:
-        base = round(alpha * theta)
-        phi = phi_plus(alpha)
-        for oa in offsets:
-            for ob in offsets:
-                val = kernel_bessel(theta, family, base + oa, base + ob)
+        sites = round(alpha * theta) + np.array(offsets)
+        mat = kernel_bessel(theta, family, sites, sites)
+        for i, oa in enumerate(offsets):
+            for j, ob in enumerate(offsets):
+                val = float(mat[i, j])
                 lim = sine_kernel(phi, ob - oa)
                 rows.append(ScanRow(theta, oa, ob, val, lim, abs(val - lim)))
     return rows
@@ -171,15 +175,18 @@ def edge_scan(
     """
     sign = "+" if family == "sp" else "-"
     rows = []
+    if len(grid) == 0:  # no window, no kernel call
+        return rows
     for theta in thetas:
         cube = theta ** (1.0 / 3.0)
-        for x in grid:
-            for y in grid:
-                a, b = edge_site(theta, x), edge_site(theta, y)
-                val = cube * kernel_bessel(theta, family, a, b)
+        sites = np.array([edge_site(theta, x) for x in grid])
+        mat = kernel_bessel(theta, family, sites, sites)
+        for i, x in enumerate(grid):
+            for j, y in enumerate(grid):
+                val = cube * float(mat[i, j])
                 if effective_coords:
                     lim = airy_2to1(
-                        sign, (a - 2.0 * theta) / cube, (b - 2.0 * theta) / cube
+                        sign, (sites[i] - 2.0 * theta) / cube, (sites[j] - 2.0 * theta) / cube
                     )
                 else:
                     lim = airy_2to1(sign, x, y)

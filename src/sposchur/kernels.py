@@ -38,7 +38,7 @@ from .errors import (
     QuadratureNotConverged,
 )
 from .measures import MeasureSpec
-from .special import _j_cache, bessel_j, bessel_j_values
+from .special import _j_cache, bessel_j_ranges
 from .specializations import Specialization
 
 _MODE_TOL = 1e-15  # boundary modes relative to the largest mode
@@ -91,6 +91,8 @@ class SymbolF:
         self.annulus_w = annulus_w
         self.label = label
         self._mode_cache: dict[bool, tuple[int, np.ndarray, float]] = {}
+        # (r_z, r_w, nodes) -> (F(z), F(w)) on the contour nodes
+        self._fz_cache: dict[tuple[float, float, int], tuple[np.ndarray, np.ndarray]] = {}
 
     # -- constructors --------------------------------------------------------
 
@@ -266,9 +268,7 @@ def _contour_data(F: SymbolF, r_z: float, r_w: float, n: int):
         data = (z, w, coupling)
         _coupling_cache[key] = data
     z, w, coupling = data
-    cache = getattr(F, "_fz_cache", None)
-    if cache is None:
-        cache = F._fz_cache = {}
+    cache = F._fz_cache
     pair = cache.get(key)
     if pair is None:
         if len(cache) > 8:
@@ -365,28 +365,73 @@ def kernel_contour_grid(
 # ---------------------------------------------------------------------------
 
 
-def kernel_bessel_with_error(
-    theta: float, family: str, a: int, b: int
-) -> tuple[float, float]:
-    """Kernel of the Plancherel-type measure, by truncated Bessel sums."""
+_PRODUCT_CHUNK = 1 << 18  # elements of the (rows, columns, terms) product per pass
+
+
+def _row_sums(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """[sum_k A[i, k] B[j, k]], each entry summed as np.sum sums a vector.
+
+    The pairwise order of np.sum keeps a 1x1 result bit-identical to the
+    scalar sum; a BLAS product would move last bits.  Rows go in chunks so
+    that the product temporary stays near _PRODUCT_CHUNK elements.
+    """
+    step = max(1, _PRODUCT_CHUNK // B.size)
+    return np.concatenate(
+        [(A[i : i + step, None, :] * B[None, :, :]).sum(axis=-1) for i in range(0, len(A), step)]
+    )
+
+
+def _site_arrays(a, b) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Sites as 1-D integer arrays, and whether both were given as scalars."""
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    a, b = np.atleast_1d(a).astype(np.int64), np.atleast_1d(b).astype(np.int64)
+    if a.ndim != 1 or b.ndim != 1 or not (a.size and b.size):
+        raise ValueError("kernel sites must be integers or non-empty 1-D integer arrays")
+    return a, b, scalar
+
+
+def kernel_bessel_with_error(theta: float, family: str, a, b):
+    """Kernel of the Plancherel-type measure, by truncated Bessel sums.
+
+    Integer sites give a float; 1-D site arrays give the matrix [K(a_i, b_j)].
+    The sums over i run to the truncation orders upper - min(a, b) and
+    upper - b, taken over the whole window for a matrix (the extra terms are
+    below 1e-27).  The J_{a+i}, J_{b+i} and J_{a-i} blocks are rows of one
+    `bessel_j_ranges` lookup, so a 1x1 matrix has the bits of the scalar sums.
+    """
     _check_family(family)
     if theta < 0:
         raise ValueError("theta must be >= 0")
+    a, b, scalar = _site_arrays(a, b)
     x = 2.0 * float(theta)
     upper = int(math.ceil(x + 16.0 * max(x, 1.0) ** (1.0 / 3.0) + 60))
-    i1 = np.arange(1, max(2, upper - min(a, b) + 1))
-    s1 = float(np.sum(bessel_j_values(a + i1, x) * bessel_j_values(b + i1, x)))
-    i2 = np.arange(0, max(1, upper - b + 1))
-    s2 = float(np.sum(bessel_j_values(a - i2, x) * bessel_j_values(b + i2, x)))
+    a_lo, a_hi, b_lo, b_hi = int(a.min()), int(a.max()), int(b.min()), int(b.max())
+    n1 = max(2, upper - min(a_lo, b_lo) + 1) - 1  # s1 sums i = 1..n1
+    n2 = max(1, upper - b_lo + 1)  # s2 sums i = 0..n2-1
+    # orders of J_{a+i}, J_{b+i} (i >= 1), J_{a-i} and J_{b+i} (i >= 0)
+    ranges = [
+        (a_lo + 1, a_hi + n1),
+        (b_lo + 1, b_hi + n1),
+        (a_lo - n2 + 1, a_hi),
+        (b_lo, b_hi + n2 - 1),
+    ]
+    if family == "o":
+        ranges += [(a_lo, a_hi), (b_lo, b_hi)]
+    J = bessel_j_ranges(ranges, x)
+    i1, i2 = np.arange(n1), np.arange(n2)
+    s1 = _row_sums(J[0][(a - a_lo)[:, None] + i1], J[1][(b - b_lo)[:, None] + i1])
+    # row r of the J_{a-i} block runs J_{a_r}, J_{a_r - 1}, ..., J_{a_r - n2 + 1}
+    s2 = _row_sums(J[2][(a - a_lo + n2 - 1)[:, None] - i2], J[3][(b - b_lo)[:, None] + i2])
     if family == "sp":
         value = s1 + s2
     else:
         # sum_{i>=0} J_{a+i} J_{b+i} = J_a J_b + s1-with-i>=1
-        value = bessel_j(a, x) * bessel_j(b, x) + s1 - s2
-    return value, 1e-15 * (len(i1) + len(i2)) ** 0.5
+        value = np.outer(J[4][a - a_lo], J[5][b - b_lo]) + s1 - s2
+    err = 1e-15 * (n1 + n2) ** 0.5
+    return (float(value[0, 0]) if scalar else value), err
 
 
-def kernel_bessel(theta: float, family: str, a: int, b: int) -> float:
+def kernel_bessel(theta: float, family: str, a, b):
     return kernel_bessel_with_error(theta, family, a, b)[0]
 
 
@@ -395,46 +440,39 @@ def kernel_bessel(theta: float, family: str, a: int, b: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def kernel_fourier_with_error(
-    F: SymbolF,
-    family: str,
-    a: int,
-    b: int,
-    recompute: bool = True,
-) -> tuple[float, float]:
-    """Kernel from the Laurent modes of F and 1/F.
+def kernel_fourier_with_error(F: SymbolF, family: str, a, b, recompute: bool = True):
+    """Kernel from the Laurent modes c of F and d of 1/F.
 
     sp: c_a d_{-b} + sum_{j>=1} d_{-b-j} (c_{a+j} + c_{a-j})
     o : sum_{j>=0} d_{-b-j} (c_{a+j} - c_{a-j})
+
+    Integer sites give a float; 1-D site arrays give the matrix [K(a_i, b_j)],
+    with the sums over j cut where the mode windows end for the outermost sites.
     """
     _check_family(family)
-    need = max(abs(a), abs(b)) + 16
+    a, b, scalar = _site_arrays(a, b)
+    a_far, b_far = int(np.abs(a).max()), int(np.abs(b).max())
+    need = max(a_far, b_far) + 16
     wc, cvals, err_c = F.modes(False, min_order=need, recompute=recompute)
     wd, dvals, err_d = F.modes(True, min_order=need, recompute=recompute)
-
-    def c(n: int) -> float:
-        return float(cvals[n + wc]) if abs(n) <= wc else 0.0
-
-    def d(n: int) -> float:
-        return float(dvals[n + wd]) if abs(n) <= wd else 0.0
-
-    jmax = min(wc - abs(a), wd - abs(b)) - 1
+    jmax = min(wc - a_far, wd - b_far) - 1
     if jmax < 8:
         raise CoefficientCacheMiss(
-            f"mode window too small for (a,b)=({a},{b}) with recompute disabled"
+            f"mode window too small for sites up to |{max(a_far, b_far)}| "
+            "with recompute disabled"
         )
+    j = np.arange(1 if family == "sp" else 0, jmax + 1)
+    c_up, c_down = cvals[wc + a[:, None] + j], cvals[wc + a[:, None] - j]
+    d_tail = dvals[wd - b[:, None] - j]
     if family == "sp":
-        total = c(a) * d(-b)
-        for j in range(1, jmax + 1):
-            total += d(-b - j) * (c(a + j) + c(a - j))
+        value = np.outer(cvals[wc + a], dvals[wd - b]) + (c_up + c_down) @ d_tail.T
     else:
-        total = 0.0
-        for j in range(0, jmax + 1):
-            total += d(-b - j) * (c(a + j) - c(a - j))
-    return total, max(err_c, err_d) * 4.0
+        value = (c_up - c_down) @ d_tail.T
+    err = max(err_c, err_d) * 4.0
+    return (float(value[0, 0]) if scalar else value), err
 
 
-def kernel_fourier(F: SymbolF, family: str, a: int, b: int, **kw) -> float:
+def kernel_fourier(F: SymbolF, family: str, a, b, **kw):
     return kernel_fourier_with_error(F, family, a, b, **kw)[0]
 
 
@@ -486,12 +524,13 @@ def dual_lattice_kernel(
     spec: MeasureSpec,
     representation: str = "contour",
     cfg: KernelConfig | None = None,
-) -> Callable[[int, int], float]:
+) -> Callable:
     """Configuration kernel of a dual-family measure on {lambda_i - i}.
 
     Conjugation acts on configurations as the reflected particle-hole map
     a -> -1-a, so the kernel is delta(a,b) - K_base(-1-a, -1-b) with the base
-    family swapped (sp-dual rests on an o measure and conversely).
+    family swapped (sp-dual rests on an o measure and conversely).  Like
+    `lattice_kernel`, it takes integer sites or 1-D site arrays.
     """
     if not spec.dual:
         raise ValueError("dual_lattice_kernel needs a dual-family measure")
@@ -503,7 +542,13 @@ def dual_lattice_kernel(
         representation=representation,
         cfg=cfg or G.default_config(),
     )
-    return lambda a, b: (1.0 if a == b else 0.0) - base(-1 - a, -1 - b)
+
+    def kernel(a, b):
+        a_sites, b_sites, scalar = _site_arrays(a, b)
+        value = np.equal.outer(a_sites, b_sites) - base(-1 - a_sites, -1 - b_sites)
+        return float(value[0, 0]) if scalar else value
+
+    return kernel
 
 
 def lattice_kernel(
@@ -512,11 +557,13 @@ def lattice_kernel(
     symbol: SymbolF | None = None,
     representation: str = "bessel",
     cfg: KernelConfig | None = None,
-) -> Callable[[int, int], float]:
+) -> Callable:
     """Kernel re-indexed to the configuration {lambda_i - i}.
 
     K_sp natively governs {lambda_i - i + 1}, so its arguments shift by one;
-    K_o already lives on {lambda_i - i}.
+    K_o already lives on {lambda_i - i}.  The function returned maps sites
+    (a, b) to K(a, b): a float for integer sites, the matrix [K(a_i, b_j)]
+    for 1-D site arrays, from one kernel evaluation either way.
     """
     _check_family(family)
     shift = 1 if family == "sp" else 0
@@ -524,28 +571,34 @@ def lattice_kernel(
     if representation == "bessel":
         if theta is None:
             raise ValueError("bessel representation needs theta")
-        return lambda a, b: kernel_bessel(theta, family, a + shift, b + shift)
+        return lambda a, b: kernel_bessel(theta, family, np.add(a, shift), np.add(b, shift))
     if representation == "contour":
         if symbol is None:
             raise ValueError("contour representation needs a symbol")
         use = cfg or symbol.default_config()
-        return lambda a, b: kernel_contour(use, symbol, family, a + shift, b + shift)
+
+        def contour(a, b):
+            a_sites, b_sites, scalar = _site_arrays(a, b)
+            grid = kernel_contour_grid(use, symbol, family, a_sites + shift, b_sites + shift)
+            return float(grid[0, 0]) if scalar else grid
+
+        return contour
     if representation == "fourier":
         if symbol is None:
             raise ValueError("fourier representation needs a symbol")
-        return lambda a, b: kernel_fourier(symbol, family, a + shift, b + shift)
+        return lambda a, b: kernel_fourier(symbol, family, np.add(a, shift), np.add(b, shift))
     raise ValueError(f"unknown representation {representation!r}")
 
 
-def correlation_det(kernel: Callable[[int, int], float], points: Sequence[int]) -> float:
+def correlation_det(kernel: Callable, points: Sequence[int]) -> float:
     """det[K(p_i, p_j)] over a finite set of distinct integer points."""
     pts = [int(p) for p in points]
     if len(set(pts)) != len(pts):
         raise ValueError(f"points must be distinct, got {pts}")
     if not pts:
         return 1.0
-    mat = np.array([[kernel(p, q) for q in pts] for p in pts], dtype=float)
-    return float(np.linalg.det(mat))
+    sites = np.array(pts)
+    return float(np.linalg.det(kernel(sites, sites)))
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,12 @@ def bessel_j_array(n_max: int, x: float) -> np.ndarray:
 _j_cache: dict[tuple[float, int], np.ndarray] = {}
 
 
+def _bucket(need: int, x: float) -> int:
+    """Length of the cached array that serves orders up to `need` at x."""
+    margin = int(16.0 * max(x, 1.0) ** (1.0 / 3.0) + 60)
+    return 256 * (1 + max(need, int(math.ceil(x)) + margin) // 256)
+
+
 def bessel_j_values(indices: np.ndarray, x: float) -> np.ndarray:
     """J_n(x), x >= 0, for an integer array of orders n (any sign).
 
@@ -102,19 +108,41 @@ def bessel_j_values(indices: np.ndarray, x: float) -> np.ndarray:
     """
     x = float(x)
     indices = np.asarray(indices)
-    need = int(np.max(np.abs(indices)))
-    margin = int(16.0 * max(x, 1.0) ** (1.0 / 3.0) + 60)
-    bucket = 256 * (1 + max(need, int(math.ceil(x)) + margin) // 256)
+    mag = np.abs(indices)
+    bucket = _bucket(int(np.max(mag)), x)
     arr = _j_cache.get((x, bucket))
     if arr is None:
         arr = bessel_j_array(bucket, x)
         if len(_j_cache) > 16:
             _j_cache.clear()
         _j_cache[(x, bucket)] = arr
-    mag = np.abs(indices)
     vals = arr[mag]
     odd_neg = (indices < 0) & (mag % 2 == 1)
     return np.where(odd_neg, -vals, vals)
+
+
+def bessel_j_ranges(ranges: list[tuple[int, int]], x: float) -> list[np.ndarray]:
+    """J_n(x) over each inclusive order range (lo, hi), one array per range.
+
+    Every range gets the values `bessel_j_values(np.arange(lo, hi + 1), x)`
+    gives, bit for bit; ranges served by the same cached array share one
+    lookup over their union.
+    """
+    x = float(x)
+    buckets = [_bucket(max(abs(lo), abs(hi)), x) for lo, hi in ranges]
+    spans: dict[int, tuple[int, int]] = {}  # bucket -> union of its ranges
+    for bucket, (lo, hi) in zip(buckets, ranges):
+        span = spans.get(bucket, (lo, hi))
+        spans[bucket] = (min(span[0], lo), max(span[1], hi))
+    values = {
+        bucket: (lo, bessel_j_values(np.arange(lo, hi + 1), x))
+        for bucket, (lo, hi) in spans.items()
+    }
+    out = []
+    for bucket, (lo, hi) in zip(buckets, ranges):
+        start, vals = values[bucket]
+        out.append(vals[lo - start : hi - start + 1])
+    return out
 
 
 def bessel_j(n: int, x: float) -> float:

@@ -65,7 +65,9 @@ class Symbol:
     """Wiener-Hopf symbol attached to a pair of specializations.
 
     `f` and `f_tilde` are the SymbolF functions f(z) = exp(R_+(z) + R_-(z))
-    and f~(z) = 1/f(-z).
+    and f~(z) = 1/f(-z).  `plancherel_theta` is theta for the symbols built by
+    `Symbol.plancherel(theta)`, whose kernels have the Bessel form, and None
+    otherwise.
     """
 
     def __init__(self, rho_plus: Specialization, rho_minus: Specialization):
@@ -73,6 +75,7 @@ class Symbol:
             raise ValueError("symbols need finitely supported power sums")
         self.rho_plus = rho_plus
         self.rho_minus = rho_minus
+        self.plancherel_theta: float | None = None
         f = SymbolF.exp_laurent(
             [(pv, k, False) for k, pv in powersum_table(rho_plus)]
             + [(pv, -k, False) for k, pv in powersum_table(rho_minus)],
@@ -85,9 +88,9 @@ class Symbol:
 
     @classmethod
     def plancherel(cls, theta) -> "Symbol":
-        return cls(
-            Specialization.plancherel(2 * theta), Specialization.plancherel(theta)
-        )
+        sym = cls(Specialization.plancherel(2 * theta), Specialization.plancherel(theta))
+        sym.plancherel_theta = float(theta)
+        return sym
 
     # -- Fourier coefficients --------------------------------------------------
 
@@ -223,15 +226,9 @@ class BOCheckResult:
 
 
 def _lattice_kernel_for(sym: Symbol, family: str):
-    rp, rm = sym.rho_plus, sym.rho_minus
-    theta = rm.p(1)
-    if (
-        rm.max_support == 1
-        and rp.max_support == 1
-        and float(rp.p(1)) == 2.0 * float(theta)
-    ):
-        return lattice_kernel(family, theta=float(theta), representation="bessel")
-    F = SymbolF.from_measure(MeasureSpec(family, rp, rm))
+    if sym.plancherel_theta is not None:
+        return lattice_kernel(family, theta=sym.plancherel_theta, representation="bessel")
+    F = SymbolF.from_measure(MeasureSpec(family, sym.rho_plus, sym.rho_minus))
     return lattice_kernel(family, symbol=F, representation="fourier")
 
 
@@ -240,34 +237,46 @@ def gap_probability(
 ) -> tuple[float, float, int]:
     """det(1 - K-hat) over configuration sites {m, m+1, ...} by finite section.
 
-    Returns (determinant, tail bound, window used).  The tail bound is twice
-    the diagonal mass beyond the window; TruncationInsufficient is raised if
-    it cannot be pushed below the configured tolerance.
+    Returns (determinant, tail bound, window used).  Without a configured
+    window, the window is the first multiple of 8 (up to max_window) at which
+    |K(m + w, m + w)| falls to tail_tol/100.  The tail bound is twice the
+    diagonal mass beyond the window; TruncationInsufficient is raised if it
+    cannot be pushed below the configured tolerance.  The kernel is called once
+    per block of 8 candidate widths, once per block of 32 tail sites and once
+    for the window matrix.
     """
     fred = fred or FredholmConfig()
     kernel = _lattice_kernel_for(sym, family)
     if fred.window is not None:
         width = fred.window
     else:
-        width = 8
-        while kernel(m + width, m + width) > fred.tail_tol / 100 and width < fred.max_window:
-            width += 8
+        widths = np.arange(8, max(fred.max_window, 1) + 8, 8)  # 8, 16, ... past max_window
+        width = int(widths[-1])
+        for block in np.split(widths, range(8, len(widths), 8)):
+            small = np.abs(np.diagonal(kernel(m + block, m + block))) <= fred.tail_tol / 100
+            if small.any():
+                width = int(block[np.argmax(small)])
+                break
+    # |K(s, s)| from s = m + width through the first value below 1e-22,
+    # or through s = m + width + max_window + 1
     tail = 0.0
-    s = m + width
-    while True:
-        d = kernel(s, s)
-        tail += abs(d)
-        if abs(d) < 1e-22 or s > m + width + fred.max_window:
+    s, last = m + width, m + width + fred.max_window + 1
+    while s <= last:
+        block = np.arange(s, min(s + 32, last + 1))
+        d = np.abs(np.diagonal(kernel(block, block)))
+        below = np.flatnonzero(d < 1e-22)
+        if below.size:
+            tail += float(np.sum(d[: below[0] + 1]))
             break
-        s += 1
+        tail += float(np.sum(d))
+        s += 32
     tail_bound = 2.0 * tail
     if tail_bound > fred.tail_tol:
         raise TruncationInsufficient(
             f"tail bound {tail_bound} exceeds {fred.tail_tol} at window {width}"
         )
-    sites = range(m, m + width)
-    mat = np.array([[kernel(a, b) for b in sites] for a in sites])
-    det = float(np.linalg.det(np.eye(width) - mat))
+    sites = np.arange(m, m + width)
+    det = float(np.linalg.det(np.eye(width) - kernel(sites, sites))) if width else 1.0
     return det, tail_bound, width
 
 

@@ -1,6 +1,8 @@
 """The benchmark tracer rebinds library names; renaming one of them breaks it."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,3 +28,14 @@ def test_tracer_install_and_uninstall():
     finally:
         tracer.uninstall()
     assert (kernels.SymbolF.modes, special.bessel_j_array, np.fft.fft) == originals
+
+
+def test_benchmark_selftest_passes():
+    # every workload at a tiny size, untraced and traced: metric names, item
+    # correctness and the traced layer predictions (kernel calls must stay
+    # visible to the tracer)
+    selftest = TRACER_PATH.parent / "selftest.py"
+    proc = subprocess.run(
+        [sys.executable, str(selftest)], capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]

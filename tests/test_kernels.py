@@ -19,7 +19,7 @@ from sposchur.kernels import (
     save_mode_cache,
 )
 from sposchur.measures import MeasureSpec, correlation_bruteforce, plancherel_measure
-from sposchur.special import bessel_j
+from sposchur.special import bessel_j, bessel_j_values
 from sposchur.specializations import Specialization
 
 CFG = KernelConfig()
@@ -163,6 +163,98 @@ def test_grid_matches_scalar_contour():
             assert grid[i, j] == pytest.approx(
                 kernel_contour(CFG, F, "sp", a, b), abs=1e-11
             )
+
+
+def test_christoffel_darboux_form_of_the_bessel_kernel():
+    # Borodin-Okounkov-Olshanski: sum_{i>=1} J_{a+i} J_{b+i} =
+    # (x/2) (J_a J_{b+1} - J_{a+1} J_b) / (a - b) for a != b, and
+    # K_sp + K_o = 2 sum_{i>=1} J_{a+i} J_{b+i} + J_a J_b
+    for theta in (0.5, 3.0, 200.0, 1e4):
+        x = 2.0 * theta
+        sites = round(x) + np.arange(-6, 7) * max(1, round(theta ** (1.0 / 3.0)))
+        J, J1 = bessel_j_values(sites, x), bessel_j_values(sites + 1, x)
+        gap = sites[:, None] - sites[None, :]
+        off = gap != 0
+        integrable = (x / 2.0) * (np.outer(J, J1) - np.outer(J1, J))[off] / gap[off]
+        ksp = kernel_bessel(theta, "sp", sites, sites)
+        ko = kernel_bessel(theta, "o", sites, sites)
+        summed = (ksp + ko - np.outer(J, J)) / 2.0
+        assert np.abs(summed[off] - integrable).max() < 1e-13, theta
+        for i, j in [(0, 12), (5, 6), (9, 2)]:
+            a, b = int(sites[i]), int(sites[j])
+            scalar = (kernel_bessel(theta, "sp", a, b) + kernel_bessel(theta, "o", a, b)
+                      - J[i] * J[j]) / 2.0
+            rhs = (x / 2.0) * (J[i] * J1[j] - J1[i] * J[j]) / (a - b)
+            assert scalar == pytest.approx(rhs, abs=1e-13), (theta, a, b)
+
+
+# ---------------------------------------------------------------------------
+# kernel matrices against per-entry calls
+# ---------------------------------------------------------------------------
+
+
+def test_bessel_matrix_matches_entries():
+    theta = 200.0
+    sites = np.arange(365, 455)  # a 90-site finite section at the edge
+    for family in ("sp", "o"):
+        mat = kernel_bessel(theta, family, sites, sites)
+        entries = np.array([[kernel_bessel(theta, family, a, b) for b in sites] for a in sites])
+        assert np.abs(mat - entries).max() <= 1e-15, family
+    # rectangular windows, negative sites, and lattice_kernel's shift
+    a_sites, b_sites = np.array([-7, -1, 0, 4]), np.array([-3, 2])
+    for family in ("sp", "o"):
+        k = lattice_kernel(family, theta=1.5)
+        mat = k(a_sites, b_sites)
+        assert mat.shape == (4, 2)
+        for i, a in enumerate(a_sites):
+            for j, b in enumerate(b_sites):
+                assert mat[i, j] == pytest.approx(k(int(a), int(b)), abs=1e-15)
+
+
+def test_scalar_bessel_call_is_the_one_by_one_matrix():
+    for theta in (0.0, 0.3, 2.0, 50.0, 200.0):
+        for family in ("sp", "o"):
+            for a, b in [(0, 0), (3, -2), (-40, 7), (2 * int(theta) + 5, 2 * int(theta))]:
+                value = kernel_bessel(theta, family, a, b)
+                assert isinstance(value, float)
+                assert value == kernel_bessel(theta, family, [a], [b])[0, 0]
+
+
+def test_fourier_matrix_matches_entries():
+    rp = Specialization.from_powersums({1: Fraction(1, 2), 2: Fraction(1, 5)})
+    rm = Specialization.from_powersums({1: Fraction(1, 3)})
+    symbols = [SymbolF.plancherel(1.0), SymbolF.from_measure(MeasureSpec("o", rp, rm))]
+    sites = np.arange(-6, 7)
+    for F in symbols:
+        for family in ("sp", "o"):
+            mat = kernel_fourier(F, family, sites, sites)
+            for i, a in enumerate(sites):
+                for j, b in enumerate(sites):
+                    assert mat[i, j] == pytest.approx(
+                        kernel_fourier(F, family, int(a), int(b)), abs=1e-12
+                    )
+
+
+def test_contour_and_dual_matrices_match_entries():
+    theta = 0.5
+    F = SymbolF.plancherel(theta)
+    sites = np.array([-3, -1, 0, 2, 4])
+    for family in ("sp", "o"):
+        mat = lattice_kernel(family, symbol=F, representation="contour", cfg=CFG)(sites, sites)
+        shift = 1 if family == "sp" else 0
+        for i, a in enumerate(sites):
+            for j, b in enumerate(sites):
+                entry = kernel_contour(CFG, F, family, int(a) + shift, int(b) + shift)
+                assert mat[i, j] == pytest.approx(entry, abs=1e-12)
+    x = Specialization.from_bc_alphabet([Fraction(9, 10)])
+    y = Specialization.from_alphabet([Fraction(3, 10)])
+    for family in ("sp-dual", "o-dual"):
+        k = dual_lattice_kernel(MeasureSpec(family, x, y))
+        assert isinstance(k(0, 0), float)
+        mat = k(sites, sites)
+        for i, a in enumerate(sites):
+            for j, b in enumerate(sites):
+                assert mat[i, j] == pytest.approx(k(int(a), int(b)), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -180,3 +180,28 @@ def test_bo_nonplancherel_symbol():
     assert abs(res.gap) < 1e-8, res
     res_o = bo_check(sym, "o", 3)
     assert abs(res_o.gap) < 1e-8, res_o
+
+
+def test_window_search_uses_the_diagonal_magnitude():
+    # at theta = 2 the o diagonal turns negative (-8.4e-08 at m + 8) before it
+    # is small; a signed comparison stopped the search there and the tail
+    # bound then raised TruncationInsufficient
+    sym = Symbol.plancherel(2.0)
+    for m in (2, 3, 4):
+        res = bo_check(sym, "o", m, FredholmConfig(tail_tol=1e-10))
+        assert res.window == 16, (m, res)
+        assert abs(res.gap) < 1e-8, (m, res)
+
+
+def test_plancherel_tag_selects_the_bessel_route():
+    theta = 0.5
+    tagged = Symbol.plancherel(theta)
+    assert tagged.plancherel_theta == theta
+    # the same specializations without the tag take the Fourier-mode route
+    plain = Symbol(Specialization.plancherel(2 * theta), Specialization.plancherel(theta))
+    assert plain.plancherel_theta is None
+    fred = FredholmConfig(window=12)
+    for family in ("sp", "o"):
+        via_bessel = gap_probability(tagged, family, 2, fred)[0]
+        via_fourier = gap_probability(plain, family, 2, fred)[0]
+        assert via_bessel == pytest.approx(via_fourier, abs=1e-12), family
