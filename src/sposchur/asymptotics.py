@@ -61,20 +61,25 @@ def sine_kernel(phi: float, d: int) -> float:
 _S_GRID = gauss_legendre_panels(0.0, 40.0, 96, 10)
 
 
-def airy_2to1(sign: str, x: float, y: float) -> float:
+def airy_2to1(sign: str, x, y):
     """A±(x, y) via the two Airy-product integrals.
 
-    The second integrand oscillates in Ai(x-s) but is damped
-    superexponentially by Ai(y+s), so composite panels to s = 40 suffice.
+    Scalars give a float; 1-D arrays give the matrix [A±(x_i, y_j)].  The
+    second integrand oscillates in Ai(x-s) but is damped superexponentially
+    by Ai(y+s), so composite panels to s = 40 suffice.  When `x is y` the
+    Ai(y + s) grid also serves as Ai(x + s).
     """
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+    scalar = np.ndim(x) == 0 and np.ndim(y) == 0
     s, w = _S_GRID
-    plus = float(np.sum(w * airy_ai_vec(x + s) * airy_ai_vec(y + s)))
-    cross = float(np.sum(w * airy_ai_vec(x - s) * airy_ai_vec(y + s)))
-    if sign == "+":
-        return plus + cross
-    if sign == "-":
-        return plus - cross
-    raise ValueError("sign must be '+' or '-'")
+    xs = np.atleast_1d(x)[:, None]
+    up_y = airy_ai_vec(np.atleast_1d(y)[:, None] + s)
+    up_x = up_y if x is y else airy_ai_vec(xs + s)
+    plus = (up_x * w) @ up_y.T
+    cross = (airy_ai_vec(xs - s) * w) @ up_y.T
+    value = plus + cross if sign == "+" else plus - cross
+    return float(value[0, 0]) if scalar else value
 
 
 def _ray_nodes(vertex: float, angle: float, length: float, panels: int, order: int):
@@ -181,15 +186,12 @@ def edge_scan(
         cube = theta ** (1.0 / 3.0)
         sites = np.array([edge_site(theta, x) for x in grid])
         mat = kernel_bessel(theta, family, sites, sites)
+        coords = (sites - 2.0 * theta) / cube if effective_coords else np.array(grid)
+        limit = airy_2to1(sign, coords, coords)
         for i, x in enumerate(grid):
             for j, y in enumerate(grid):
                 val = cube * float(mat[i, j])
-                if effective_coords:
-                    lim = airy_2to1(
-                        sign, (sites[i] - 2.0 * theta) / cube, (sites[j] - 2.0 * theta) / cube
-                    )
-                else:
-                    lim = airy_2to1(sign, x, y)
+                lim = float(limit[i, j])
                 rows.append(ScanRow(theta, x, y, val, lim, abs(val - lim)))
     return rows
 
@@ -237,8 +239,6 @@ def tw_2to1_cdf(
     target; `panels`/`interval` doubling is the advertised stability check.
     A FredholmConfig can override the window length and node order.
     """
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
     if fred is not None:
         order = fred.order
         if fred.window is not None:
@@ -250,12 +250,7 @@ def tw_2to1_cdf(
             f"kernel diagonal {tail:.2e} at the window end {end}; enlarge the interval"
         )
     xs, ws = gauss_legendre_panels(s, end, panels, order)
-    sg, wg = _S_GRID
-    up = airy_ai_vec(xs[:, None] + sg[None, :])  # Ai(x_i + s_k)
-    um = airy_ai_vec(xs[:, None] - sg[None, :])  # Ai(x_i - s_k)
-    plus = (up * wg[None, :]) @ up.T
-    cross = (um * wg[None, :]) @ up.T
-    amat = plus + cross if sign == "+" else plus - cross
+    amat = airy_2to1(sign, xs, xs)
     root = np.sqrt(ws)
     kmat = root[:, None] * amat * root[None, :]
     return float(np.linalg.det(np.eye(len(xs)) - kmat))

@@ -10,7 +10,11 @@ specialization rho:
     o_lambda      = det[h_{l_i-i+j} - h_{l_i-i-j}]            (size = length)
                   = (1/2) det[e_{l'_i-i+j} + e_{l'_i-i-j+2}]  (size = l_1)
 
-with h_n = e_n = 0 for n < 0.  The sp and o characters also admit signed
+with h_n = e_n = 0 for n < 0.  The four sp/o forms are the patterns D1..D4
+of `TH_PATTERNS` (sp h-form D1, sp e-form D2, o h-form D3, o e-form D4), all
+built by `th_rows`; with zero shifts and the Fourier coefficients of f or f~
+in place of h or e, the same patterns are the Gessel matrices of
+`toeplitz_hankel`.  The sp and o characters also admit signed
 skew-Schur expansions over self-conjugate-adjacent Frobenius shapes, which we
 expose as an independent second route for testing.
 
@@ -22,7 +26,9 @@ LU via numpy.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -117,6 +123,86 @@ def series_determinant(rows: list[list[GradedScalar]]) -> GradedScalar:
     return minor((1 << n) - 1)
 
 
+# ---------------------------------------------------------------------------
+# the four Toeplitz +/- Hankel patterns
+# ---------------------------------------------------------------------------
+
+
+class THPattern(NamedTuple):
+    """One of the determinant patterns D1..D4 (see the module docstring)."""
+
+    combine: Callable  # operator.add or operator.sub: Toeplitz part +/- Hankel part
+    offset: int  # Hankel index offset
+    half: bool  # the 1/2 factor, which applies at positive sizes only
+    family: str  # "sp" or "o"
+    form: str  # "h": length bound, entries from f; "e": width bound, from f~
+
+    @property
+    def bound(self) -> str:
+        """The `character_sum_series` keyword of the Gessel restriction."""
+        return "length_bound" if self.form == "h" else "width_bound"
+
+    @property
+    def symbol(self) -> str:
+        """The `Symbol.fourier_coeffs` series of the Gessel matrix."""
+        return "f" if self.form == "h" else "f_tilde"
+
+    def halve(self, value, size: int):
+        """The determinant of this size times the pattern's 1/2 factor."""
+        return value / 2 if self.half and size > 0 else value
+
+
+# add/sub rather than a +-1 multiplier, which would build a scaled copy of every
+# series entry; in floats a - b is bit-identical to a + (-1.0 * b)
+TH_PATTERNS = {
+    "D1": THPattern(operator.add, 0, True, "sp", "h"),
+    "D2": THPattern(operator.sub, 2, False, "sp", "e"),
+    "D3": THPattern(operator.sub, 2, False, "o", "h"),
+    "D4": THPattern(operator.add, 0, True, "o", "e"),
+}
+
+
+def th_pattern(which: str) -> THPattern:
+    if which not in TH_PATTERNS:
+        raise ValueError(f"which must be one of {tuple(TH_PATTERNS)}")
+    return TH_PATTERNS[which]
+
+
+def th_rows(which: str, shifts, g: Callable) -> list[list]:
+    """[[g(s_i - i + j) +/- g(s_i - i - j - offset)]], 0-indexed, one row per shift."""
+    pattern = th_pattern(which)
+    n = len(shifts)
+    return [
+        [pattern.combine(g(s - i + j), g(s - i - j - pattern.offset)) for j in range(n)]
+        for i, s in enumerate(shifts)
+    ]
+
+
+def th_determinant(rows: list[list], degree: int | None = None):
+    """det(rows), 1 at size 0: entries are Fractions or floats without a
+    degree, and series truncated at `degree` with one."""
+    if degree is None:
+        return determinant(rows)
+    return series_determinant(rows) if rows else GradedScalar.one(degree)
+
+
+def _character(which: str, shifts, values: Callable, degree: int | None = None):
+    """The character of pattern `which` from the h or e images `values`.
+
+    Without a degree the value is exact or float.  With one it is graded: under
+    p_k -> degree k, values(n) enters as values(n) t^n (zero for n < 0).  The
+    graded s_lambda is a single monomial, but the sp/o determinants mix
+    degrees (sp_{(1,1)} = e_2 - 1 has degrees 2 and 0), so they are taken over
+    the series ring, truncated at `degree`.
+    """
+    g = values
+    if degree is not None:
+        zero = GradedScalar.zero(degree)
+        g = lambda n: GradedScalar.monomial(values(n), n, degree) if n >= 0 else zero  # noqa: E731
+    rows = th_rows(which, shifts, g)
+    return TH_PATTERNS[which].halve(th_determinant(rows, degree), len(rows))
+
+
 def schur(lam: Partition, rho: Specialization):
     """s_lambda(rho) by the h-form Jacobi-Trudi determinant."""
     n = lam.length()
@@ -146,60 +232,22 @@ def skew_schur(lam: Partition, mu: Partition, rho: Specialization):
 
 def sp_char(lam: Partition, rho: Specialization):
     """Symplectic character sp_lambda(rho), h-form."""
-    n = lam.length()
-    if n == 0:
-        return Fraction(1)
-    rows = [
-        [
-            rho.h(lam.part(i) - i + j) + rho.h(lam.part(i) - i - j + 2)
-            for j in range(1, n + 1)
-        ]
-        for i in range(1, n + 1)
-    ]
-    return determinant(rows) / 2
+    return _character("D1", lam.parts, rho.h)
 
 
 def sp_char_via_e(lam: Partition, rho: Specialization):
     """Symplectic character, e-form (no 1/2 factor)."""
-    conj = lam.conjugate()
-    m = lam.part(1)
-    rows = [
-        [
-            rho.e(conj.part(i) - i + j) - rho.e(conj.part(i) - i - j)
-            for j in range(1, m + 1)
-        ]
-        for i in range(1, m + 1)
-    ]
-    return determinant(rows)
+    return _character("D2", lam.conjugate().parts, rho.e)
 
 
 def o_char(lam: Partition, rho: Specialization):
     """Orthogonal character o_lambda(rho), h-form."""
-    n = lam.length()
-    rows = [
-        [
-            rho.h(lam.part(i) - i + j) - rho.h(lam.part(i) - i - j)
-            for j in range(1, n + 1)
-        ]
-        for i in range(1, n + 1)
-    ]
-    return determinant(rows)
+    return _character("D3", lam.parts, rho.h)
 
 
 def o_char_via_e(lam: Partition, rho: Specialization):
     """Orthogonal character, e-form (with the 1/2 factor)."""
-    conj = lam.conjugate()
-    m = lam.part(1)
-    if m == 0:
-        return Fraction(1)
-    rows = [
-        [
-            rho.e(conj.part(i) - i + j) + rho.e(conj.part(i) - i - j + 2)
-            for j in range(1, m + 1)
-        ]
-        for i in range(1, m + 1)
-    ]
-    return determinant(rows) / 2
+    return _character("D4", lam.conjugate().parts, rho.e)
 
 
 def sp_via_expansion(lam: Partition, rho: Specialization):
@@ -236,53 +284,14 @@ def character(family: str, lam: Partition, rho: Specialization):
     raise ValueError(f"unknown character family {family!r}")
 
 
-# ---------------------------------------------------------------------------
-# graded (series-valued) characters
-#
-# Under the grading p_k -> degree k, the image h_n is homogeneous of degree n,
-# so s_lambda is homogeneous of degree |lambda| and its graded value is a
-# single monomial.  The sp/o Jacobi-Trudi determinants mix h-degrees
-# (sp_{(1,1)} = e_2 - 1 already shows degrees 2 and 0), so their graded values
-# are genuine truncated series, computed over the series ring.
-# ---------------------------------------------------------------------------
-
-
-def _h_monomial(rho: Specialization, n: int, degree: int) -> GradedScalar:
-    if n < 0:
-        return GradedScalar.zero(degree)
-    return GradedScalar.monomial(rho.h(n), n, degree)
-
-
 def sp_char_series(lam: Partition, rho: Specialization, degree: int) -> GradedScalar:
     """Graded symplectic character, via the h-form determinant over series."""
-    n = lam.length()
-    if n == 0:
-        return GradedScalar.one(degree)
-    rows = [
-        [
-            _h_monomial(rho, lam.part(i) - i + j, degree)
-            + _h_monomial(rho, lam.part(i) - i - j + 2, degree)
-            for j in range(1, n + 1)
-        ]
-        for i in range(1, n + 1)
-    ]
-    return series_determinant(rows) / 2
+    return _character("D1", lam.parts, rho.h, degree)
 
 
 def o_char_series(lam: Partition, rho: Specialization, degree: int) -> GradedScalar:
     """Graded orthogonal character, via the h-form determinant over series."""
-    n = lam.length()
-    if n == 0:
-        return GradedScalar.one(degree)
-    rows = [
-        [
-            _h_monomial(rho, lam.part(i) - i + j, degree)
-            - _h_monomial(rho, lam.part(i) - i - j, degree)
-            for j in range(1, n + 1)
-        ]
-        for i in range(1, n + 1)
-    ]
-    return series_determinant(rows)
+    return _character("D3", lam.parts, rho.h, degree)
 
 
 def character_series(

@@ -25,10 +25,6 @@ class QuadratureNotConverged(SposchurError):
     """Doubling the quadrature node count failed to stabilize the result."""
 
 
-class CoefficientCacheMiss(SposchurError):
-    """A Fourier/Laurent mode outside the cached window was requested with recompute disabled."""
-
-
 class TruncationInsufficient(SposchurError):
     """A Fredholm truncation window's tail bound exceeds the requested tolerance."""
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .characters import o_char, o_char_series, schur, sp_char, sp_char_series
+from .characters import character, character_series, o_char, schur, sp_char
 from .partitions import Partition, enumerate_partitions
 from .series import GradedScalar
 from .specializations import Specialization
@@ -109,9 +109,8 @@ def character_sum_series(
     if weight_minus < 1:
         raise ValueError("the minus side must carry the grading")
     out = GradedScalar.zero(degree)
-    char = sp_char if family.startswith("sp") else o_char
-    char_series = sp_char_series if family.startswith("sp") else o_char_series
-    dual = family.endswith("dual")
+    base = family.removesuffix("-dual")
+    dual = base != family
     # the Schur factor contributes degree weight_minus * |lambda|, and the
     # graded sp/o factor is a series with terms down to degree 0, so every
     # partition with |lambda| <= degree / weight_minus can reach degree <= D
@@ -125,9 +124,9 @@ def character_sum_series(
             continue
         s_part = GradedScalar.monomial(s, weight_minus * lam.size(), degree)
         if weight_plus:
-            term = char_series(lam, rho_plus, degree) * s_part
+            term = character_series(base, lam, rho_plus, degree) * s_part
         else:
-            term = char(lam, rho_plus) * s_part
+            term = character(base, lam, rho_plus) * s_part
         if term:
             out = out + term
     return out

@@ -24,19 +24,13 @@ until two successive values agree.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    CoefficientCacheMiss,
-    ContourViolation,
-    QuadratureNotConverged,
-)
+from .errors import ContourViolation, QuadratureNotConverged
 from .measures import MeasureSpec
 from .special import _j_cache, bessel_j_ranges
 from .specializations import Specialization
@@ -208,9 +202,7 @@ class SymbolF:
 
     # -- Laurent modes --------------------------------------------------------------
 
-    def modes(
-        self, inverse: bool, min_order: int = 0, recompute: bool = True
-    ) -> tuple[int, np.ndarray, float]:
+    def modes(self, inverse: bool, min_order: int = 0) -> tuple[int, np.ndarray, float]:
         """Cached Laurent coefficients of F (or 1/F) on the unit circle.
 
         Returns (half_window W, coefficients for n in [-W, W], largest boundary
@@ -221,10 +213,6 @@ class SymbolF:
         cached = self._mode_cache.get(inverse)
         if cached is not None and cached[0] >= min_order:
             return cached
-        if cached is not None and not recompute:
-            raise CoefficientCacheMiss(
-                f"mode {min_order} beyond cached window {cached[0]}"
-            )
         n = 256
         while n <= _MAX_FFT:
             vals = self(np.exp(2j * np.pi * np.arange(n) / n))
@@ -440,7 +428,7 @@ def kernel_bessel(theta: float, family: str, a, b):
 # ---------------------------------------------------------------------------
 
 
-def kernel_fourier_with_error(F: SymbolF, family: str, a, b, recompute: bool = True):
+def kernel_fourier_with_error(F: SymbolF, family: str, a, b):
     """Kernel from the Laurent modes c of F and d of 1/F.
 
     sp: c_a d_{-b} + sum_{j>=1} d_{-b-j} (c_{a+j} + c_{a-j})
@@ -453,14 +441,9 @@ def kernel_fourier_with_error(F: SymbolF, family: str, a, b, recompute: bool = T
     a, b, scalar = _site_arrays(a, b)
     a_far, b_far = int(np.abs(a).max()), int(np.abs(b).max())
     need = max(a_far, b_far) + 16
-    wc, cvals, err_c = F.modes(False, min_order=need, recompute=recompute)
-    wd, dvals, err_d = F.modes(True, min_order=need, recompute=recompute)
-    jmax = min(wc - a_far, wd - b_far) - 1
-    if jmax < 8:
-        raise CoefficientCacheMiss(
-            f"mode window too small for sites up to |{max(a_far, b_far)}| "
-            "with recompute disabled"
-        )
+    wc, cvals, err_c = F.modes(False, min_order=need)
+    wd, dvals, err_d = F.modes(True, min_order=need)
+    jmax = min(wc - a_far, wd - b_far) - 1  # >= 15, as both windows reach `need`
     j = np.arange(1 if family == "sp" else 0, jmax + 1)
     c_up, c_down = cvals[wc + a[:, None] + j], cvals[wc + a[:, None] - j]
     d_tail = dvals[wd - b[:, None] - j]
@@ -472,8 +455,8 @@ def kernel_fourier_with_error(F: SymbolF, family: str, a, b, recompute: bool = T
     return (float(value[0, 0]) if scalar else value), err
 
 
-def kernel_fourier(F: SymbolF, family: str, a, b, **kw):
-    return kernel_fourier_with_error(F, family, a, b, **kw)[0]
+def kernel_fourier(F: SymbolF, family: str, a, b):
+    return kernel_fourier_with_error(F, family, a, b)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -601,11 +584,6 @@ def correlation_det(kernel: Callable, points: Sequence[int]) -> float:
     return float(np.linalg.det(kernel(sites, sites)))
 
 
-# ---------------------------------------------------------------------------
-# persistable mode caches: JSON header line + little-endian float64 payload
-# ---------------------------------------------------------------------------
-
-
 def reset_numeric_caches() -> None:
     """Clear shared numeric caches (Bessel arrays, quadrature couplings).
 
@@ -615,31 +593,3 @@ def reset_numeric_caches() -> None:
     """
     _j_cache.clear()
     _coupling_cache.clear()
-
-
-def save_mode_cache(path: str | Path, F: SymbolF, inverse: bool = False) -> None:
-    w, coeffs, err = F.modes(inverse)
-    header = {
-        "kind": "laurent-modes",
-        "label": F.label,
-        "inverse": inverse,
-        "radius": 1.0,
-        "half_window": w,
-        "aliasing_estimate": err,
-        "dtype": "<f8",
-    }
-    payload = np.asarray(coeffs, dtype="<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode() + b"\n")
-        fh.write(payload)
-
-
-def load_mode_cache(path: str | Path) -> tuple[dict, np.ndarray]:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        coeffs = np.frombuffer(fh.read(), dtype="<f8")
-    if header.get("kind") != "laurent-modes":
-        raise ValueError("not a mode-cache file")
-    if len(coeffs) != 2 * header["half_window"] + 1:
-        raise ValueError("mode-cache payload length mismatch")
-    return header, coeffs

@@ -4,7 +4,8 @@ Borodin-Okounkov bridge to Fredholm determinants.
 A symbol is a pair of specializations through f(z) = exp(R_+(z) + R_-(z)),
 R_±(z) = sum_k rho_k^± z^{±k} with rho_k^± = p_k(rho^±)/k, together with
 f~(z) := 1/f(-z).  Four determinant families are built from the Fourier
-coefficients (all size x size, 0-indexed):
+coefficients (all size x size, 0-indexed; the patterns of
+`characters.TH_PATTERNS` with zero shifts):
 
     D1[i,j] = f_{-i+j} + f_{-i-j}         D2[i,j] = f~_{-i+j} - f~_{-i-j-2}
     D3[i,j] = f_{-i+j} - f_{-i-j-2}       D4[i,j] = f~_{-i+j} + f~_{-i-j}
@@ -18,8 +19,10 @@ Z_o, and for finite m the deficit is itself a Fredholm determinant:
     D2_m = Z_sp det(1 - K_sp-hat)  and  (1/2) D4_m = Z_o det(1 - K_o-hat)
 
 over the configuration sites {m, m+1, ...} (no particle of {lambda_i - i} at
-or beyond m is exactly lambda_1 <= m).  Finite sections with a tail bound
-from the superexponential kernel decay evaluate the right-hand sides.
+or beyond m is exactly lambda_1 <= m).  Finite sections evaluate the
+right-hand sides.  Their reported "tail bound" is twice the diagonal mass of
+the kernel beyond the window: for these signed, non-Hermitian kernels that is
+an estimate of the truncation error, not a bound on it.
 """
 
 from __future__ import annotations
@@ -28,23 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .characters import th_determinant, th_pattern, th_rows
 from .errors import TruncationInsufficient
 from .identities import character_sum_series
 from .kernels import SymbolF, lattice_kernel, powersum_table
 from .measures import MeasureSpec
 from .series import GradedScalar
 from .specializations import Specialization
-
-_WHICH = ("D1", "D2", "D3", "D4")
-# determinant family -> (uses f~, sign of the Hankel part, Hankel index offset,
-#                        1/2 factor in the Gessel identity, character family, bound kind)
-_FAMILY_TABLE = {
-    "D1": (False, +1, 0, True, "sp", "length"),
-    "D2": (True, -1, 2, False, "sp", "width"),
-    "D3": (False, -1, 2, False, "o", "length"),
-    "D4": (True, +1, 0, True, "o", "width"),
-}
-
 
 @dataclass
 class FredholmConfig:
@@ -126,70 +119,33 @@ class Symbol:
         return out
 
 
-def _matrix_indices(which: str, size: int):
-    uses_tilde, sign, offset, _, _, _ = _FAMILY_TABLE[which]
-    toeplitz = [[-i + j for j in range(size)] for i in range(size)]
-    hankel = [[-i - j - offset for j in range(size)] for i in range(size)]
-    return uses_tilde, sign, toeplitz, hankel
-
-
 def th_det(sym: Symbol, which: str, size: int):
     """Float Toeplitz+Hankel determinant D^1..D^4 of the given size."""
-    if which not in _WHICH:
-        raise ValueError(f"which must be one of {_WHICH}")
+    pattern = th_pattern(which)
     if size < 0:
         raise ValueError("size must be >= 0")
-    if size == 0:
-        return 1.0
-    uses_tilde, sign, toep, hank = _matrix_indices(which, size)
-    lo = min(min(r) for r in hank + toep)
-    hi = max(max(r) for r in toep)
-    series = "f_tilde" if uses_tilde else "f"
-    coeffs = sym.fourier_coeffs(series, lo, hi)
-
-    def c(k: int) -> float:
-        return float(coeffs[k - lo])
-
-    mat = np.array(
-        [
-            [c(toep[i][j]) + sign * c(hank[i][j]) for j in range(size)]
-            for i in range(size)
-        ]
-    )
-    return float(np.linalg.det(mat))
+    lo = 2 - 2 * size - pattern.offset  # the lowest (Hankel) index
+    coeffs = sym.fourier_coeffs(pattern.symbol, lo, size - 1)
+    rows = th_rows(which, [0] * size, lambda k: float(coeffs[k - lo]))
+    return float(th_determinant(rows))
 
 
 def th_det_series(sym: Symbol, which: str, size: int, degree: int) -> GradedScalar:
     """Exact graded Toeplitz+Hankel determinant, modulo t^(degree+1)."""
-    if which not in _WHICH:
-        raise ValueError(f"which must be one of {_WHICH}")
-    if size == 0:
-        return GradedScalar.one(degree)
-    uses_tilde, sign, toep, hank = _matrix_indices(which, size)
-    series = "f_tilde" if uses_tilde else "f"
-    rows = [
-        [
-            sym.fourier_series_coeff(series, toep[i][j], degree)
-            + sign * sym.fourier_series_coeff(series, hank[i][j], degree)
-            for j in range(size)
-        ]
-        for i in range(size)
-    ]
-    from .characters import series_determinant
-
-    return series_determinant(rows)
+    series = th_pattern(which).symbol
+    rows = th_rows(
+        which, [0] * size, lambda k: sym.fourier_series_coeff(series, k, degree)
+    )
+    return th_determinant(rows, degree)
 
 
 def gessel_check(sym: Symbol, which: str, size: int, degree: int) -> bool:
     """Exact Gessel identity: (possibly halved) determinant equals the
     restricted character sum, as graded series modulo t^(degree+1)."""
-    _, _, _, half, family, bound_kind = _FAMILY_TABLE[which]
-    lhs = th_det_series(sym, which, size, degree)
-    if half and size > 0:
-        lhs = lhs / 2
-    key = "length_bound" if bound_kind == "length" else "width_bound"
+    pattern = th_pattern(which)
+    lhs = pattern.halve(th_det_series(sym, which, size, degree), size)
     rhs = character_sum_series(
-        family, sym.rho_plus, sym.rho_minus, degree, **{key: size}
+        pattern.family, sym.rho_plus, sym.rho_minus, degree, **{pattern.bound: size}
     )
     return lhs == rhs
 
@@ -203,12 +159,10 @@ def szego_limits(sym: Symbol) -> tuple[float, float]:
 
 def szego_normalized_det(sym: Symbol, which: str, size: int) -> tuple[float, float]:
     """(normalized determinant, its Szego target)."""
-    _, _, _, half, family, _ = _FAMILY_TABLE[which]
-    val = th_det(sym, which, size)
-    if half and size > 0:
-        val = val / 2.0
+    pattern = th_pattern(which)
+    val = pattern.halve(th_det(sym, which, size), size)
     z_sp, z_o = szego_limits(sym)
-    return val, (z_sp if family == "sp" else z_o)
+    return val, (z_sp if pattern.family == "sp" else z_o)
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +193,11 @@ def gap_probability(
 
     Returns (determinant, tail bound, window used).  Without a configured
     window, the window is the first multiple of 8 (up to max_window) at which
-    |K(m + w, m + w)| falls to tail_tol/100.  The tail bound is twice the
-    diagonal mass beyond the window; TruncationInsufficient is raised if it
-    cannot be pushed below the configured tolerance.  The kernel is called once
+    |K(m + w, m + w)| falls to tail_tol/100.  The "tail bound" is twice the
+    diagonal mass sum |K(s, s)| beyond the window.  The kernel is signed and
+    not Hermitian, so this is an estimate of the truncation error, not a
+    bound; TruncationInsufficient is raised if it exceeds the configured
+    tolerance.  The kernel is called once
     per block of 8 candidate widths, once per block of 32 tail sites and once
     for the window matrix.
     """
@@ -284,14 +240,9 @@ def bo_check(
     sym: Symbol, family: str, m: int, fred: FredholmConfig | None = None
 ) -> BOCheckResult:
     """Compare the determinant (D2_m or half D4_m) with Z * det(1 - K-hat)."""
-    if family == "sp":
-        lhs = th_det(sym, "D2", m)
-        z = szego_limits(sym)[0]
-    elif family == "o":
-        lhs = th_det(sym, "D4", m) / (2.0 if m > 0 else 1.0)
-        z = szego_limits(sym)[1]
-    else:
+    if family not in ("sp", "o"):
         raise ValueError("family must be 'sp' or 'o'")
+    lhs, z = szego_normalized_det(sym, "D2" if family == "sp" else "D4", m)
     det, tail_bound, window = gap_probability(sym, family, m, fred)
     rhs = z * det
     return BOCheckResult(

@@ -63,6 +63,28 @@ def test_airy_2to1_diagonal_structure():
     assert minus_only == pytest.approx(airy_2to1_contour("-", x, x), abs=1e-8)
 
 
+def test_airy_2to1_matrix_matches_entries():
+    xs = np.array([-3.0, -0.5, 0.0, 1.25, 4.0])
+    ys = np.array([-1.0, 0.5, 2.0])
+    for sign in ("+", "-"):
+        mat = airy_2to1(sign, xs, ys)
+        assert mat.shape == (5, 3)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                assert mat[i, j] == pytest.approx(airy_2to1(sign, x, y), abs=1e-15)
+        # x is y reuses the Ai(y + s) grid; equal copies evaluate it twice
+        assert np.array_equal(airy_2to1(sign, xs, xs), airy_2to1(sign, xs, xs.copy()))
+    with pytest.raises(ValueError):
+        airy_2to1("*", 0.0, 0.0)
+
+
+def test_edge_scan_rows_hold_python_floats():
+    rows = edge_scan("o", (20.0,), grid=(-1.0, 1.0))
+    rows += edge_scan("sp", (20.0,), grid=(0.0, 1.0), effective_coords=True)
+    for r in rows:
+        assert all(type(v) is float for v in (r.discrete, r.limit, r.abs_error)), r
+
+
 def test_bulk_scan_alpha_zero_converges():
     thetas = (20.0, 60.0)
     for family in ("sp", "o"):

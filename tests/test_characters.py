@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,17 +7,21 @@ from hypothesis import given, settings, strategies as st
 
 from sposchur.characters import (
     o_char,
+    o_char_series,
     o_char_via_e,
     o_via_expansion,
     omega_dual_check,
     schur,
     schur_via_e,
+    series_determinant,
     skew_schur,
     sp_char,
+    sp_char_series,
     sp_char_via_e,
     sp_via_expansion,
 )
 from sposchur.partitions import Partition, enumerate_partitions
+from sposchur.series import GradedScalar
 from sposchur.specializations import Specialization
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -169,6 +174,52 @@ def test_empty_partition_characters():
     e = Partition()
     assert sp_char(e, rho) == 1 == o_char(e, rho)
     assert sp_via_expansion(e, rho) == 1 == o_via_expansion(e, rho)
+    # size 0 in all four patterns: 1, with no 1/2 factor
+    assert sp_char_via_e(e, rho) == 1 == o_char_via_e(e, rho)
+    for degree in (0, 4):
+        one = GradedScalar.one(degree)
+        assert sp_char_series(e, rho, degree) == one == o_char_series(e, rho, degree)
+
+
+def test_single_box_half_rule():
+    # sp h-form and o e-form carry 1/2 at positive size: (1/2)(h_1 + h_1) and
+    # (1/2)(e_1 + e_1); sp e-form e_1 - e_{-1} and o h-form h_1 - h_{-1} do not
+    rho = rational_rho()
+    box = Partition([1])
+    p1 = rho.p(1)
+    for char in (sp_char, sp_char_via_e, o_char, o_char_via_e):
+        assert char(box, rho) == p1, char.__name__
+    assert sp_char_series(box, rho, 3) == GradedScalar.monomial(p1, 1, 3)
+    assert o_char_series(box, rho, 3) == GradedScalar.monomial(p1, 1, 3)
+    assert sp_char(box, Specialization.plancherel(0.5)) == 0.5
+
+
+def test_series_determinant_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(7)
+    degree = 6
+
+    def coefficients():
+        # degree <= 4 with small rational coefficients; about 30% of them zero,
+        # so some entries vanish and some have no constant term
+        return [
+            Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.7 else Fraction(0)
+            for _ in range(5)
+        ]
+
+    # size 3 too: a sign error common to every cofactor cancels at even sizes
+    for n in (4, 4, 4, 3, 3):
+        polys = [[coefficients() for _ in range(n)] for _ in range(n)]
+        ours = series_determinant(
+            [[GradedScalar(cs + [0] * (degree - 4)) for cs in row] for row in polys]
+        )
+        mat = sympy.Matrix(
+            [[sum(sympy.Rational(str(c)) * t**k for k, c in enumerate(cs)) for cs in row] for row in polys]
+        )
+        full = sympy.Poly(mat.det(), t)  # over Q[t], then truncated mod t^(degree+1)
+        expected = [full.coeff_monomial(t**k) for k in range(degree + 1)]
+        assert [sympy.Rational(str(c)) for c in ours.coeffs] == expected
 
 
 def test_sp_11_expansion_worked_example():

@@ -15,8 +15,6 @@ from sposchur.kernels import (
     kernel_contour_grid,
     kernel_fourier,
     lattice_kernel,
-    load_mode_cache,
-    save_mode_cache,
 )
 from sposchur.measures import MeasureSpec, correlation_bruteforce, plancherel_measure
 from sposchur.special import bessel_j, bessel_j_values
@@ -344,22 +342,3 @@ def test_unconverged_modes_raise():
     F = SymbolF(lambda z: np.abs(z.real), (0.0, math.inf), (0.0, math.inf))
     with pytest.raises(QuadratureNotConverged):
         F.modes(False)
-
-
-def test_coefficient_cache_miss():
-    from sposchur.errors import CoefficientCacheMiss
-
-    F = SymbolF.plancherel(0.5)
-    F.modes(False, min_order=4)  # small cached window
-    with pytest.raises(CoefficientCacheMiss):
-        kernel_fourier(F, "sp", 400, 400, recompute=False)
-
-
-def test_mode_cache_roundtrip(tmp_path):
-    F = SymbolF.plancherel(0.5)
-    path = tmp_path / "modes.bin"
-    save_mode_cache(path, F)
-    header, coeffs = load_mode_cache(path)
-    assert header["half_window"] * 2 + 1 == len(coeffs)
-    w = header["half_window"]
-    assert coeffs[w + 1] == pytest.approx(bessel_j(1, 1.0), abs=1e-13)

@@ -11,6 +11,7 @@ from sposchur.special import (
     bessel_j,
     bessel_j_array,
     bessel_j_quadrature,
+    bessel_j_values,
     gauss_legendre_panels,
 )
 
@@ -105,3 +106,35 @@ def test_airy_vec_matches_scalar():
     vec = airy_ai_vec(xs)
     for i, x in enumerate(xs):
         assert vec[i] == airy_ai(float(x))
+
+
+# ---------------------------------------------------------------------------
+# independent oracles: scipy.special and mpmath (skipped when not installed)
+# ---------------------------------------------------------------------------
+
+
+def test_airy_matches_scipy_and_mpmath_over_the_domain():
+    scipy_special = pytest.importorskip("scipy.special")
+    mpmath = pytest.importorskip("mpmath")
+    # step 0.02 over |x| <= 40; the largest error (~9e-12) sits near the
+    # series/asymptotic switch at 6.8
+    xs = np.linspace(-40.0, 40.0, 4001)
+    ours = np.array([airy_ai(float(x)) for x in xs])
+    assert np.max(np.abs(ours - scipy_special.airy(xs)[0])) <= 1e-10
+    for x in np.linspace(-40.0, 40.0, 81):
+        assert airy_ai(float(x)) == pytest.approx(float(mpmath.airyai(x)), abs=1e-10), x
+
+
+@pytest.mark.parametrize("theta", [0.5, 3.0, 200.0, 1e4])
+def test_bessel_matches_scipy_over_the_kernel_orders(theta):
+    scipy_special = pytest.importorskip("scipy.special")
+    x = 2.0 * theta
+    # the orders kernel_bessel reads at argument 2 theta: |n| up to its truncation
+    upper = int(math.ceil(x + 16.0 * max(x, 1.0) ** (1.0 / 3.0) + 60))
+    orders = np.arange(-upper, upper + 1)
+    ours = bessel_j_values(orders, x)
+    assert np.max(np.abs(ours - scipy_special.jv(orders, x))) <= 1e-12
+    for n in orders[:: max(1, len(orders) // 40)]:
+        assert bessel_j(int(n), x) == pytest.approx(
+            float(scipy_special.jv(n, x)), abs=1e-12
+        ), n

@@ -5,7 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sposchur.characters import TH_PATTERNS
 from sposchur.errors import TruncationInsufficient
+from sposchur.series import GradedScalar
 from sposchur.specializations import Specialization
 from sposchur.toeplitz_hankel import (
     FredholmConfig,
@@ -16,6 +18,7 @@ from sposchur.toeplitz_hankel import (
     szego_limits,
     szego_normalized_det,
     th_det,
+    th_det_series,
 )
 
 
@@ -87,6 +90,24 @@ def test_size_one_determinants():
     assert th_det(sym, "D3", 1) == pytest.approx(1.0, abs=1e-13)
     assert th_det(sym, "D4", 1) == pytest.approx(2.0, abs=1e-13)
     assert th_det(sym, "D1", 0) == 1.0
+
+
+def test_size_zero_and_half_rule_on_every_pattern():
+    trivial = Symbol(Specialization.zero(), Specialization.zero())  # f = f~ = 1
+    exact = Symbol.plancherel(Fraction(1, 2))
+    for which, pattern in TH_PATTERNS.items():
+        # size 0: determinant 1 and no 1/2 factor, in floats and in series
+        assert th_det(trivial, which, 0) == 1.0, which
+        assert szego_normalized_det(trivial, which, 0)[0] == 1.0, which
+        assert th_det_series(exact, which, 0, 4) == GradedScalar.one(4), which
+        # size 1 of the trivial symbol: 2 f_0 = 2 for the + patterns, which
+        # carry the 1/2 factor, and f_0 - f_{-2} = 1 for the - patterns
+        assert szego_normalized_det(trivial, which, 1)[0] == pytest.approx(1.0, abs=1e-13)
+        # graded: the constant terms are 2 and 1 the same way (f_0 and f~_0
+        # start at 1, f_{-2} and f~_{-2} at t^2); gessel_check covers the 1/2
+        assert th_det_series(exact, which, 1, 4).coefficient(0) == (2 if pattern.half else 1)
+    with pytest.raises(ValueError):
+        th_det(trivial, "D5", 1)
 
 
 def test_gessel_identities_plancherel_exact():
