@@ -20,7 +20,10 @@ expose as an independent second route for testing.
 
 Exact determinants are evaluated by fraction-free Bareiss elimination on an
 integer matrix obtained by clearing denominators; float inputs fall back to
-LU via numpy.
+LU via numpy.  Series determinants run the same elimination over Z[t]: each
+row is cleared of its common denominator, the untruncated integer
+polynomials are eliminated (every division is exact, Z[t] being an integral
+domain) and the result is truncated once, at the end.  There is no size cap.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -84,43 +88,100 @@ def determinant(rows: list[list]) -> Fraction | float:
     return Fraction(_det_bareiss_int(imat)) / scale
 
 
-def series_determinant(rows: list[list[GradedScalar]]) -> GradedScalar:
-    """Determinant over the truncated-series ring, by memoized minor expansion.
+def _trim(poly: list[int]) -> list[int]:
+    """Drop the zero coefficients above the leading one; the zero polynomial is []."""
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly
 
-    Division-free, hence sound under truncation (discarded products only ever
-    affect coefficients beyond the truncation degree).  Exponential in the
-    matrix size; intended for the small matrices of the identity checks.
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
+    """num / den in Z[t]; raises ArithmeticError unless den divides num."""
+    num = num[:]
+    m = len(den) - 1
+    lead = den[-1]
+    quot = [0] * max(len(num) - m, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c, r = divmod(num[i + m], lead)
+        if r:
+            raise ArithmeticError("inexact division in the Bareiss elimination")
+        if c:
+            quot[i] = c
+            for j, y in enumerate(den):
+                num[i + j] -= c * y
+    if any(num):
+        raise ArithmeticError("inexact division in the Bareiss elimination")
+    return quot
+
+
+def _det_bareiss_poly(mat: list[list[list[int]]]) -> list[int]:
+    """Fraction-free Bareiss determinant over Z[t] (coefficient lists, low first).
+
+    The same elimination as `_det_bareiss_int`: Z[t] is an integral domain, so
+    each division by the previous pivot is exact.
+    """
+    n = len(mat)
+    a = [row[:] for row in mat]
+    sign = 1
+    prev = [1]
+    for k in range(n - 1):
+        if not a[k][k]:
+            for r in range(k + 1, n):
+                if a[r][k]:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return []
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            for j in range(k + 1, n):
+                x = _poly_mul(a[i][j], pivot)
+                y = _poly_mul(aik, a[k][j])
+                diff = [u - v for u, v in zip_longest(x, y, fillvalue=0)]
+                a[i][j] = _poly_div_exact(_trim(diff), prev)
+            a[i][k] = []
+        prev = pivot
+    return [sign * c for c in a[n - 1][n - 1]]
+
+
+def series_determinant(rows: list[list[GradedScalar]]) -> GradedScalar:
+    """Determinant over the truncated-series ring, by fraction-free Bareiss over Z[t].
+
+    Each row is cleared of its common denominator and the entries, read as
+    untruncated polynomials with integer coefficients, are eliminated over
+    Z[t] by `_det_bareiss_poly`.  The determinant is truncated once, at the
+    end: truncation modulo t^(D+1) is a ring map, so the truncated determinant
+    of the polynomials is the determinant of the truncated series.  Any size
+    is accepted; the cost is polynomial in the size and the degree.
     """
     n = len(rows)
     if n == 0:
         raise ValueError("size-0 series determinant: supply the truncation degree")
     degree = rows[0][0].degree
-    if n > 12:
-        raise ValueError("series determinant limited to size <= 12")
-    memo: dict[int, GradedScalar] = {}
-
-    def minor(mask: int) -> GradedScalar:
-        # determinant of rows in `mask` against the last popcount(mask) columns
-        if mask == 0:
-            return GradedScalar.one(degree)
-        if mask in memo:
-            return memo[mask]
-        col = n - bin(mask).count("1")
-        total = GradedScalar.zero(degree)
-        idx = 0
-        for r in range(n):
-            bit = 1 << r
-            if not (mask & bit):
-                continue
-            entry = rows[r][col]
-            if entry:
-                term = entry * minor(mask & ~bit)
-                total = total + (term if idx % 2 == 0 else -term)
-            idx += 1
-        memo[mask] = total
-        return total
-
-    return minor((1 << n) - 1)
+    scale = 1
+    mat = []
+    for row in rows:
+        if any(x.degree != degree for x in row):
+            raise ValueError("mixed truncation degrees in a series determinant")
+        den = math.lcm(*(x.denominator for x in row))
+        scale *= den
+        mat.append([_trim([c * (den // x.denominator) for c in x.numerators]) for x in row])
+    det = _det_bareiss_poly(mat)[: degree + 1]
+    return GradedScalar.from_numerators(det + [0] * (degree + 1 - len(det)), scale)
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,9 @@ def _random_rational_pair(rng: random.Random, kmax: int = 3):
 
 
 def cmd_verify_identities(args) -> int:
+    for flag in ("degree", "trials"):
+        if getattr(args, flag) < 0:
+            raise ValueError(f"--{flag} must be >= 0")
     config = {
         "command": "verify-identities",
         "degree": args.degree,

@@ -133,6 +133,8 @@ def th_det(sym: Symbol, which: str, size: int):
 def th_det_series(sym: Symbol, which: str, size: int, degree: int) -> GradedScalar:
     """Exact graded Toeplitz+Hankel determinant, modulo t^(degree+1)."""
     series = th_pattern(which).symbol
+    if size < 0:
+        raise ValueError("size must be >= 0")
     rows = th_rows(
         which, [0] * size, lambda k: sym.fourier_series_coeff(series, k, degree)
     )

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sposchur.characters import (
+    _poly_div_exact,
     o_char,
     o_char_series,
     o_char_via_e,
@@ -196,6 +197,8 @@ def test_single_box_half_rule():
 
 def test_series_determinant_matches_sympy():
     sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
     t = sympy.Symbol("t")
     rng = random.Random(7)
     degree = 6
@@ -208,18 +211,64 @@ def test_series_determinant_matches_sympy():
             for _ in range(5)
         ]
 
-    # size 3 too: a sign error common to every cofactor cancels at even sizes
-    for n in (4, 4, 4, 3, 3):
-        polys = [[coefficients() for _ in range(n)] for _ in range(n)]
+    def check(polys) -> GradedScalar:
+        n = len(polys)
         ours = series_determinant(
             [[GradedScalar(cs + [0] * (degree - 4)) for cs in row] for row in polys]
         )
         mat = sympy.Matrix(
             [[sum(sympy.Rational(str(c)) * t**k for k, c in enumerate(cs)) for cs in row] for row in polys]
         )
-        full = sympy.Poly(mat.det(), t)  # over Q[t], then truncated mod t^(degree+1)
+        # det = (-1)^n charpoly(0) over Q[t], by the division-free Berkowitz
+        # algorithm, then truncated mod t^(degree+1)
+        dm = DomainMatrix.from_Matrix(mat).convert_to(sympy.QQ[t])
+        full = sympy.Poly(dm.domain.to_sympy((-1) ** n * dm.charpoly()[-1]), t)
         expected = [full.coeff_monomial(t**k) for k in range(degree + 1)]
         assert [sympy.Rational(str(c)) for c in ours.coeffs] == expected
+        return ours
+
+    def random_polys(n):
+        return [[coefficients() for _ in range(n)] for _ in range(n)]
+
+    # odd sizes too: a sign error common to every cofactor cancels at even sizes
+    for n in (4, 4, 4, 3, 3, 5, 6, 7):
+        check(random_polys(n))
+    # a zero (0, 0) entry forces a row swap, which flips the sign
+    for n in (3, 4):
+        polys = random_polys(n)
+        polys[0][0] = [Fraction(0)] * 5
+        assert check(polys)
+    # singular: the third row is the sum of the first two
+    polys = random_polys(4)
+    polys[2] = [[a + b for a, b in zip(x, y)] for x, y in zip(polys[0], polys[1])]
+    assert not check(polys)
+
+    # size 13 with a known value: L U with L unit lower triangular and U upper
+    # triangular with diagonal 1 + t, row i divided by i + 1, has determinant
+    # (1 + t)^13 / 13!
+    n = 13
+    one_plus_t = GradedScalar([1, 1] + [0] * (n - 1))
+
+    def entry():
+        return GradedScalar([rng.randint(-3, 3), rng.randint(-3, 3)] + [0] * (n - 1))
+
+    zero = GradedScalar.zero(n)
+    lower = [[entry() if j < i else GradedScalar.one(n) if j == i else zero for j in range(n)] for i in range(n)]
+    upper = [[entry() if j > i else one_plus_t if j == i else zero for j in range(n)] for i in range(n)]
+    rows = [
+        [sum((lower[i][k] * upper[k][j] for k in range(n)), zero) / (i + 1) for j in range(n)]
+        for i in range(n)
+    ]
+    expected = GradedScalar([Fraction(math.comb(n, k), math.factorial(n)) for k in range(n + 1)])
+    assert series_determinant(rows) == expected
+
+
+def test_exact_polynomial_division_refuses_a_remainder():
+    assert _poly_div_exact([2, 3, 1], [1, 1]) == [2, 1]  # (t + 1)(t + 2) / (t + 1)
+    assert _poly_div_exact([], [3, 1]) == []
+    for num, den in (([1, 1], [2]), ([1, 0, 1], [1, 1]), ([1], [0, 1])):
+        with pytest.raises(ArithmeticError):
+            _poly_div_exact(num, den)
 
 
 def test_sp_11_expansion_worked_example():

@@ -108,6 +108,13 @@ def test_verify_identities_degree_zero_vacuous(tmp_path):
     assert "FAIL" not in text
 
 
+def test_verify_identities_rejects_negative_counts(tmp_path, capsys):
+    for flag in ("--degree", "--trials"):
+        code, text = run_cli(tmp_path, "verify-identities", flag, "-1")
+        assert code == 2 and text == ""
+        assert f"{flag} must be >= 0" in capsys.readouterr().err
+
+
 def test_tw_command_without_theta(tmp_path):
     code, text = run_cli(tmp_path, "tw-cdf", "--sign", "+", "--s", "0:1:1")
     assert code == 0

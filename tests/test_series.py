@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from sposchur.errors import TruncationOverflow
 from sposchur.series import GradedScalar
@@ -80,3 +80,97 @@ def test_exp_requires_zero_constant():
         GradedScalar([1, 1]).exp()
     with pytest.raises(ValueError):
         GradedScalar([2, 1]).log()
+
+
+# ---------------------------------------------------------------------------
+# reference: the same operations on plain lists of Fraction coefficients
+# ---------------------------------------------------------------------------
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * len(a)
+    for i, x in enumerate(a):
+        for j in range(len(a) - i):
+            out[i + j] += x * b[j]
+    return out
+
+
+def ref_exp(f):
+    g = [Fraction(1)] + [Fraction(0)] * (len(f) - 1)
+    for n in range(1, len(f)):
+        g[n] = sum(k * f[k] * g[n - k] for k in range(1, n + 1)) / n
+    return g
+
+
+def ref_log(a):
+    f = [Fraction(0)] * len(a)
+    for n in range(1, len(a)):
+        f[n] = (n * a[n] - sum(k * f[k] * a[n - k] for k in range(1, n))) / n
+    return f
+
+
+def ref_inverse(a):
+    h = [1 / a[0]] + [Fraction(0)] * (len(a) - 1)
+    for n in range(1, len(a)):
+        h[n] = -sum(a[k] * h[n - k] for k in range(1, n + 1)) / a[0]
+    return h
+
+
+def assert_matches(series, reference):
+    assert list(series.coeffs) == reference
+    # canonical: rebuilding from the coefficients gives the same integers
+    rebuilt = GradedScalar(reference)
+    assert series.numerators == rebuilt.numerators
+    assert series.denominator == rebuilt.denominator > 0
+    assert hash(series) == hash(rebuilt)
+
+
+@given(
+    series_strategy(),
+    series_strategy(),
+    series_strategy(zero_constant=True),
+    fractions,
+    st.integers(min_value=0, max_value=6),
+)
+def test_operations_match_fraction_reference(a, b, s, c, v):
+    ca, cb, cs = list(a.coeffs), list(b.coeffs), list(s.coeffs)
+    assert_matches(a + b, [x + y for x, y in zip(ca, cb)])
+    assert_matches(a - b, [x - y for x, y in zip(ca, cb)])
+    assert_matches(a * b, ref_mul(ca, cb))
+    assert_matches(a * c, [x * c for x in ca])
+    assert_matches(s.exp(), ref_exp(cs))
+    one_plus = [Fraction(1)] + cs[1:]
+    assert_matches(GradedScalar(one_plus).log(), ref_log(one_plus))
+    monomial = GradedScalar.monomial(Fraction(3, 2) if c == 0 else c, v, a.degree)
+    shifted = a * GradedScalar.monomial(1, v, a.degree)
+    expected = [x / monomial.coefficient(v) for x in ca[: a.degree + 1 - v]] + [Fraction(0)] * v
+    assert_matches(shifted.divide_exact(monomial), expected)
+    assume(c != 0 and a.is_unit())
+    assert_matches(a / c, [x / c for x in ca])
+    assert_matches(a.inverse(), ref_inverse(ca))
+    assert_matches(b.divide_exact(a), ref_mul(cb, ref_inverse(ca)))
+
+
+def test_canonical_form_is_route_independent():
+    half = GradedScalar([Fraction(1, 2), 0])
+    routes = [
+        GradedScalar([Fraction(2, 4), 0]),
+        GradedScalar(["1/2", Fraction(0, 3)]),
+        GradedScalar([1, 0]) / 2,
+        GradedScalar([-3, 0]) / -6,
+        GradedScalar([Fraction(1, 6), Fraction(1, 3)]) * 3 - GradedScalar([0, 1]),
+        GradedScalar([2, 0]).inverse(),
+    ]
+    for s in routes:
+        assert (s.numerators, s.denominator, hash(s)) == ((1, 0), 2, hash(half))
+        assert s == half
+    zero = GradedScalar([Fraction(5, 7), 1]) - GradedScalar([Fraction(5, 7), 1])
+    assert (zero.numerators, zero.denominator) == ((0, 0), 1)
+    assert zero == GradedScalar.zero(1) == 0
+
+
+def test_float_coefficients_rejected():
+    with pytest.raises(TypeError):
+        GradedScalar([0.5])
+    with pytest.raises(TypeError):
+        GradedScalar.monomial(0.5, 1, 3)

@@ -124,6 +124,25 @@ def test_gessel_identities_randomized_exact():
             assert gessel_check(sym, which, size, degree=8), (which, size)
 
 
+def test_gessel_identities_past_size_four():
+    for sym in (Symbol.plancherel(Fraction(1, 2)), random_symbol(11)):
+        for which in ("D1", "D2", "D3", "D4"):
+            for size in (5, 6):
+                assert gessel_check(sym, which, size, degree=10), (which, size)
+
+
+def test_negative_sizes_raise():
+    sym = Symbol.plancherel(Fraction(1, 2))
+    for which in TH_PATTERNS:
+        for call in (
+            lambda: th_det(sym, which, -1),
+            lambda: th_det_series(sym, which, -1, 4),
+            lambda: gessel_check(sym, which, -1, 4),
+        ):
+            with pytest.raises(ValueError, match="size must be >= 0"):
+                call()
+
+
 def test_szego_limits_plancherel():
     theta = 0.5
     sym = Symbol.plancherel(theta)
