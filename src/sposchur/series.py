@@ -249,9 +249,11 @@ class GradedScalar:
         H = [1] + [0] * d
         for n in range(1, d + 1):
             H[n] = -sum(a[k] * a0 ** (k - 1) * H[n - k] for k in range(1, n + 1) if a[k])
-        sign = 1 if a0 > 0 else -1
+        # h_n = q H[n] a_0^(D-n) / a_0^(D+1); the sign of a_0^(D+1) moves up
+        den = a0 ** (d + 1)
+        sign = 1 if den > 0 else -1
         return GradedScalar.from_numerators(
-            [sign * q * H[n] * a0 ** (d - n) for n in range(d + 1)], abs(a0) ** (d + 1)
+            [sign * q * H[n] * a0 ** (d - n) for n in range(d + 1)], abs(den)
         )
 
     def divide_exact(self, other: "GradedScalar") -> "GradedScalar":

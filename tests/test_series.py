@@ -9,14 +9,26 @@ from sposchur.series import GradedScalar
 fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
 )
+degrees = st.integers(min_value=0, max_value=7)
 
 
 @st.composite
-def series_strategy(draw, degree=6, zero_constant=False):
+def series_strategy(draw, degree=None, zero_constant=False):
+    if degree is None:
+        degree = draw(degrees)
     coeffs = [draw(fractions) for _ in range(degree + 1)]
     if zero_constant:
         coeffs[0] = Fraction(0)
     return GradedScalar(coeffs)
+
+
+def same_degree(*strategies):
+    """One drawn degree d; each argument maps d to a strategy."""
+    return degrees.flatmap(lambda d: st.tuples(*(f(d) for f in strategies)))
+
+
+def zero_constant_series_of(degree):
+    return series_strategy(degree, zero_constant=True)
 
 
 def test_construction_and_access():
@@ -39,8 +51,9 @@ def test_ring_axioms_smoke():
     assert b * b == GradedScalar([0, 0, "1/9"])
 
 
-@given(series_strategy(), series_strategy(), series_strategy())
-def test_mul_associative_distributive(a, b, c):
+@given(same_degree(series_strategy, series_strategy, series_strategy))
+def test_mul_associative_distributive(abc):
+    a, b, c = abc
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
 
@@ -52,8 +65,9 @@ def test_exp_log_inverse_pair(s):
     assert s.exp().log() == s
 
 
-@given(series_strategy(zero_constant=True), series_strategy(zero_constant=True))
-def test_exp_is_homomorphism(a, b):
+@given(same_degree(zero_constant_series_of, zero_constant_series_of))
+def test_exp_is_homomorphism(ab):
+    a, b = ab
     assert (a + b).exp() == a.exp() * b.exp()
 
 
@@ -126,13 +140,16 @@ def assert_matches(series, reference):
 
 
 @given(
-    series_strategy(),
-    series_strategy(),
-    series_strategy(zero_constant=True),
+    same_degree(
+        series_strategy,
+        series_strategy,
+        zero_constant_series_of,
+        lambda d: st.integers(min_value=0, max_value=d),
+    ),
     fractions,
-    st.integers(min_value=0, max_value=6),
 )
-def test_operations_match_fraction_reference(a, b, s, c, v):
+def test_operations_match_fraction_reference(absv, c):
+    a, b, s, v = absv
     ca, cb, cs = list(a.coeffs), list(b.coeffs), list(s.coeffs)
     assert_matches(a + b, [x + y for x, y in zip(ca, cb)])
     assert_matches(a - b, [x - y for x, y in zip(ca, cb)])
@@ -167,6 +184,15 @@ def test_canonical_form_is_route_independent():
     zero = GradedScalar([Fraction(5, 7), 1]) - GradedScalar([Fraction(5, 7), 1])
     assert (zero.numerators, zero.denominator) == ((0, 0), 1)
     assert zero == GradedScalar.zero(1) == 0
+
+
+def test_inverse_of_a_negative_constant_term():
+    # a_0^(D+1) is positive at odd D and negative at even D
+    assert GradedScalar([-1, 0]).inverse() == GradedScalar([-1, 0])
+    assert GradedScalar([-1, 0, 0]).inverse() == GradedScalar([-1, 0, 0])
+    assert GradedScalar([-2, 1]).inverse() == GradedScalar(["-1/2", "-1/4"])
+    assert GradedScalar([-2, 1, 0]).inverse() == GradedScalar(["-1/2", "-1/4", "-1/8"])
+    assert GradedScalar([3, 1]) / GradedScalar([-1, 0]) == GradedScalar([-3, -1])
 
 
 def test_float_coefficients_rejected():
