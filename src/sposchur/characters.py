@@ -20,10 +20,12 @@ expose as an independent second route for testing.
 
 Exact determinants are evaluated by fraction-free Bareiss elimination on an
 integer matrix obtained by clearing denominators; float inputs fall back to
-LU via numpy.  Series determinants run the same elimination over Z[t]: each
-row is cleared of its common denominator, the untruncated integer
-polynomials are eliminated (every division is exact, Z[t] being an integral
-domain) and the result is truncated once, at the end.  There is no size cap.
+LU via numpy.  Series determinants run the same integer elimination by
+Kronecker substitution: rows cleared of their denominators hold integer
+polynomials, t -> 2^B packs each into one integer, and the balanced base-2^B
+digits of the packed determinant are its coefficients.  B is one bit (the
+sign) above a bound on those coefficients, the product of the rows' summed
+absolute coefficients.  There is no size cap.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -88,100 +89,45 @@ def determinant(rows: list[list]) -> Fraction | float:
     return Fraction(_det_bareiss_int(imat)) / scale
 
 
-def _trim(poly: list[int]) -> list[int]:
-    """Drop the zero coefficients above the leading one; the zero polynomial is []."""
-    while poly and not poly[-1]:
-        poly.pop()
-    return poly
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    """num / den in Z[t]; raises ArithmeticError unless den divides num."""
-    num = num[:]
-    m = len(den) - 1
-    lead = den[-1]
-    quot = [0] * max(len(num) - m, 0)
-    for i in range(len(quot) - 1, -1, -1):
-        c, r = divmod(num[i + m], lead)
-        if r:
-            raise ArithmeticError("inexact division in the Bareiss elimination")
-        if c:
-            quot[i] = c
-            for j, y in enumerate(den):
-                num[i + j] -= c * y
-    if any(num):
-        raise ArithmeticError("inexact division in the Bareiss elimination")
-    return quot
-
-
-def _det_bareiss_poly(mat: list[list[list[int]]]) -> list[int]:
-    """Fraction-free Bareiss determinant over Z[t] (coefficient lists, low first).
-
-    The same elimination as `_det_bareiss_int`: Z[t] is an integral domain, so
-    each division by the previous pivot is exact.
-    """
-    n = len(mat)
-    a = [row[:] for row in mat]
-    sign = 1
-    prev = [1]
-    for k in range(n - 1):
-        if not a[k][k]:
-            for r in range(k + 1, n):
-                if a[r][k]:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return []
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            for j in range(k + 1, n):
-                x = _poly_mul(a[i][j], pivot)
-                y = _poly_mul(aik, a[k][j])
-                diff = [u - v for u, v in zip_longest(x, y, fillvalue=0)]
-                a[i][j] = _poly_div_exact(_trim(diff), prev)
-            a[i][k] = []
-        prev = pivot
-    return [sign * c for c in a[n - 1][n - 1]]
-
-
 def series_determinant(rows: list[list[GradedScalar]]) -> GradedScalar:
-    """Determinant over the truncated-series ring, by fraction-free Bareiss over Z[t].
+    """Determinant over the truncated-series ring, by Kronecker substitution.
 
-    Each row is cleared of its common denominator and the entries, read as
-    untruncated polynomials with integer coefficients, are eliminated over
-    Z[t] by `_det_bareiss_poly`.  The determinant is truncated once, at the
-    end: truncation modulo t^(D+1) is a ring map, so the truncated determinant
-    of the polynomials is the determinant of the truncated series.  Any size
-    is accepted; the cost is polynomial in the size and the degree.
+    Rows cleared of their denominators hold integer polynomials p_ij.  The l1
+    norm of det = sum_sigma sgn(sigma) prod_i p_{i,sigma(i)} is at most the
+    permanent of the matrix of l1 norms, hence at most `bound`, the product of
+    its row sums; so with B = bound.bit_length() + 1 every coefficient lies in
+    [-2^(B-1), 2^(B-1)).  Each entry is packed as sum_n c_n 2^(B n), the packed
+    matrix is eliminated by `_det_bareiss_int`, and the low D+1 balanced
+    base-2^B digits of the result are the determinant's coefficients modulo
+    t^(D+1) (truncation is a ring map).  Any size is accepted.
     """
     n = len(rows)
     if n == 0:
         raise ValueError("size-0 series determinant: supply the truncation degree")
     degree = rows[0][0].degree
     scale = 1
+    bound = 1
     mat = []
     for row in rows:
         if any(x.degree != degree for x in row):
             raise ValueError("mixed truncation degrees in a series determinant")
         den = math.lcm(*(x.denominator for x in row))
         scale *= den
-        mat.append([_trim([c * (den // x.denominator) for c in x.numerators]) for x in row])
-    det = _det_bareiss_poly(mat)[: degree + 1]
-    return GradedScalar.from_numerators(det + [0] * (degree + 1 - len(det)), scale)
+        polys = [[c * (den // x.denominator) for c in x.numerators] for x in row]
+        bound *= sum(abs(c) for poly in polys for c in poly)
+        mat.append(polys)
+    bits = bound.bit_length() + 1
+    packed = [[sum(c << (bits * k) for k, c in enumerate(poly)) for poly in row] for row in mat]
+    det = _det_bareiss_int(packed) & ((1 << (bits * (degree + 1))) - 1)
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    numerators = []
+    for _ in range(degree + 1):
+        digit = det & mask
+        if digit >= half:
+            digit -= 1 << bits
+        numerators.append(digit)
+        det = (det - digit) >> bits
+    return GradedScalar.from_numerators(numerators, scale)
 
 
 # ---------------------------------------------------------------------------

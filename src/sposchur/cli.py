@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -55,8 +56,10 @@ def _parse_int_range(text: str) -> list[int]:
     if "," in text:
         return [int(t) for t in text.split(",")]
     if ":" in text:
-        lo, hi = text.split(":")
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(t) for t in text.split(":"))
+        if lo > hi:
+            raise ValueError(f"empty range {text!r}: need lo <= hi")
+        return list(range(lo, hi + 1))
     return [int(text)]
 
 
@@ -65,11 +68,13 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 def _parse_grid(text: str) -> list[float]:
-    """'-2:2:1' -> [-2, -1, 0, 1, 2]; or a comma list."""
+    """'-2:2:1' -> [-2, -1, 0, 1, 2]; '2:-2:-1' descends; or a comma list."""
     if ":" in text:
         lo, hi, step = (float(t) for t in text.split(":"))
-        n = int(round((hi - lo) / step))
-        return [lo + i * step for i in range(n + 1)]
+        steps = (hi - lo) / step if step else -1.0
+        if not 0 <= steps < math.inf:
+            raise ValueError(f"grid {text!r}: the step must be nonzero and point from lo to hi")
+        return [lo + i * step for i in range(int(round(steps)) + 1)]
     return _parse_float_list(text)
 
 

@@ -61,7 +61,9 @@ class KernelConfig:
 
 def powersum_table(rho: Specialization) -> list[tuple[int, float]]:
     """(k, float p_k) for the nonzero power sums of a finitely supported rho."""
-    return [(k, float(rho.p(k))) for k in range(1, (rho.max_support or 0) + 1) if rho.p(k)]
+    if rho.max_support is None:
+        raise ValueError("a power-sum symbol needs finitely supported power sums")
+    return [(k, float(rho.p(k))) for k in range(1, rho.max_support + 1) if rho.p(k)]
 
 
 class SymbolF:
@@ -495,12 +497,8 @@ def dual_base_symbol(spec: MeasureSpec) -> SymbolF:
         y_hi = max((abs(y) for y in ys), default=0.0)
         hi = 1.0 / y_hi if y_hi else math.inf
         return SymbolF(ev, (y_hi, hi), (y_hi, hi), label="dual-base")
-    if rp.max_support is None or rm.max_support is None:
-        raise ValueError("dual base symbol needs alphabets or finite power sums")
-    terms = [((-1) ** (k - 1) * pv, k, False) for k, pv in powersum_table(rp)] + [
-        (-pv, k, True) for k, pv in powersum_table(rm)
-    ]
-    return SymbolF.exp_laurent(terms, label="dual-base")
+    base_family = "o" if spec.family == "sp-dual" else "sp"
+    return SymbolF.from_measure(MeasureSpec(base_family, rp.omega(), rm))
 
 
 def dual_lattice_kernel(

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sposchur.characters import (
-    _poly_div_exact,
     o_char,
     o_char_series,
     o_char_via_e,
@@ -211,10 +210,11 @@ def test_series_determinant_matches_sympy():
             for _ in range(5)
         ]
 
-    def check(polys) -> GradedScalar:
+    def check(polys, degree=degree) -> GradedScalar:
+        # entries are coefficient lists of length at most degree + 1
         n = len(polys)
         ours = series_determinant(
-            [[GradedScalar(cs + [0] * (degree - 4)) for cs in row] for row in polys]
+            [[GradedScalar(cs + [0] * (degree + 1 - len(cs))) for cs in row] for row in polys]
         )
         mat = sympy.Matrix(
             [[sum(sympy.Rational(str(c)) * t**k for k, c in enumerate(cs)) for cs in row] for row in polys]
@@ -243,6 +243,25 @@ def test_series_determinant_matches_sympy():
     polys[2] = [[a + b for a, b in zip(x, y)] for x, y in zip(polys[0], polys[1])]
     assert not check(polys)
 
+    # the Kronecker packing: coefficients far beyond 2^64, of both signs, and
+    # rational; a determinant whose every coefficient is negative
+    # (1 - (2 + t)(1 + t) = -1 - 3t - t^2), so every digit is read back
+    # through the sign correction; degree 0; 1 x 1 matrices, where a single
+    # coefficient attains the bound; and untruncated determinants of degree
+    # 20 and 10 with large top coefficients, truncated at degrees 4 and 2
+    def huge():
+        return Fraction(rng.choice((-1, 1)) * rng.getrandbits(80), rng.choice((1, 3, 2**70 + 1)))
+
+    for n in (1, 3, 4):
+        check([[[huge() for _ in range(5)] for _ in range(n)] for _ in range(n)])
+    assert all(c < 0 for c in check([[[1], [2, 1]], [[1, 1], [1]]], degree=2).coeffs)
+    check([[cs[:1] for cs in row] for row in random_polys(4)], degree=0)
+    check([[[-5]]], degree=0)
+    check([[[5, -7, 0, 3]]])
+    top = [[[rng.randint(-3, 3) for _ in range(4)] + [10**6] for _ in range(5)] for _ in range(5)]
+    check(top, degree=4)
+    check([[cs[:3] for cs in row] for row in top], degree=2)
+
     # size 13 with a known value: L U with L unit lower triangular and U upper
     # triangular with diagonal 1 + t, row i divided by i + 1, has determinant
     # (1 + t)^13 / 13!
@@ -261,14 +280,6 @@ def test_series_determinant_matches_sympy():
     ]
     expected = GradedScalar([Fraction(math.comb(n, k), math.factorial(n)) for k in range(n + 1)])
     assert series_determinant(rows) == expected
-
-
-def test_exact_polynomial_division_refuses_a_remainder():
-    assert _poly_div_exact([2, 3, 1], [1, 1]) == [2, 1]  # (t + 1)(t + 2) / (t + 1)
-    assert _poly_div_exact([], [3, 1]) == []
-    for num, den in (([1, 1], [2]), ([1, 0, 1], [1, 1]), ([1], [0, 1])):
-        with pytest.raises(ArithmeticError):
-            _poly_div_exact(num, den)
 
 
 def test_sp_11_expansion_worked_example():

@@ -115,6 +115,25 @@ def test_verify_identities_rejects_negative_counts(tmp_path, capsys):
         assert f"{flag} must be >= 0" in capsys.readouterr().err
 
 
+def test_empty_ranges_and_zero_steps_are_config_errors(tmp_path, capsys):
+    for argv in (
+        ("edge-scan", "--theta", "50", "--grid=-2:2:0"),
+        ("edge-scan", "--theta", "50", "--grid=-2:2:-1"),
+        ("bulk-scan", "--theta", "50", "--offsets=-3:3:0"),
+        ("tw-cdf", "--s=-6:4:0"),
+        ("tw-cdf", "--s=0:inf:1"),
+        ("bo-check", "--theta", "0.5", "--m", "8:2"),
+        ("th-dets", "--theta", "0.25", "--sizes", "3:1"),
+    ):
+        code, text = run_cli(tmp_path, *argv)
+        assert code == 2 and text == "", argv
+        assert argv[-1].split("=")[-1] in capsys.readouterr().err
+    # a descending grid is a valid one
+    code, text = run_cli(tmp_path, "tw-cdf", "--sign", "+", "--s", "1:0:-1")
+    assert code == 0
+    assert [line.split(",")[0] for line in text.strip().split("\n")[2:]] == ["1.0", "0.0"]
+
+
 def test_tw_command_without_theta(tmp_path):
     code, text = run_cli(tmp_path, "tw-cdf", "--sign", "+", "--s", "0:1:1")
     assert code == 0

@@ -331,6 +331,22 @@ def test_dual_powersum_measure_correlation_vs_bruteforce():
             ), (family, pts)
 
 
+def test_power_sum_symbols_need_finite_support():
+    # the omega image of an alphabet has infinitely many nonzero power sums
+    # and no product form, so neither symbol route applies
+    x = Specialization.from_alphabet([Fraction(1, 3)])
+    plancherel = Specialization.plancherel(Fraction(1, 2))
+    for spec in (
+        MeasureSpec("sp", x.omega(), x.omega()),
+        MeasureSpec("o", plancherel, x.omega()),
+        MeasureSpec("o-dual", x.omega(), plancherel),
+    ):
+        with pytest.raises(ValueError, match="finitely supported power sums"):
+            SymbolF.from_measure(spec)
+    with pytest.raises(ValueError, match="finitely supported power sums"):
+        dual_lattice_kernel(MeasureSpec("sp-dual", x.omega(), plancherel))
+
+
 def test_quadrature_not_converged_raises():
     F = SymbolF.plancherel(1.0)
     with pytest.raises(QuadratureNotConverged):
