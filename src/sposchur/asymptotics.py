@@ -12,10 +12,16 @@ Airy 2->1 crossover kernels
 
 (+ pairs with the sp family, - with o), which also admit a double contour
 representation over rays at angles ±pi/3 (right) and ±2pi/3 (left); both are
-implemented and cross-checked.  Scan helpers compare lattice kernels with
-their limits; because lattice sites are integers, the limit is evaluated at
-the exactly-scaled coordinate of the rounded site, x_eff = (a - 2 theta) /
-theta^(1/3), so that floor residuals do not pollute the measured rates.
+implemented and cross-checked.  The s-integrals run on a fixed composite
+Gauss-Legendre template over [0, 80], cut per call where every y has
+y + s > 16: past the cut each integrand is at most 0.536 Ai(y+s), so each
+term loses at most 0.536 int_16^inf Ai ~ 5.5e-21.  The template end puts
+y >= -64; below that `airy_2to1` raises DomainTooLarge.
+
+Scan helpers compare lattice kernels with their limits; because lattice
+sites are integers, the limit is evaluated at the exactly-scaled coordinate
+of the rounded site, x_eff = (a - 2 theta) / theta^(1/3), so that floor
+residuals do not pollute the measured rates.
 
 The distribution det(1 - A±) on L^2(s, inf) is evaluated by Nystrom
 discretization with composite Gauss-Legendre nodes; P(lambda_1 <= 2 theta +
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureNotConverged, TruncationInsufficient
+from .errors import DomainTooLarge, QuadratureNotConverged, TruncationInsufficient
 from .kernels import kernel_bessel
 from .special import airy_ai_vec, gauss_legendre_panels
 from .toeplitz_hankel import FredholmConfig, Symbol, gap_probability
@@ -58,23 +64,45 @@ def sine_kernel(phi: float, d: int) -> float:
     return math.sin(phi * d) / (math.pi * d)
 
 
-_S_GRID = gauss_legendre_panels(0.0, 40.0, 96, 10)
+# Ai(u) < 5e-20 for u > _AI_CUT; airy_2to1 drops every node s with y + s > _AI_CUT.
+_AI_CUT = 16.0
+# The s-node template; a call uses a prefix of it.  Its first 960 nodes are the
+# composite panels on [0, 40] bit for bit, so cuts within 40 keep those bits.
+_S_END = 80.0
+_S_TEMPLATE = gauss_legendre_panels(0.0, _S_END, 192, 10)
 
 
 def airy_2to1(sign: str, x, y):
     """A±(x, y) via the two Airy-product integrals.
 
-    Scalars give a float; 1-D arrays give the matrix [A±(x_i, y_j)].  The
-    second integrand oscillates in Ai(x-s) but is damped superexponentially
-    by Ai(y+s), so composite panels to s = 40 suffice.  When `x is y` the
+    Scalars give a float; 1-D arrays give the matrix [A±(x_i, y_j)].  Both
+    integrands carry the factor Ai(y + s), which decays superexponentially, so
+    each call sums only the prefix of the s-template (composite 10-node
+    Gauss-Legendre on 192 panels of [0, 80]) with s <= 16 - min(y).  Beyond
+    that point y + s > 16 for every y, and each neglected integrand, Ai(x ± s)
+    Ai(y + s), is at most max|Ai| Ai(y + s) <= 0.536 Ai(y + s).  Each of the
+    two terms thus loses at most 0.536 int_16^inf Ai(u) du ~ 5.5e-21, the
+    infinite tail past s = 80 included.  When min(y) >= 16 the prefix is
+    empty and the matrix is exactly 0.  The template ends at 80, so y below
+    -64 raises DomainTooLarge.  The second integrand oscillates in Ai(x - s);
+    with C = (A+ - A-)/2 the full-line identity C + C^T = 2^(-1/3)
+    Ai(2^(-1/3)(x + y)) holds to ~1e-12 over [-64, 12]^2.  When `x is y` the
     Ai(y + s) grid also serves as Ai(x + s).
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     scalar = np.ndim(x) == 0 and np.ndim(y) == 0
-    s, w = _S_GRID
+    ys = np.atleast_1d(y)
+    reach = _AI_CUT - np.min(ys, initial=np.inf)
+    if reach > _S_END:
+        raise DomainTooLarge(
+            f"airy_2to1 needs y >= {_AI_CUT - _S_END:g}, got min(y) = {_AI_CUT - reach:g}"
+        )
+    nodes, weights = _S_TEMPLATE
+    keep = np.searchsorted(nodes, reach, side="right")
+    s, w = nodes[:keep], weights[:keep]
     xs = np.atleast_1d(x)[:, None]
-    up_y = airy_ai_vec(np.atleast_1d(y)[:, None] + s)
+    up_y = airy_ai_vec(ys[:, None] + s)
     up_x = up_y if x is y else airy_ai_vec(xs + s)
     plus = (up_x * w) @ up_y.T
     cross = (airy_ai_vec(xs - s) * w) @ up_y.T
@@ -89,17 +117,20 @@ def _ray_nodes(vertex: float, angle: float, length: float, panels: int, order: i
     return vertex + t * direction, w, direction
 
 
-def airy_2to1_contour(
-    sign: str, x: float, y: float, length: float = 9.0, panels: int = 36
-) -> float:
+def airy_2to1_contour(sign: str, x, y, length: float = 9.0, panels: int = 36):
     """A±(x, y) by the double contour representation (cross-check route).
 
     zeta runs over rays at ±pi/3 from +0.4 (steepest descent for exp(z^3/3)),
     omega over rays at ±2pi/3 from -0.8; the vertex offsets keep both
-    1/(zeta - omega) and 1/(zeta + omega) away from their pole sets.
+    1/(zeta - omega) and 1/(zeta + omega) away from their pole sets.  Like
+    `airy_2to1`, scalars give a float and 1-D arrays the matrix
+    [A±(x_i, y_j)], from one coupling matrix per call; every entry must come
+    out real to 1e-9 or QuadratureNotConverged is raised.
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
+    scalar = np.ndim(x) == 0 and np.ndim(y) == 0
+    xs, ys = np.atleast_1d(x), np.atleast_1d(y)
     zu, wu, du = _ray_nodes(0.4, math.pi / 3.0, length, panels, 12)
     zl, wl, dl = _ray_nodes(0.4, -math.pi / 3.0, length, panels, 12)
     zeta = np.concatenate([zu, zl])
@@ -108,16 +139,20 @@ def airy_2to1_contour(
     ol, vl, dlo = _ray_nodes(-0.8, -2.0 * math.pi / 3.0, length, panels, 12)
     omega = np.concatenate([ou, ol])
     ow = np.concatenate([vu * duo, -vl * dlo])
-    fz = np.exp(zeta**3 / 3.0 - x * zeta) * zw
-    fo = np.exp(-(omega**3) / 3.0 + y * omega) * ow
+    fz = np.exp(zeta**3 / 3.0 - xs[:, None] * zeta) * zw
+    fo = np.exp(-(omega**3) / 3.0 + ys[:, None] * omega) * ow
     diff = 1.0 / (zeta[:, None] - omega[None, :])
     ssum = -1.0 / (zeta[:, None] + omega[None, :])
     coupling = diff + ssum if sign == "+" else diff - ssum
-    total = fz @ coupling @ fo
+    total = fz @ coupling @ fo.T
     value = total / (2.0j * math.pi) ** 2
-    if abs(value.imag) > 1e-9 * max(1.0, abs(value)):
-        raise QuadratureNotConverged(f"contour A± not real at ({x}, {y}): {value}")
-    return float(value.real)
+    complex_entries = np.abs(value.imag) > 1e-9 * np.maximum(1.0, np.abs(value))
+    if complex_entries.any():
+        i, j = np.argwhere(complex_entries)[0]
+        raise QuadratureNotConverged(
+            f"contour A± not real at ({xs[i]}, {ys[j]}): {value[i, j]}"
+        )
+    return float(value[0, 0].real) if scalar else value.real
 
 
 # ---------------------------------------------------------------------------

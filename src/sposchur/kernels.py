@@ -66,6 +66,12 @@ def powersum_table(rho: Specialization) -> list[tuple[int, float]]:
     return [(k, float(rho.p(k))) for k in range(1, rho.max_support + 1) if rho.p(k)]
 
 
+def _has_letters(rho: Specialization) -> bool:
+    """An alphabet with variables or a 1; an empty alphabet has no power sums either."""
+    alphabet = rho.kind in ("alphabet", "bc_alphabet")
+    return alphabet and bool(rho.variables or rho.include_one)
+
+
 class SymbolF:
     """The function F(z) driving a kernel, with Laurent-mode caches.
 
@@ -122,11 +128,7 @@ class SymbolF:
         rp, rm = spec.rho_plus, spec.rho_minus
         xs = [float(v) for v in (rp.variables or [])]
         ys = [float(v) for v in (rm.variables or [])]
-        alphabet = rp.kind in ("alphabet", "bc_alphabet") or rm.kind in (
-            "alphabet",
-            "bc_alphabet",
-        )
-        if alphabet:
+        if _has_letters(rp) or _has_letters(rm):
             if rp.kind not in ("bc_alphabet",) or rm.kind not in ("alphabet",):
                 raise ValueError(
                     "alphabet symbols need a BC alphabet rho+ and a plain alphabet rho-"

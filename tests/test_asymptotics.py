@@ -18,6 +18,8 @@ from sposchur.asymptotics import (
     tw_2to1_cdf,
     tw_2to1_stability,
 )
+from sposchur.errors import DomainTooLarge
+from sposchur.special import airy_ai_vec, gauss_legendre_panels
 
 # module-level tests run at small theta to stay fast; the full theta ladders
 # {50, 200, 800} live in the acceptance suite
@@ -63,6 +65,18 @@ def test_airy_2to1_diagonal_structure():
     assert minus_only == pytest.approx(airy_2to1_contour("-", x, x), abs=1e-8)
 
 
+def test_airy_2to1_contour_matrix_matches_entries():
+    xs = np.array([-2.0, 0.5, 3.0])
+    ys = np.array([-1.0, 1.5])
+    for sign in ("+", "-"):
+        mat = airy_2to1_contour(sign, xs, ys)
+        assert mat.shape == (3, 2) and mat.dtype == float
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                assert mat[i, j] == pytest.approx(airy_2to1_contour(sign, x, y), abs=1e-15)
+    assert type(airy_2to1_contour("+", 0.0, 0.0)) is float
+
+
 def test_airy_2to1_matrix_matches_entries():
     xs = np.array([-3.0, -0.5, 0.0, 1.25, 4.0])
     ys = np.array([-1.0, 0.5, 2.0])
@@ -76,6 +90,44 @@ def test_airy_2to1_matrix_matches_entries():
         assert np.array_equal(airy_2to1(sign, xs, xs), airy_2to1(sign, xs, xs.copy()))
     with pytest.raises(ValueError):
         airy_2to1("*", 0.0, 0.0)
+
+
+def _cross_identity_error(grid) -> float:
+    # C = (A+ - A-)/2 = int_0^inf Ai(x-s) Ai(y+s) ds; the full-line Airy
+    # convolution gives C + C^T = 2^(-1/3) Ai(2^(-1/3)(x+y)) with no truncation
+    cross = (airy_2to1("+", grid, grid) - airy_2to1("-", grid, grid)) / 2.0
+    c = 2.0 ** (-1.0 / 3.0)
+    exact = c * airy_ai_vec(c * (grid[:, None] + grid[None, :]))
+    return float(np.max(np.abs(cross + cross.T - exact)))
+
+
+def test_airy_2to1_cross_term_identity():
+    assert _cross_identity_error(np.linspace(-8.0, 12.0, 41)) < 1e-10
+    assert _cross_identity_error(np.array([-30.0, -29.5, -3.0, 0.0, 2.5])) < 1e-10
+
+
+def test_airy_2to1_cut_matches_the_full_template():
+    # every node of 96 panels on [0, 40], no cut; the cut drops < 1e-20, and
+    # BLAS sums the shorter products in another order (~5 ulp at s = -8)
+    s, w = gauss_legendre_panels(0.0, 40.0, 96, 10)
+    for start in (-8.0, -6.0, 0.0, 4.0):
+        xs, _ = gauss_legendre_panels(start, start + 16.0, 24, 6)
+        up = airy_ai_vec(xs[:, None] + s)
+        full_plus = (up * w) @ up.T
+        full_cross = (airy_ai_vec(xs[:, None] - s) * w) @ up.T
+        for sign, full in (("+", full_plus + full_cross), ("-", full_plus - full_cross)):
+            assert np.max(np.abs(airy_2to1(sign, xs, xs) - full)) <= 4e-15, (sign, start)
+
+
+def test_airy_2to1_domain_ends():
+    # y >= 16 leaves no node before the cut: exactly zero
+    assert airy_2to1("+", -3.0, 16.0) == 0.0
+    assert not np.any(airy_2to1("-", np.array([-3.0, 20.0]), np.array([16.0, 18.0])))
+    # the s-template ends at 80, so y may go down to 16 - 80 = -64
+    airy_2to1("+", 0.0, -64.0)
+    for y in (-70.0, np.array([0.0, -70.0])):
+        with pytest.raises(DomainTooLarge):
+            airy_2to1("+", 0.0, y)
 
 
 def test_edge_scan_rows_hold_python_floats():
@@ -144,6 +196,17 @@ def test_tw_minus_observed_behavior():
     assert np.max(vals) > 1.0 + 1e-3  # the genuine overshoot
     assert np.max(vals) < 1.12
     assert np.min(vals) > -1e-6
+
+
+def test_tw_cdf_matches_the_contour_kernel():
+    # the same Nystrom nodes and weights on the independent contour kernel
+    for sign in ("+", "-"):
+        for s in (-4.0, -2.0, 0.0, 2.0):
+            xs, ws = gauss_legendre_panels(s, s + 16.0, 24, 6)
+            root = np.sqrt(ws)
+            kmat = root[:, None] * airy_2to1_contour(sign, xs, xs) * root[None, :]
+            det = float(np.linalg.det(np.eye(len(xs)) - kmat))
+            assert det == pytest.approx(tw_2to1_cdf(sign, s), abs=1e-9), (sign, s)
 
 
 def test_tw_cdf_discretization_stability():

@@ -134,6 +134,13 @@ def test_empty_ranges_and_zero_steps_are_config_errors(tmp_path, capsys):
     assert [line.split(",")[0] for line in text.strip().split("\n")[2:]] == ["1.0", "0.0"]
 
 
+def test_edge_scan_below_the_airy_domain_exits_2(tmp_path, capsys):
+    # airy_2to1 integrates Ai(y + s) for s up to 80, so y must be >= -64
+    code, text = run_cli(tmp_path, "edge-scan", "--theta", "50", "--grid=-70:-69:1")
+    assert code == 2 and text == ""
+    assert "y >= -64" in capsys.readouterr().err
+
+
 def test_tw_command_without_theta(tmp_path):
     code, text = run_cli(tmp_path, "tw-cdf", "--sign", "+", "--s", "0:1:1")
     assert code == 0

@@ -358,3 +358,22 @@ def test_unconverged_modes_raise():
     F = SymbolF(lambda z: np.abs(z.real), (0.0, math.inf), (0.0, math.inf))
     with pytest.raises(QuadratureNotConverged):
         F.modes(False)
+
+
+def test_empty_alphabet_takes_the_power_sum_route():
+    # an empty plain alphabet is the trivial specialization, like from_powersums({})
+    z = 0.9 * np.exp(1j * np.linspace(0.0, 6.0, 13))
+    plancherel = Specialization.plancherel(Fraction(1, 2))
+    for family in ("sp", "o", "sp-dual"):
+        empty = SymbolF.from_measure(
+            MeasureSpec(family, plancherel, Specialization.from_alphabet([]))
+        )
+        trivial = SymbolF.from_measure(
+            MeasureSpec(family, plancherel, Specialization.from_powersums({}))
+        )
+        assert empty.label == trivial.label
+        assert empty.annulus_z == trivial.annulus_z
+        assert empty.annulus_w == trivial.annulus_w
+        assert np.array_equal(empty(z), trivial(z)), family
+        (w_e, m_e, _), (w_t, m_t, _) = empty.modes(False), trivial.modes(False)
+        assert w_e == w_t and np.array_equal(m_e, m_t), family
