@@ -32,7 +32,7 @@ from .kernels import (
     KernelConfig,
     SymbolF,
     kernel_bessel_with_error,
-    kernel_contour_with_error,
+    kernel_contour_grid_with_error,
     kernel_fourier_with_error,
 )
 from .measures import MeasureSpec, correlation_bruteforce, plancherel_measure
@@ -208,17 +208,15 @@ def cmd_kernel(args) -> int:
     r_z, r_w = (float(t) for t in args.radii.split(","))
     cfg = KernelConfig(r_z=r_z, r_w=r_w)
     F = SymbolF.plancherel(args.theta)
-    tasks = [
-        (rep, a, b)
-        for rep in reps
-        for a in range(lo, hi + 1)
-        for b in range(lo, hi + 1)
-    ]
+    sites = range(lo, hi + 1)
+    tasks = [(rep, a, b) for rep in reps for a in sites for b in sites]
+    if "contour" in reps:  # one node doubling for the whole range
+        contour, contour_err = kernel_contour_grid_with_error(cfg, F, args.family, sites, sites)
 
     def run(task):
         rep, a, b = task
         if rep == "contour":
-            val, err = kernel_contour_with_error(cfg, F, args.family, a, b)
+            val, err = float(contour[a - lo, b - lo]), float(contour_err[a - lo, b - lo])
         elif rep == "bessel":
             val, err = kernel_bessel_with_error(args.theta, args.family, a, b)
         elif rep == "fourier":

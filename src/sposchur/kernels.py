@@ -19,7 +19,11 @@ consumed by correlation determinants and Fredholm sections.
 
 Contour quadrature is the trapezoidal rule on circles (spectrally accurate
 for these analytic integrands), node count doubling from the configured start
-until two successive values agree.
+until two successive grids agree entry by entry.  The double trapezoid sum is
+never formed against the n x n coupling 1/((1-wz)(1-w/z)): partial fractions
+split it into a part depending on j+k and a part depending on j-k mod n, each
+diagonal in Fourier space, so every node count costs O(n log n) time and O(n)
+memory per site (`_contour_matrix`).
 """
 
 from __future__ import annotations
@@ -93,8 +97,9 @@ class SymbolF:
         self.annulus_w = annulus_w
         self.label = label
         self._mode_cache: dict[bool, tuple[int, np.ndarray, float]] = {}
-        # (r_z, r_w, nodes) -> (F(z), F(w)) on the contour nodes
-        self._fz_cache: dict[tuple[float, float, int], tuple[np.ndarray, np.ndarray]] = {}
+        # (r_z, r_w, nodes) -> the contour nodes, F on them and the vectors
+        # of the FFT application (see `_contour_data`)
+        self._fz_cache: dict[tuple[float, float, int], tuple] = {}
 
     # -- constructors --------------------------------------------------------
 
@@ -244,66 +249,122 @@ class SymbolF:
 # contour representation
 # ---------------------------------------------------------------------------
 
-_coupling_cache: dict[tuple[float, float, int], tuple] = {}
+_Z_GUARD = 1e-3  # z-nodes with |z^2 - 1| below this bypass the partial fractions
 
 
 def _contour_data(F: SymbolF, r_z: float, r_w: float, n: int):
+    """Nodes and O(n) quadrature vectors for n-point trapezoid rules on two circles.
+
+    Returns z, w, F(z), F(w), g z and g / z with g = 1 / (z - 1/z), the
+    aliased geometric coefficients c_r = rho1^r / (1 - rho1^n) and
+    d_r = rho2^r / (1 - rho2^n) (rho1 = r_w r_z, rho2 = r_w / r_z), and the
+    indices of the guarded nodes, |z^2 - 1| < _Z_GUARD, where g z and g / z
+    are set to 0.  Cached per symbol, keyed by (r_z, r_w, n).
+    """
     key = (r_z, r_w, n)
-    data = _coupling_cache.get(key)
+    cache = F._fz_cache
+    data = cache.get(key)
     if data is None:
         k = np.arange(n)
-        z = r_z * np.exp(2j * np.pi * k / n)
-        w = r_w * np.exp(2j * np.pi * k / n)
-        coupling = 1.0 / ((1.0 - np.outer(w, z)) * (1.0 - np.outer(w, 1.0 / z)))
-        if len(_coupling_cache) > 8:
-            _coupling_cache.clear()
-        data = (z, w, coupling)
-        _coupling_cache[key] = data
-    z, w, coupling = data
-    cache = F._fz_cache
-    pair = cache.get(key)
-    if pair is None:
+        omega = np.exp(2j * np.pi * k / n)
+        z, w = r_z * omega, r_w * omega
+        zz1 = z * z - 1.0
+        far = np.abs(zz1) >= _Z_GUARD
+        gz = np.divide(z * z, zz1, out=np.zeros(n, complex), where=far)
+        g_over_z = np.divide(1.0, zz1, out=np.zeros(n, complex), where=far)
+        rho1, rho2 = r_w * r_z, r_w / r_z
+        c = rho1**k / (1.0 - rho1**n)
+        d = rho2**k / (1.0 - rho2**n)
         if len(cache) > 8:
             cache.clear()
-        pair = cache[key] = (F(z), F(w))
-    return z, w, coupling, pair[0], pair[1]
+        data = cache[key] = (z, w, F(z), F(w), gz, g_over_z, c, d, np.flatnonzero(~far))
+    return data
+
+
+def _contour_matrix(
+    F: SymbolF, family: str, a, b, r_z: float, r_w: float, n: int
+) -> np.ndarray:
+    """The n-node trapezoid value of the double contour integral, [K_n(a_i, b_j)].
+
+    The sum over node pairs (j, k) of B[b, j] A[a, k] / ((1 - w_j z_k)(1 - w_j / z_k))
+    is applied without the n x n coupling.  By partial fractions the coupling is
+    g(z) (z p - q / z) with p = 1 / (1 - w z), q = 1 / (1 - w / z); p depends on
+    j + k mod n and q on j - k mod n, with the exact aliased expansions
+    p = sum_r c_r omega^((j+k) r), q = sum_r d_r omega^((j-k) r).  So the sum is
+    sum_r B~[b, r] (c_r A1~[a, r] - d_r A2^[a, r]) with B~ = n ifft(B),
+    A1~ = n ifft(A g z), A2^ = fft(A g / z), all along the node axis: O(n log n)
+    per site.  Guarded nodes near z = +-1, where g blows up, add their exact
+    coupling columns instead.
+    """
+    z, w, fz, fw, gz, g_over_z, c, d, near = _contour_data(F, r_z, r_w, n)
+    a = np.asarray(a)[:, None]
+    b = np.asarray(b)[:, None]
+    if family == "sp":
+        amat = fz * z ** (-a)
+        bmat = (1.0 - w**2) / fw * w**b
+    else:
+        amat = (1.0 - z**2) * fz * z ** (-a - 1)
+        bmat = (1.0 / fw) * w ** (b + 1)
+    left = n * np.fft.ifft(amat * gz) * c - np.fft.fft(amat * g_over_z) * d
+    value = left @ (n * np.fft.ifft(bmat)).T
+    if near.size:
+        cols = 1.0 / ((1.0 - w[:, None] * z[near]) * (1.0 - w[:, None] / z[near]))
+        value += amat[:, near] @ (bmat @ cols).T
+    return value / n**2
 
 
 def _contour_value(
     F: SymbolF, family: str, a: int, b: int, r_z: float, r_w: float, n: int
 ) -> complex:
-    z, w, coupling, fz, fw = _contour_data(F, r_z, r_w, n)
-    if family == "sp":
-        avec = fz * z ** (-a)
-        bvec = (1.0 - w**2) * w**b / fw
-    else:
-        avec = (1.0 - z**2) * fz * z ** (-a - 1)
-        bvec = w ** (b + 1) / fw
-    return complex(bvec @ coupling @ avec) / n**2
+    return complex(_contour_matrix(F, family, [a], [b], r_z, r_w, n)[0, 0])
+
+
+def kernel_contour_grid_with_error(
+    cfg: KernelConfig,
+    F: SymbolF,
+    family: str,
+    a_values: Sequence[int],
+    b_values: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel on a grid of (a, b) by double trapezoidal contour quadrature.
+
+    The node count doubles from cfg.nodes until every entry moves by at most
+    tol * max(1, |K|).  Returns the grid [K(a_i, b_j)] at that node count and
+    the per-entry move |K_n - K_{n/2}|, a measured estimate of the error, not
+    a bound.  An entry whose imaginary residue exceeds 1e-12 * max(1, |K|)
+    raises QuadratureNotConverged, as does a grid not converged by
+    cfg.max_nodes.
+    """
+    _check_family(family)
+    F.check_contours(cfg.r_z, cfg.r_w)
+    n = cfg.nodes
+    prev = _contour_matrix(F, family, a_values, b_values, cfg.r_z, cfg.r_w, n)
+    while n < cfg.max_nodes:
+        n *= 2
+        cur = _contour_matrix(F, family, a_values, b_values, cfg.r_z, cfg.r_w, n)
+        delta = np.abs(cur - prev)
+        scale = np.maximum(1.0, np.abs(cur))
+        if np.all(delta <= cfg.tol * scale):
+            bad = np.argwhere(np.abs(cur.imag) > 1e-12 * scale)
+            if bad.size:
+                i, j = bad[0]
+                raise QuadratureNotConverged(
+                    f"imaginary residue {cur[i, j].imag} "
+                    f"at (a,b)=({a_values[i]},{b_values[j]})"
+                )
+            return cur.real, delta
+        prev = cur
+    raise QuadratureNotConverged(
+        f"no convergence to {cfg.tol} within {cfg.max_nodes} nodes"
+    )
 
 
 def kernel_contour_with_error(
     cfg: KernelConfig, F: SymbolF, family: str, a: int, b: int
 ) -> tuple[float, float]:
     """Kernel value by double trapezoidal contour quadrature, with error estimate."""
-    _check_family(family)
-    F.check_contours(cfg.r_z, cfg.r_w)
-    n = cfg.nodes
-    prev = _contour_value(F, family, a, b, cfg.r_z, cfg.r_w, n)
-    while n < cfg.max_nodes:
-        n *= 2
-        cur = _contour_value(F, family, a, b, cfg.r_z, cfg.r_w, n)
-        delta = abs(cur - prev)
-        if delta <= cfg.tol * max(1.0, abs(cur)):
-            if abs(cur.imag) > 1e-12 * max(1.0, abs(cur)):
-                raise QuadratureNotConverged(
-                    f"imaginary residue {cur.imag} at (a,b)=({a},{b})"
-                )
-            return float(cur.real), float(delta)
-        prev = cur
-    raise QuadratureNotConverged(
-        f"no convergence to {cfg.tol} within {cfg.max_nodes} nodes"
-    )
+    grid, err = kernel_contour_grid_with_error(cfg, F, family, [a], [b])
+    return float(grid[0, 0]), float(err[0, 0])
 
 
 def kernel_contour(cfg: KernelConfig, F: SymbolF, family: str, a: int, b: int) -> float:
@@ -317,39 +378,8 @@ def kernel_contour_grid(
     a_values: Sequence[int],
     b_values: Sequence[int],
 ) -> np.ndarray:
-    """Kernel on a grid of (a, b), sharing one converged node count.
-
-    Convergence is checked on the extreme corners of the grid, where the
-    radial weights z^-a w^b are largest.
-    """
-    _check_family(family)
-    F.check_contours(cfg.r_z, cfg.r_w)
-    a_values = list(a_values)
-    b_values = list(b_values)
-    corners = [(a, b) for a in (min(a_values), max(a_values)) for b in (min(b_values), max(b_values))]
-    n = cfg.nodes
-    prev = {c: _contour_value(F, family, c[0], c[1], cfg.r_z, cfg.r_w, n) for c in corners}
-    while True:
-        n *= 2
-        if n > cfg.max_nodes:
-            raise QuadratureNotConverged("grid quadrature did not converge")
-        cur = {c: _contour_value(F, family, c[0], c[1], cfg.r_z, cfg.r_w, n) for c in corners}
-        if all(
-            abs(cur[c] - prev[c]) <= cfg.tol * max(1.0, abs(cur[c])) for c in corners
-        ):
-            break
-        prev = cur
-    z, w, coupling, fz, fw = _contour_data(F, cfg.r_z, cfg.r_w, n)
-    if family == "sp":
-        amat = fz[None, :] * z[None, :] ** (-np.asarray(a_values)[:, None])
-        bmat = ((1.0 - w**2) / fw)[None, :] * w[None, :] ** np.asarray(b_values)[:, None]
-    else:
-        amat = ((1.0 - z**2) * fz)[None, :] * z[None, :] ** (
-            -np.asarray(a_values)[:, None] - 1
-        )
-        bmat = (1.0 / fw)[None, :] * w[None, :] ** (np.asarray(b_values)[:, None] + 1)
-    grid = (bmat @ coupling @ amat.T) / n**2  # [b, a]
-    return grid.real.T  # [a, b]
+    """Kernel on a grid of (a, b); `kernel_contour_grid_with_error` without the error."""
+    return kernel_contour_grid_with_error(cfg, F, family, a_values, b_values)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -585,11 +615,10 @@ def correlation_det(kernel: Callable, points: Sequence[int]) -> float:
 
 
 def reset_numeric_caches() -> None:
-    """Clear shared numeric caches (Bessel arrays, quadrature couplings).
+    """Clear the shared Bessel-array cache (contour data is cached per symbol).
 
     Every cached value is a pure function of its key (Bessel arrays have a
     length fixed by x and the order bucket), so clearing changes no result;
     it only frees memory.
     """
     _j_cache.clear()
-    _coupling_cache.clear()

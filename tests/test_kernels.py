@@ -13,6 +13,8 @@ from sposchur.kernels import (
     kernel_bessel,
     kernel_contour,
     kernel_contour_grid,
+    kernel_contour_grid_with_error,
+    kernel_contour_with_error,
     kernel_fourier,
     lattice_kernel,
 )
@@ -161,6 +163,92 @@ def test_grid_matches_scalar_contour():
             assert grid[i, j] == pytest.approx(
                 kernel_contour(CFG, F, "sp", a, b), abs=1e-11
             )
+
+
+def _dense_trapezoid(F, family, a, b, r_z, r_w, n):
+    """The n-node double trapezoid sum against the explicit n x n coupling."""
+    omega = np.exp(2j * np.pi * np.arange(n) / n)
+    z, w = r_z * omega, r_w * omega
+    coupling = 1.0 / ((1.0 - np.outer(w, z)) * (1.0 - np.outer(w, 1.0 / z)))  # [j, k]
+    a, b = np.asarray(a)[:, None], np.asarray(b)[:, None]
+    if family == "sp":
+        amat, bmat = F(z) * z ** (-a), (1.0 - w**2) / F(w) * w**b
+    else:
+        amat, bmat = (1.0 - z**2) * F(z) * z ** (-a - 1), w ** (b + 1) / F(w)
+    return amat @ coupling.T @ bmat.T / n**2  # [a, b]
+
+
+def test_fft_application_matches_dense_coupling():
+    # Both forms round relative to the largest summand |z^-a w^b|; at |a|, |b|
+    # <= 5 that stays within ~1e2 of |K| on every radius pair below.
+    from sposchur.kernels import _contour_matrix
+
+    sites = np.arange(-5, 6)
+    rho = Specialization.from_powersums({1: Fraction(1, 2), 2: Fraction(-1, 5)})
+    for family in ("sp", "o"):
+        powersum = SymbolF.from_measure(MeasureSpec(family, rho, rho))
+        for F in (SymbolF.plancherel(1.0), powersum):
+            for n in (64, 256):
+                for r_z, r_w in [(1.2, 0.8), (0.7, 0.4), (1.5, 0.5)]:
+                    ref = _dense_trapezoid(F, family, sites, sites, r_z, r_w, n)
+                    got = _contour_matrix(F, family, sites, sites, r_z, r_w, n)
+                    assert np.all(
+                        np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref))
+                    ), (family, F.label, n, r_z, r_w)
+
+
+@pytest.mark.parametrize("r_z", [1.0, 1.0 + 1e-9, 1.001])
+def test_contour_near_the_unit_circle(r_z):
+    # with r_z = 1 the nodes z = +-1 make the partial fraction 1/(z - 1/z)
+    # singular; the guarded nodes take their exact coupling columns
+    F = SymbolF.plancherel(1.0)
+    cfg = KernelConfig(r_z=r_z, r_w=0.5)
+    for a in (-2, 0, 2):
+        value, _ = kernel_contour_with_error(cfg, F, "sp", a, a)
+        assert value == pytest.approx(kernel_bessel(1.0, "sp", a, a), abs=1e-11), a
+
+
+def test_contour_grid_evaluates_each_node_count_once(monkeypatch):
+    from sposchur import kernels
+
+    seen = []
+    original = kernels._contour_data
+
+    def counting(F, r_z, r_w, n):
+        seen.append(n)
+        return original(F, r_z, r_w, n)
+
+    monkeypatch.setattr(kernels, "_contour_data", counting)
+    F = SymbolF.plancherel(0.5)
+    value, err = kernel_contour_with_error(CFG, F, "o", 1, -2)
+    assert seen == [64 << i for i in range(len(seen))] and len(seen) >= 2
+    assert 0.0 <= err <= CFG.tol * max(1.0, abs(value))
+    seen.clear()
+    grid, errs = kernel_contour_grid_with_error(CFG, F, "o", range(-4, 5), range(-3, 3))
+    assert grid.shape == errs.shape == (9, 6)
+    assert seen == [64 << i for i in range(len(seen))]
+    assert np.all(errs <= CFG.tol * np.maximum(1.0, np.abs(grid)))
+
+
+def test_contour_grid_checks_every_imaginary_residue():
+    # a complex symbol has complex kernel entries, which no grid may return
+    F = SymbolF.exp_laurent([(0.3j, 1, False), (-0.5, -1, False)], label="complex")
+    with pytest.raises(QuadratureNotConverged, match="imaginary residue"):
+        kernel_contour_grid(CFG, F, "sp", range(-3, 4), range(-3, 4))
+
+
+def test_contour_grid_memory_stays_linear_in_nodes():
+    # theta = 0.5, sp needs 2048 nodes; an n x n complex coupling alone is 64 MiB
+    import tracemalloc
+
+    F = SymbolF.plancherel(0.5)
+    tracemalloc.start()
+    try:
+        kernel_contour_grid(KernelConfig(), F, "sp", range(-10, 11), range(-10, 11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_christoffel_darboux_form_of_the_bessel_kernel():
