@@ -18,14 +18,18 @@ in place of h or e, the same patterns are the Gessel matrices of
 skew-Schur expansions over self-conjugate-adjacent Frobenius shapes, which we
 expose as an independent second route for testing.
 
-Exact determinants are evaluated by fraction-free Bareiss elimination on an
-integer matrix obtained by clearing denominators; float inputs fall back to
-LU via numpy.  Series determinants run the same integer elimination by
-Kronecker substitution: rows cleared of their denominators hold integer
-polynomials, t -> 2^B packs each into one integer, and the balanced base-2^B
-digits of the packed determinant are its coefficients.  B is one bit (the
-sign) above a bound on those coefficients, the product of the rows' summed
-absolute coefficients.  There is no size cap.
+Exact characters are integer on arrival: the specialization keeps its h and
+e images as integer numerators num[k] over nested denominators den[k]
+(`Specialization.h_table`, `e_table`), so a row whose largest index is m
+holds the integers num[k] * (den[m] // den[k]), its entries times den[m].
+One fraction-free Bareiss elimination of those rows over the product of the
+row scales gives the value.  Float images (a float at the largest index)
+build float rows for `determinant`, LU via numpy.  Series determinants run
+the same integer elimination by Kronecker substitution: rows cleared of
+their denominators hold integer polynomials, t -> 2^B packs each into one
+integer, and the balanced base-2^B digits of the packed determinant are its
+coefficients.  B is one bit (the sign) above a bound on those coefficients,
+the product of the rows' summed absolute coefficients.  There is no size cap.
 """
 
 from __future__ import annotations
@@ -72,21 +76,11 @@ def _det_bareiss_int(mat: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def determinant(rows: list[list]) -> Fraction | float:
-    """Determinant of a small dense matrix of Fractions (exact) or floats (LU)."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if any(isinstance(x, float) for row in rows for x in row):
-        return float(np.linalg.det(np.array(rows, dtype=float)))
-    # clear denominators row by row, then integer Bareiss
-    scale = Fraction(1)
-    imat = []
-    for row in rows:
-        den = math.lcm(*(f.denominator for f in row))
-        scale *= den
-        imat.append([int(f * den) for f in row])
-    return Fraction(_det_bareiss_int(imat)) / scale
+def determinant(rows: list[list]) -> float:
+    """Determinant of a small dense float matrix by LU; 1.0 at size 0."""
+    if not rows:
+        return 1.0
+    return float(np.linalg.det(np.array(rows, dtype=float)))
 
 
 def series_determinant(rows: list[list[GradedScalar]]) -> GradedScalar:
@@ -175,86 +169,123 @@ def th_pattern(which: str) -> THPattern:
     return TH_PATTERNS[which]
 
 
+def th_row(pattern: THPattern, d: int, n: int, g: Callable) -> list:
+    """[g(d + j) +/- g(d - j - offset) for j < n], one row of a pattern matrix."""
+    return [pattern.combine(g(d + j), g(d - j - pattern.offset)) for j in range(n)]
+
+
 def th_rows(which: str, shifts, g: Callable) -> list[list]:
     """[[g(s_i - i + j) +/- g(s_i - i - j - offset)]], 0-indexed, one row per shift."""
     pattern = th_pattern(which)
     n = len(shifts)
-    return [
-        [pattern.combine(g(s - i + j), g(s - i - j - pattern.offset)) for j in range(n)]
-        for i, s in enumerate(shifts)
-    ]
+    return [th_row(pattern, s - i, n, g) for i, s in enumerate(shifts)]
 
 
 def th_determinant(rows: list[list], degree: int | None = None):
-    """det(rows), 1 at size 0: entries are Fractions or floats without a
-    degree, and series truncated at `degree` with one."""
+    """det(rows), 1 at size 0: float entries without a degree, and series
+    truncated at `degree` with one."""
     if degree is None:
         return determinant(rows)
     return series_determinant(rows) if rows else GradedScalar.one(degree)
 
 
-def _character(which: str, shifts, values: Callable, degree: int | None = None):
-    """The character of pattern `which` from the h or e images `values`.
+def _jacobi_trudi(rho: Specialization, form: str, offsets, reach: int, row: Callable):
+    """det[row(d, g) for d in offsets] over the h (form "h") or e images g.
+
+    row(d, g) may use g(k) for k <= d + reach only.  Exact images build integer
+    rows: row d takes g(k) = num[k] * (den[m] // den[k]) with m = d + reach,
+    the images times den[m], and the determinant is Bareiss over the product of
+    the den[m].  A float image at the largest index (a float p_k makes every
+    image from k on a float) sends float rows of the images to `determinant`.
+    """
+    if not offsets:
+        return Fraction(1)
+    top = max(offsets) + reach
+    table = rho.h_table(top) if form == "h" else rho.e_table(top)
+    if table is None:
+        values = rho.h if form == "h" else rho.e
+        return determinant([row(d, values) for d in offsets])
+    num, den = table
+    scale = 1
+    rows = []
+    for d in offsets:
+        dm = den[d + reach]
+        scale *= dm
+        rows.append(row(d, lambda k: num[k] * (dm // den[k]) if k >= 0 else 0))
+    return Fraction(_det_bareiss_int(rows), scale)
+
+
+def _character(which: str, shifts, rho: Specialization, degree: int | None = None):
+    """The character of pattern `which` at rho, with shifts the parts of
+    lambda (h-form) or of its conjugate (e-form).
 
     Without a degree the value is exact or float.  With one it is graded: under
-    p_k -> degree k, values(n) enters as values(n) t^n (zero for n < 0).  The
-    graded s_lambda is a single monomial, but the sp/o determinants mix
+    p_k -> degree k, the image h_n or e_n enters as h_n t^n (zero for n < 0).
+    The graded s_lambda is a single monomial, but the sp/o determinants mix
     degrees (sp_{(1,1)} = e_2 - 1 has degrees 2 and 0), so they are taken over
     the series ring, truncated at `degree`.
     """
-    g = values
-    if degree is not None:
-        zero = GradedScalar.zero(degree)
-        g = lambda n: GradedScalar.monomial(values(n), n, degree) if n >= 0 else zero  # noqa: E731
-    rows = th_rows(which, shifts, g)
-    return TH_PATTERNS[which].halve(th_determinant(rows, degree), len(rows))
+    pattern = TH_PATTERNS[which]
+    n = len(shifts)
+    if degree is None:
+        offsets = [s - i for i, s in enumerate(shifts)]
+        value = _jacobi_trudi(
+            rho, pattern.form, offsets, n - 1, lambda d, g: th_row(pattern, d, n, g)
+        )
+        return pattern.halve(value, n)
+    values = rho.h if pattern.form == "h" else rho.e
+    zero = GradedScalar.zero(degree)
+    g = lambda k: GradedScalar.monomial(values(k), k, degree) if k >= 0 else zero  # noqa: E731
+    return pattern.halve(th_determinant(th_rows(which, shifts, g), degree), n)
+
+
+def _schur(parts, rho: Specialization, form: str):
+    """det[g(parts_i - i + j)], 0-indexed, over the h or e images."""
+    n = len(parts)
+    offsets = [p - i for i, p in enumerate(parts)]
+    return _jacobi_trudi(rho, form, offsets, n - 1, lambda d, g: [g(d + j) for j in range(n)])
 
 
 def schur(lam: Partition, rho: Specialization):
     """s_lambda(rho) by the h-form Jacobi-Trudi determinant."""
-    n = lam.length()
-    rows = [[rho.h(lam.part(i) - i + j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    return determinant(rows)
+    return _schur(lam.parts, rho, "h")
 
 
 def schur_via_e(lam: Partition, rho: Specialization):
     """s_lambda(rho) by the dual (elementary) Jacobi-Trudi determinant."""
-    conj = lam.conjugate()
-    m = lam.part(1)
-    rows = [[rho.e(conj.part(i) - i + j) for j in range(1, m + 1)] for i in range(1, m + 1)]
-    return determinant(rows)
+    return _schur(lam.conjugate().parts, rho, "e")
 
 
 def skew_schur(lam: Partition, mu: Partition, rho: Specialization):
-    """s_{lambda/mu}(rho); zero unless mu is contained in lambda."""
+    """s_{lambda/mu}(rho) = det[h_{lambda_i - i - (mu_j - j)}]; zero unless mu is
+    contained in lambda."""
     if not lam.contains(mu):
         return Fraction(0)
     n = lam.length()
-    rows = [
-        [rho.h(lam.part(i) - i - (mu.part(j) - j)) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
-    return determinant(rows)
+    offsets = [p - i for i, p in enumerate(lam.parts)]
+    cols = [j - mu.part(j + 1) for j in range(n)]
+    reach = max(cols, default=0)
+    return _jacobi_trudi(rho, "h", offsets, reach, lambda d, g: [g(d + c) for c in cols])
 
 
 def sp_char(lam: Partition, rho: Specialization):
     """Symplectic character sp_lambda(rho), h-form."""
-    return _character("D1", lam.parts, rho.h)
+    return _character("D1", lam.parts, rho)
 
 
 def sp_char_via_e(lam: Partition, rho: Specialization):
     """Symplectic character, e-form (no 1/2 factor)."""
-    return _character("D2", lam.conjugate().parts, rho.e)
+    return _character("D2", lam.conjugate().parts, rho)
 
 
 def o_char(lam: Partition, rho: Specialization):
     """Orthogonal character o_lambda(rho), h-form."""
-    return _character("D3", lam.parts, rho.h)
+    return _character("D3", lam.parts, rho)
 
 
 def o_char_via_e(lam: Partition, rho: Specialization):
     """Orthogonal character, e-form (with the 1/2 factor)."""
-    return _character("D4", lam.conjugate().parts, rho.e)
+    return _character("D4", lam.conjugate().parts, rho)
 
 
 def sp_via_expansion(lam: Partition, rho: Specialization):
@@ -293,12 +324,12 @@ def character(family: str, lam: Partition, rho: Specialization):
 
 def sp_char_series(lam: Partition, rho: Specialization, degree: int) -> GradedScalar:
     """Graded symplectic character, via the h-form determinant over series."""
-    return _character("D1", lam.parts, rho.h, degree)
+    return _character("D1", lam.parts, rho, degree)
 
 
 def o_char_series(lam: Partition, rho: Specialization, degree: int) -> GradedScalar:
     """Graded orthogonal character, via the h-form determinant over series."""
-    return _character("D3", lam.parts, rho.h, degree)
+    return _character("D3", lam.parts, rho, degree)
 
 
 def character_series(

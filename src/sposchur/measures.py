@@ -143,7 +143,12 @@ class MeasureSpec:
 
 @dataclass
 class BruteForceResult:
-    """Stabilized brute-force correlation with its tail estimate."""
+    """Stabilized brute-force correlation with its tail estimate.
+
+    `tail_estimate` (the `est_tail` CSV column) is |increment| / Z of the
+    last block of partition sizes summed, plus a flat 1e-15 floor.  It is a
+    measured estimate of the neglected tail, not a bound.
+    """
 
     value: float
     tail_estimate: float
@@ -162,27 +167,39 @@ def plancherel_measure(family: str, theta) -> MeasureSpec:
 _BLOCK = 4  # sizes per adaptive extension block
 
 
+def _configuration_set(lam: Partition, depth: int) -> set[int]:
+    """Occupied sites of lam, complete at -depth and above.
+
+    Positions below the length are the packed sea, so the first depth or
+    length positions, whichever is more, decide every site >= -depth.
+    """
+    return set(lam.configuration(max(len(lam), depth)))
+
+
 def _sum_weights(
     spec: MeasureSpec,
-    keeps: list[Callable[[Partition], bool]],
+    keeps: list[Callable[[set[int]], bool]],
+    sites: list[int],
     tol: float,
-    start: int,
     max_cutoff: int | None = None,
 ) -> list[BruteForceResult]:
     """Sum the weights of the partitions passing each predicate in one pass.
 
-    Each partition's weight is evaluated at most once and credited to every
-    predicate it passes.  The size cutoff grows in blocks of a few sizes
-    until every predicate's last block adds less than tol/10; block
-    increments decay geometrically for contractive specializations
-    (superexponentially in the Plancherel case), so the last increment is an
-    honest tail estimate.
+    Each predicate tests a partition's particle configuration, as a set that
+    holds every occupied site down to the lowest of `sites` (the packed sea
+    included).  Each partition's weight is evaluated at most once and credited
+    to every predicate it passes.  The size cutoff starts at max(8, 2 max|site|)
+    and grows in blocks of a few sizes until every predicate's last block adds
+    less than tol/10; block increments decay geometrically for contractive
+    specializations (superexponentially in the Plancherel case), so the last
+    increment is a measured tail estimate.
     """
     exact_in = spec.rho_plus.is_exact(8) and spec.rho_minus.is_exact(8)
     zero = Fraction(0) if exact_in else 0.0
     totals = [zero] * len(keeps)
     blocks = [zero] * len(keeps)
-    cutoff = max(8, start)
+    cutoff = max(8, 2 * max((abs(p) for p in sites), default=0))
+    depth = max([0] + [-p for p in sites])
     seen = 0
     n = 0
     first_checkpoint = True
@@ -190,9 +207,10 @@ def _sum_weights(
         while n <= cutoff:
             for lam in partitions_of_size(n):
                 seen += 1
+                conf = _configuration_set(lam, depth)
                 w = None
                 for i, keep in enumerate(keeps):
-                    if keep(lam):
+                    if keep(conf):
                         if w is None:
                             w = spec.unnormalized_weight(lam)
                             if not w:
@@ -217,10 +235,6 @@ def _sum_weights(
         cutoff += _BLOCK
 
 
-def _occupies_all(points: list[int]) -> Callable[[Partition], bool]:
-    return lambda lam: all(lam.occupies(p) for p in points)
-
-
 def correlation_bruteforce(
     spec: MeasureSpec,
     points: set[int] | list[int],
@@ -233,9 +247,8 @@ def correlation_bruteforce(
     of sizes contributes less than tol/10.  Raises CutoffTooSmall when the
     partition budget or max_cutoff is exhausted before stabilization.
     """
-    pts = sorted(set(int(p) for p in points))
-    start = 2 * max((abs(p) for p in pts), default=0)
-    return _sum_weights(spec, [_occupies_all(pts)], tol, start, max_cutoff)[0]
+    pts = frozenset(int(p) for p in points)
+    return _sum_weights(spec, [pts.issubset], list(pts), tol, max_cutoff)[0]
 
 
 def hole_probability_bruteforce(
@@ -243,7 +256,7 @@ def hole_probability_bruteforce(
 ) -> BruteForceResult:
     """Probability that `point` is NOT occupied (independently accumulated)."""
     p = int(point)
-    return _sum_weights(spec, [lambda lam: not lam.occupies(p)], tol, 2 * abs(p))[0]
+    return _sum_weights(spec, [lambda conf: p not in conf], [p], tol)[0]
 
 
 def correlation_bruteforce_batch(
@@ -255,9 +268,9 @@ def correlation_bruteforce_batch(
 
     The cutoff policy is shared, driven by the slowest-stabilizing set.
     """
-    sets = [sorted(set(int(p) for p in pts)) for pts in point_sets]
-    start = max([2 * max((abs(p) for p in pts), default=0) for pts in sets], default=0)
-    return _sum_weights(spec, [_occupies_all(pts) for pts in sets], tol, start)
+    sets = [frozenset(int(p) for p in pts) for pts in point_sets]
+    sites = [p for pts in sets for p in pts]
+    return _sum_weights(spec, [pts.issubset for pts in sets], sites, tol)
 
 
 def total_mass_series(spec: MeasureSpec, degree: int) -> GradedScalar:

@@ -14,13 +14,17 @@ elementary e_n images are derived through Newton's recurrences
 
     n h_n = sum_{k=1..n} p_k h_{n-k},      n e_n = sum_{k=1..n} (-1)^(k-1) p_k e_{n-k},
 
-which preserve exactness.  Caches are grown under a lock so specializations
-can be shared across threads.
+which preserve exactness.  Exact images are also kept as integer tables:
+h_k = num[k] / den[k], where den[k] is the lcm of the denominators of h_0..h_k,
+so den[k] divides den[k+1] (likewise for e).  A float p_k makes every image
+from index k on a float, and the tables stop below it.  Caches and tables are
+grown under a lock so specializations can be shared across threads.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import threading
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -57,6 +61,9 @@ class Specialization:
         self._p_cache: dict[int, object] = {}
         self._h_cache: list = [Fraction(1)]
         self._e_cache: list = [Fraction(1)]
+        # integer tables (numerators, nested denominators) of the exact images
+        self._h_table: tuple[list[int], list[int]] = ([1], [1])
+        self._e_table: tuple[list[int], list[int]] = ([1], [1])
 
     # -- constructors ------------------------------------------------------
 
@@ -143,6 +150,18 @@ class Specialization:
         self._extend(n)
         return self._e_cache[n]
 
+    def h_table(self, n: int) -> tuple[list[int], list[int]] | None:
+        """Integer tables (num, den) with h_k = num[k] / den[k] for 0 <= k <= n,
+        den[k] | den[k+1]; None when h_n is a float.
+
+        The lists are shared and only ever appended to; read indices <= n.
+        """
+        return None if isinstance(self.h(n), float) else self._h_table
+
+    def e_table(self, n: int) -> tuple[list[int], list[int]] | None:
+        """Integer tables of e_0..e_n, as `h_table`."""
+        return None if isinstance(self.e(n), float) else self._e_table
+
     def _extend(self, n: int) -> None:
         with self._lock:
             h, e = self._h_cache, self._e_cache
@@ -160,6 +179,11 @@ class Specialization:
                     )
                     / m
                 )
+                for value, (num, den) in ((h[m], self._h_table), (e[m], self._e_table)):
+                    if isinstance(value, Fraction) and len(num) == m:
+                        d = math.lcm(den[-1], value.denominator)
+                        num.append(value.numerator * (d // value.denominator))
+                        den.append(d)
 
     def __p_nolock(self, k: int):
         if self.max_support is not None and k > self.max_support:

@@ -1,7 +1,10 @@
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -333,3 +336,148 @@ def test_character_float_mode():
     assert sp_char(Partition([2, 1]), rho) == pytest.approx(
         float(sp_char(Partition([2, 1]), Specialization.plancherel(Fraction(1, 2))))
     )
+
+
+# ---------------------------------------------------------------------------
+# integer Jacobi-Trudi rows against plain Fraction elimination
+# ---------------------------------------------------------------------------
+
+
+def gauss_det(rows):
+    """Reference determinant: Gaussian elimination over Fractions."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for r in range(k + 1, n):
+            factor = a[r][k] / a[k][k]
+            for c in range(k, n):
+                a[r][c] -= factor * a[k][c]
+    return det
+
+
+def textbook_rows(name, lam, rho, mu=Partition()):
+    """The 1-indexed matrices of the module docstring, entries from rho.h / rho.e."""
+    h, e = rho.h, rho.e
+    conj = lam.conjugate()
+    n, m = lam.length(), lam.part(1)
+    lp, cp = lam.part, conj.part
+    builders = {
+        "s": (n, lambda i, j: h(lp(i) - i + j)),
+        "s_e": (m, lambda i, j: e(cp(i) - i + j)),
+        "skew": (n, lambda i, j: h(lp(i) - i - (mu.part(j) - j))),
+        "sp": (n, lambda i, j: h(lp(i) - i + j) + h(lp(i) - i - j + 2)),
+        "sp_e": (m, lambda i, j: e(cp(i) - i + j) - e(cp(i) - i - j)),
+        "o": (n, lambda i, j: h(lp(i) - i + j) - h(lp(i) - i - j)),
+        "o_e": (m, lambda i, j: e(cp(i) - i + j) + e(cp(i) - i - j + 2)),
+    }
+    size, entry = builders[name]
+    return [[entry(i, j) for j in range(1, size + 1)] for i in range(1, size + 1)]
+
+
+HALVED = {"sp", "o_e"}  # the 1/2 factor, at positive sizes
+BUILDERS = {
+    "s": schur,
+    "s_e": schur_via_e,
+    "sp": sp_char,
+    "sp_e": sp_char_via_e,
+    "o": o_char,
+    "o_e": o_char_via_e,
+}
+
+
+def reference_value(name, rows):
+    det = gauss_det(rows)
+    return det / 2 if name in HALVED and rows else det
+
+
+def exact_specializations():
+    rng = random.Random(11)
+    rhos = [
+        Specialization.from_powersums(
+            {k: Fraction(rng.randint(-6, 6), rng.randint(1, 9)) for k in range(1, 5)}
+        )
+        for _ in range(3)
+    ]
+    rhos += [
+        Specialization.from_alphabet([Fraction(2, 3), Fraction(-1, 4), Fraction(5, 7)]),
+        Specialization.from_bc_alphabet([Fraction(3, 5), Fraction(-2, 7)]),
+        Specialization.from_bc_alphabet([Fraction(1, 3)], include_one=True),
+    ]
+    rhos += [rhos[0].omega(), rhos[4].omega()]
+    return rhos
+
+
+def test_integer_rows_match_fraction_elimination():
+    # every partition of size <= 6: the empty one, and shapes such as (1, 1, 1)
+    # whose lower rows run into negative indices
+    shapes = list(enumerate_partitions(6))
+    for rho in exact_specializations():
+        for lam in shapes:
+            for name, builder in BUILDERS.items():
+                value = builder(lam, rho)
+                assert isinstance(value, Fraction), (name, lam)
+                assert value == reference_value(name, textbook_rows(name, lam, rho)), (
+                    name, lam, rho.to_json() if rho.kind != "omega" else "omega",
+                )
+            for mu in enumerate_partitions(lam.size()):
+                expected = gauss_det(textbook_rows("skew", lam, rho, mu)) if lam.contains(mu) else 0
+                assert skew_schur(lam, mu, rho) == expected, (lam, mu)
+
+
+def test_float_images_take_the_lu_route():
+    rho = Specialization.from_alphabet([0.3, -0.45, 0.2])
+    for lam in enumerate_partitions(5):
+        if not lam:
+            continue
+        for name, builder in BUILDERS.items():
+            rows = textbook_rows(name, lam, rho)
+            det = float(np.linalg.det(np.array(rows, dtype=float)))
+            value = builder(lam, rho)
+            assert isinstance(value, float), (name, lam)
+            assert value == (det / 2 if name in HALVED else det), (name, lam)
+
+
+def test_concurrent_table_growth_matches_serial():
+    shapes = [lam for lam in enumerate_partitions(9) if lam.size() >= 5]
+
+    def fresh():
+        return Specialization.from_powersums(
+            {1: Fraction(3, 7), 2: Fraction(-5, 6), 3: Fraction(2, 9)}
+        )
+
+    def run(rho, part):
+        return [(schur(lam, rho), sp_char(lam, rho)) for lam in part]
+
+    serial = run(fresh(), shapes)
+    shared = fresh()
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def worker(t):
+        barrier.wait()
+        # each thread walks the shapes from its own offset, so the largest
+        # indices are first asked for by different threads
+        order = shapes[t * len(shapes) // 4:] + shapes[:t * len(shapes) // 4]
+        results[t] = dict(zip(order, run(shared, order)))
+
+    threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the table growth
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got in results:
+        assert [got[lam] for lam in shapes] == serial

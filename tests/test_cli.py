@@ -2,6 +2,8 @@ import json
 import os
 from pathlib import Path
 
+import pytest
+
 from sposchur.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -36,6 +38,34 @@ def test_th_dets_golden(tmp_path):
     )
     assert code == 0
     assert text == (GOLDEN / "th_dets_plancherel.csv").read_text()
+
+
+def _powersum_measure_argv(family: str) -> tuple:
+    doc = {
+        "family": family,
+        "rho_plus": {"powersums": {"1": "1/3", "2": "-1/5"}},
+        "rho_minus": {"powersums": {"1": "1/4", "3": "-1/7"}},
+    }
+    return ("--measure", json.dumps(doc), "--points", "0;-1,1;2", "--tol", "1e-6")
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        # exact rational power sums: characters from integer Jacobi-Trudi rows
+        ("correlations_powersum_sp.csv", _powersum_measure_argv("sp")),
+        ("correlations_powersum_o_dual.csv", _powersum_measure_argv("o-dual")),
+        # the README command: a float theta, so float rows and LU
+        (
+            "correlations_sp_float.csv",
+            ("--family", "sp", "--theta", "0.3", "--points", "0;-1,1", "--tol", "1e-8"),
+        ),
+    ],
+)
+def test_correlations_golden(tmp_path, golden, argv):
+    code, text = run_cli(tmp_path, "correlations", *argv)
+    assert code == 0
+    assert text == (GOLDEN / golden).read_text()
 
 
 def test_byte_identical_reruns(tmp_path):

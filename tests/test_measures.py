@@ -6,8 +6,10 @@ import pytest
 
 from sposchur.errors import CutoffTooSmall, DivergentNormalization
 from sposchur.identities import FAMILIES, log_normalization_series
+from sposchur.kernels import correlation_det, lattice_kernel
 from sposchur.measures import (
     MeasureSpec,
+    _configuration_set,
     correlation_bruteforce,
     correlation_bruteforce_batch,
     hole_probability_bruteforce,
@@ -110,6 +112,32 @@ def test_inclusion_exclusion_consistency():
         assert occ.value + hole.value == pytest.approx(
             1.0, abs=occ.tail_estimate + hole.tail_estimate + 1e-10
         )
+
+
+def test_configuration_sets_match_occupies():
+    sites = range(-16, 17)
+    pairs = [(a, b) for a in sites for b in sites if a < b]
+    for lam in enumerate_partitions(12):
+        full = _configuration_set(lam, 16)
+        occupied = {q for q in sites if lam.occupies(q)}
+        assert full & set(sites) == occupied, lam
+        for q in sites:
+            # the depth the brute-force sums use for a query at q alone
+            assert (q in _configuration_set(lam, max(0, -q))) == (q in occupied), (lam, q)
+        for a, b in pairs:
+            assert frozenset((a, b)).issubset(full) == (a in occupied and b in occupied)
+
+
+def test_hole_probability_below_the_sea():
+    # -4 and -9 are sites of the packed sea for every partition shorter than
+    # 4 and 9, so a hole there needs a long partition: the probabilities are
+    # small, signed, and match 1 - K(a, a) from the kernel
+    m = plancherel_measure("sp", Fraction(2, 5))
+    kernel = lattice_kernel("sp", theta=0.4)
+    for a, size in ((-9, 1e-12), (-4, 1e-3)):
+        hole = hole_probability_bruteforce(m, a, tol=1e-9)
+        assert abs(hole.value) < size
+        assert hole.value == pytest.approx(1 - correlation_det(kernel, [a]), abs=1e-10)
 
 
 def test_signed_weights_observed():

@@ -111,3 +111,24 @@ def test_json_roundtrip():
     assert back2.p(2) == bc.p(2)
     with pytest.raises(ValueError):
         Specialization.from_json({"nonsense": 1})
+
+
+def test_integer_tables_have_nested_denominators():
+    rhos = [
+        Specialization.from_powersums({1: Fraction(-2, 3), 2: Fraction(5, 4), 4: Fraction(1, 6)}),
+        Specialization.from_bc_alphabet([Fraction(2, 3)], include_one=True),
+    ]
+    rhos.append(rhos[0].omega())
+    for rho in rhos:
+        for value, table in ((rho.h, rho.h_table), (rho.e, rho.e_table)):
+            num, den = table(9)
+            assert num[0] == den[0] == 1
+            for k in range(10):
+                assert Fraction(num[k], den[k]) == value(k), k
+                assert den[k] == math.lcm(*(value(i).denominator for i in range(k + 1)))
+    # a float p_2 makes h_2, h_3, ... floats: the table stops at index 1
+    mixed = Specialization.from_powersums({1: Fraction(1, 2), 2: 0.25})
+    assert mixed.h_table(1) == ([1, 1], [1, 2])
+    assert mixed.h_table(2) is None and mixed.e_table(5) is None
+    assert mixed.h_table(1) == ([1, 1], [1, 2])  # growing past the float leaves it as it was
+    assert Specialization.plancherel(0.5).h_table(1) is None
