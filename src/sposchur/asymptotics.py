@@ -110,14 +110,14 @@ def airy_2to1(sign: str, x, y):
     return float(value[0, 0]) if scalar else value
 
 
-def _ray_nodes(vertex: float, angle: float, length: float, panels: int, order: int):
-    """Nodes, weights and direction for one ray from a real vertex."""
-    t, w = gauss_legendre_panels(0.0, length, panels, order)
+def _ray_nodes(vertex: float, angle: float):
+    """Nodes, weights and direction for one ray of length 9 from a real vertex."""
+    t, w = gauss_legendre_panels(0.0, 9.0, 36, 12)
     direction = complex(math.cos(angle), math.sin(angle))
     return vertex + t * direction, w, direction
 
 
-def airy_2to1_contour(sign: str, x, y, length: float = 9.0, panels: int = 36):
+def airy_2to1_contour(sign: str, x, y):
     """A±(x, y) by the double contour representation (cross-check route).
 
     zeta runs over rays at ±pi/3 from +0.4 (steepest descent for exp(z^3/3)),
@@ -131,12 +131,12 @@ def airy_2to1_contour(sign: str, x, y, length: float = 9.0, panels: int = 36):
         raise ValueError("sign must be '+' or '-'")
     scalar = np.ndim(x) == 0 and np.ndim(y) == 0
     xs, ys = np.atleast_1d(x), np.atleast_1d(y)
-    zu, wu, du = _ray_nodes(0.4, math.pi / 3.0, length, panels, 12)
-    zl, wl, dl = _ray_nodes(0.4, -math.pi / 3.0, length, panels, 12)
+    zu, wu, du = _ray_nodes(0.4, math.pi / 3.0)
+    zl, wl, dl = _ray_nodes(0.4, -math.pi / 3.0)
     zeta = np.concatenate([zu, zl])
     zw = np.concatenate([wu * du, -wl * dl])  # lower ray runs tip -> vertex
-    ou, vu, duo = _ray_nodes(-0.8, 2.0 * math.pi / 3.0, length, panels, 12)
-    ol, vl, dlo = _ray_nodes(-0.8, -2.0 * math.pi / 3.0, length, panels, 12)
+    ou, vu, duo = _ray_nodes(-0.8, 2.0 * math.pi / 3.0)
+    ol, vl, dlo = _ray_nodes(-0.8, -2.0 * math.pi / 3.0)
     omega = np.concatenate([ou, ol])
     ow = np.concatenate([vu * duo, -vl * dlo])
     fz = np.exp(zeta**3 / 3.0 - xs[:, None] * zeta) * zw
@@ -259,32 +259,21 @@ def fit_error_exponent(errors_by_theta: dict[float, float]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def tw_2to1_cdf(
-    sign: str,
-    s: float,
-    interval: float = 16.0,
-    panels: int = 24,
-    order: int = 6,
-    fred: FredholmConfig | None = None,
-) -> float:
+def tw_2to1_cdf(sign: str, s: float, interval: float = 16.0, panels: int = 24) -> float:
     """det(1 - A±) on L^2(s, s + interval) by Nystrom quadrature.
 
     The kernel decays superexponentially to the right, so a fixed window with
-    composite Gauss-Legendre nodes reaches well below the 1e-7 stability
-    target; `panels`/`interval` doubling is the advertised stability check.
-    A FredholmConfig can override the window length and node order.
+    composite Gauss-Legendre nodes of order 6 reaches well below the 1e-7
+    stability target; `panels`/`interval` doubling is the advertised
+    stability check.
     """
-    if fred is not None:
-        order = fred.order
-        if fred.window is not None:
-            interval = float(fred.window)
     end = s + interval
     tail = airy_2to1(sign, end, end)
     if abs(tail) > 1e-9:
         raise TruncationInsufficient(
             f"kernel diagonal {tail:.2e} at the window end {end}; enlarge the interval"
         )
-    xs, ws = gauss_legendre_panels(s, end, panels, order)
+    xs, ws = gauss_legendre_panels(s, end, panels, 6)
     amat = airy_2to1(sign, xs, xs)
     root = np.sqrt(ws)
     kmat = root[:, None] * amat * root[None, :]
@@ -294,7 +283,7 @@ def tw_2to1_cdf(
 def tw_2to1_stability(sign: str, s: float) -> float:
     """Change under doubling both the interval and the node count."""
     base = tw_2to1_cdf(sign, s)
-    fine = tw_2to1_cdf(sign, s, interval=32.0, panels=96, order=6)
+    fine = tw_2to1_cdf(sign, s, interval=32.0, panels=96)
     return abs(fine - base)
 
 

@@ -288,24 +288,24 @@ def o_char_via_e(lam: Partition, rho: Specialization):
     return _character("D4", lam.conjugate().parts, rho)
 
 
+def _signed_skew_expansion(lam: Partition, shapes: list[Partition], rho: Specialization):
+    """sum over mu in shapes of (-1)^(|mu|/2) s_{lambda/mu}(rho)."""
+    total = Fraction(0)
+    for mu in shapes:
+        term = skew_schur(lam, mu, rho)
+        if term:
+            total = total + (-1) ** (mu.size() // 2) * term
+    return total
+
+
 def sp_via_expansion(lam: Partition, rho: Specialization):
     """sp_lambda as the signed sum of s_{lambda/alpha} over Frobenius shapes (a | a+1)."""
-    total = Fraction(0)
-    for alpha in symplectic_expansion_shapes(lam.size()):
-        term = skew_schur(lam, alpha, rho)
-        if term:
-            total = total + (-1) ** (alpha.size() // 2) * term
-    return total
+    return _signed_skew_expansion(lam, symplectic_expansion_shapes(lam.size()), rho)
 
 
 def o_via_expansion(lam: Partition, rho: Specialization):
     """o_lambda as the signed sum of s_{lambda/beta} over Frobenius shapes (b+1 | b)."""
-    total = Fraction(0)
-    for beta in orthogonal_expansion_shapes(lam.size()):
-        term = skew_schur(lam, beta, rho)
-        if term:
-            total = total + (-1) ** (beta.size() // 2) * term
-    return total
+    return _signed_skew_expansion(lam, orthogonal_expansion_shapes(lam.size()), rho)
 
 
 def omega_dual_check(lam: Partition, rho: Specialization) -> bool:

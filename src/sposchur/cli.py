@@ -83,13 +83,17 @@ def _parse_point_sets(text: str) -> list[list[int]]:
     return [[int(t) for t in part.split(",")] for part in text.split(";") if part]
 
 
+def _read_json(doc: str):
+    """A JSON document given inline or as the path of a file holding it."""
+    if os.path.exists(doc):
+        with open(doc) as fh:
+            doc = fh.read()
+    return json.loads(doc)
+
+
 def _load_measure(args) -> MeasureSpec:
     if args.measure:
-        doc = args.measure
-        if os.path.exists(doc):
-            with open(doc) as fh:
-                doc = fh.read()
-        return MeasureSpec.from_json(json.loads(doc))
+        return MeasureSpec.from_json(_read_json(args.measure))
     if args.theta is None:
         raise ValueError("either --measure or --theta is required")
     return plancherel_measure(args.family, args.theta)
@@ -252,11 +256,7 @@ def cmd_correlations(args) -> int:
 
 def _load_symbol(args) -> Symbol:
     if args.symbol:
-        doc = args.symbol
-        if os.path.exists(doc):
-            with open(doc) as fh:
-                doc = fh.read()
-        parsed = json.loads(doc)
+        parsed = _read_json(args.symbol)
         return Symbol(
             Specialization.from_json(parsed["rho_plus"]),
             Specialization.from_json(parsed["rho_minus"]),

@@ -3,11 +3,11 @@
 With the grading convention p_k -> degree k, the Schur factor of a bilinear
 character sum is homogeneous of degree |lambda| while the sp/o factor is a
 series with terms of degrees |lambda|, |lambda| - 2, ..., so a partition
-contributes to every degree from |lambda| upward within truncation.  Weights
-select which side carries the grading: 1 for graded specializations, 0 for a
-side treated as plain numbers (the alphabet side of the dual Cauchy identity).
-Both sides of every identity are then finite polynomials modulo t^(D+1) and
-can be compared exactly.
+contributes to every degree from |lambda| upward within truncation.  The
+minus side always carries the grading; the plus side's weight is 1 for a
+graded specialization and 0 for plain numbers (the alphabet side of the dual
+Cauchy identity).  Both sides of every identity are then finite polynomials
+modulo t^(D+1) and can be compared exactly.
 
 Closed forms used throughout (log of the right-hand sides):
 
@@ -51,17 +51,14 @@ def log_normalization_series(
     rho_minus: Specialization,
     degree: int,
     weight_plus: int = 1,
-    weight_minus: int = 1,
 ) -> GradedScalar:
     """log Z as a graded series, for any of the four measure families."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if weight_minus < 1:
-        raise ValueError("the minus side must carry the grading for a finite check")
     coeffs = [Fraction(0)] * (degree + 1)
     for k in range(1, degree + 1):
-        d = (weight_plus + weight_minus) * k
-        d2 = 2 * weight_minus * k
+        d = (weight_plus + 1) * k
+        d2 = 2 * k
         if d > degree and d2 > degree:
             break
         cross, even = log_z_terms(
@@ -80,12 +77,9 @@ def normalization_series(
     rho_minus: Specialization,
     degree: int,
     weight_plus: int = 1,
-    weight_minus: int = 1,
 ) -> GradedScalar:
     """Partition function Z as an exact graded series (exp of the log form)."""
-    return log_normalization_series(
-        family, rho_plus, rho_minus, degree, weight_plus, weight_minus
-    ).exp()
+    return log_normalization_series(family, rho_plus, rho_minus, degree, weight_plus).exp()
 
 
 def character_sum_series(
@@ -94,7 +88,6 @@ def character_sum_series(
     rho_minus: Specialization,
     degree: int,
     weight_plus: int = 1,
-    weight_minus: int = 1,
     length_bound: int | None = None,
     width_bound: int | None = None,
 ) -> GradedScalar:
@@ -106,15 +99,13 @@ def character_sum_series(
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if weight_minus < 1:
-        raise ValueError("the minus side must carry the grading")
     out = GradedScalar.zero(degree)
     base = family.removesuffix("-dual")
     dual = base != family
-    # the Schur factor contributes degree weight_minus * |lambda|, and the
-    # graded sp/o factor is a series with terms down to degree 0, so every
-    # partition with |lambda| <= degree / weight_minus can reach degree <= D
-    for lam in enumerate_partitions(degree // weight_minus):
+    # the Schur factor contributes degree |lambda|, and the graded sp/o factor
+    # is a series with terms down to degree 0, so every partition with
+    # |lambda| <= degree can reach degree <= D
+    for lam in enumerate_partitions(degree):
         if length_bound is not None and lam.length() > length_bound:
             continue
         if width_bound is not None and lam.part(1) > width_bound:
@@ -122,7 +113,7 @@ def character_sum_series(
         s = schur(lam.conjugate() if dual else lam, rho_minus)
         if not s:
             continue
-        s_part = GradedScalar.monomial(s, weight_minus * lam.size(), degree)
+        s_part = GradedScalar.monomial(s, lam.size(), degree)
         if weight_plus:
             term = character_series(base, lam, rho_plus, degree) * s_part
         else:
@@ -138,15 +129,10 @@ def cauchy_check(
     rho_minus: Specialization,
     degree: int,
     weight_plus: int = 1,
-    weight_minus: int = 1,
 ) -> bool:
     """Exact truncated Cauchy identity for the given family."""
-    lhs = character_sum_series(
-        family, rho_plus, rho_minus, degree, weight_plus, weight_minus
-    )
-    rhs = normalization_series(
-        family, rho_plus, rho_minus, degree, weight_plus, weight_minus
-    )
+    lhs = character_sum_series(family, rho_plus, rho_minus, degree, weight_plus)
+    rhs = normalization_series(family, rho_plus, rho_minus, degree, weight_plus)
     return lhs == rhs
 
 

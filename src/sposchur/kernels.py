@@ -79,10 +79,9 @@ def _has_letters(rho: Specialization) -> bool:
 class SymbolF:
     """The function F(z) driving a kernel, with Laurent-mode caches.
 
-    Non-dual families: F = H(rho+; z) / (H(rho-; z) H(rho-; 1/z)); dual
-    families: F = E(rho-; z) E(rho-; 1/z) / E(rho+; z).  Alphabet-backed
-    specializations evaluate through the rational product form, finitely
-    supported power sums through exp of a Laurent polynomial.
+    For an sp/o measure F = H(rho+; z) / (H(rho-; z) H(rho-; 1/z)).
+    Alphabet-backed specializations evaluate through the rational product
+    form, finitely supported power sums through exp of a Laurent polynomial.
     """
 
     def __init__(
@@ -129,48 +128,28 @@ class SymbolF:
 
     @classmethod
     def from_measure(cls, spec: MeasureSpec) -> "SymbolF":
-        dual = spec.dual
+        """F = H(rho+; z) / (H(rho-; z) H(rho-; 1/z)) of an sp or o measure.
+
+        Dual families take their kernels from `dual_lattice_kernel`, through
+        the base symbol of `dual_base_symbol`.
+        """
+        if spec.dual:
+            raise ValueError(
+                f"from_measure takes sp/o measures; use dual_lattice_kernel for {spec.family!r}"
+            )
         rp, rm = spec.rho_plus, spec.rho_minus
-        xs = [float(v) for v in (rp.variables or [])]
-        ys = [float(v) for v in (rm.variables or [])]
         if _has_letters(rp) or _has_letters(rm):
             if rp.kind not in ("bc_alphabet",) or rm.kind not in ("alphabet",):
                 raise ValueError(
                     "alphabet symbols need a BC alphabet rho+ and a plain alphabet rho-"
                 )
-            s = -1.0 if dual else 1.0
-
-            def ev(z):
-                z = np.asarray(z, dtype=complex)
-                num = np.ones_like(z)
-                for y in ys:
-                    num = num * (1.0 - s * y * z) * (1.0 - s * y / z)
-                den = np.ones_like(z)
-                for x in xs:
-                    den = den * (1.0 - s * x * z) * (1.0 - s * z / x)
-                if rp.include_one:
-                    den = den * (1.0 - s * z)
-                return num / den
-
-            y_hi = max((abs(y) for y in ys), default=0.0)
-            x_vals = [abs(v) for v in xs] + ([1.0] if rp.include_one else [])
-            x_lo = min((min(v, 1.0 / v) for v in x_vals), default=math.inf)
-            x_hi = max((max(v, 1.0 / v) for v in x_vals), default=0.0)
-            if dual:
-                # z encircles the poles -x^{±1}; w stays inside the zeros -y^{±1}
-                y_lo = min((min(v, 1.0 / v) for v in (abs(y) for y in ys)), default=math.inf)
-                return cls(ev, (x_hi, math.inf), (0.0, y_lo), label="dual-alphabet")
-            return cls(ev, (y_hi, x_lo), (y_hi, x_lo), label="alphabet")
+            return _alphabet_symbol(rp, rm, twisted=False)
 
         # finitely supported power sums: log F is a Laurent polynomial
         plus, minus = powersum_table(rp), powersum_table(rm)
-        if not dual:
-            terms = [(pv, k, False) for k, pv in plus] + [(-pv, k, True) for k, pv in minus]
-        else:
-            terms = [((-1) ** (k + 1) * pv, k, True) for k, pv in minus] + [
-                ((-1) ** k * pv, k, False) for k, pv in plus
-            ]
-        return cls.exp_laurent(terms)
+        return cls.exp_laurent(
+            [(pv, k, False) for k, pv in plus] + [(-pv, k, True) for k, pv in minus]
+        )
 
     # -- evaluation and contours ------------------------------------------------
 
@@ -193,11 +172,6 @@ class SymbolF:
 
     def default_config(self) -> KernelConfig:
         z_lo, z_hi = self.annulus_z
-        _, w_hi = self.annulus_w
-        if z_lo > 1.0:  # dual layout: z encircles the poles, w stays inside the zeros
-            r_z = 1.05 * z_lo
-            r_w = min(0.8 * w_hi, 0.9 / r_z)
-            return KernelConfig(r_z=r_z, r_w=r_w)
         if math.isinf(z_hi):
             return KernelConfig()
         if z_hi <= 1.0:
@@ -243,6 +217,41 @@ class SymbolF:
     def mode(self, order: int, inverse: bool = False) -> float:
         w, coeffs, _ = self.modes(inverse, min_order=abs(order))
         return float(coeffs[order + w])
+
+
+def _alphabet_symbol(rp: Specialization, rm: Specialization, twisted: bool) -> SymbolF:
+    """F = H(rho+; z) / (H(rho-; z) H(rho-; 1/z)) by its rational product form.
+
+    rho+ is a BC alphabet x (and maybe the letter 1), rho- a plain alphabet y:
+    F = prod (1 - y z)(1 - y / z) / prod (1 - x z)(1 - z / x) [(1 - z)].
+    `twisted` puts E(rho+; z) = H(omega rho+; z), the product of
+    (1 + x z)(1 + z / x) [(1 + z)], in place of H(rho+; z).
+    """
+    xs = [float(v) for v in rp.variables]
+    ys = [float(v) for v in rm.variables]
+    include_one = rp.include_one
+    sign = 1.0 if twisted else -1.0
+
+    def ev(z):
+        z = np.asarray(z, dtype=complex)
+        minus = np.ones_like(z)
+        for y in ys:
+            minus = minus * (1.0 - y * z) * (1.0 - y / z)
+        # E(rho+) multiplies onto the y product; H(rho+) is a separate denominator
+        plus = minus if twisted else np.ones_like(z)
+        for x in xs:
+            plus = plus * (1.0 + sign * x * z) * (1.0 + sign * z / x)
+        if include_one:
+            plus = plus * (1.0 + sign * z)
+        return plus if twisted else minus / plus
+
+    y_hi = max((abs(y) for y in ys), default=0.0)
+    if twisted:
+        hi = 1.0 / y_hi if y_hi else math.inf
+    else:
+        x_vals = [abs(v) for v in xs] + ([1.0] if include_one else [])
+        hi = min((min(v, 1.0 / v) for v in x_vals), default=math.inf)
+    return SymbolF(ev, (y_hi, hi), (y_hi, hi), label="dual-base" if twisted else "alphabet")
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +320,6 @@ def _contour_matrix(
         cols = 1.0 / ((1.0 - w[:, None] * z[near]) * (1.0 - w[:, None] / z[near]))
         value += amat[:, near] @ (bmat @ cols).T
     return value / n**2
-
-
-def _contour_value(
-    F: SymbolF, family: str, a: int, b: int, r_z: float, r_w: float, n: int
-) -> complex:
-    return complex(_contour_matrix(F, family, [a], [b], r_z, r_w, n)[0, 0])
 
 
 def kernel_contour_grid_with_error(
@@ -511,24 +514,7 @@ def dual_base_symbol(spec: MeasureSpec) -> SymbolF:
         raise ValueError("dual_base_symbol needs a dual-family measure")
     rp, rm = spec.rho_plus, spec.rho_minus
     if rp.kind == "bc_alphabet" and rm.kind == "alphabet":
-        xs = [float(v) for v in rp.variables]
-        ys = [float(v) for v in rm.variables]
-        include_one = rp.include_one
-
-        def ev(z):
-            z = np.asarray(z, dtype=complex)
-            acc = np.ones_like(z)
-            for y in ys:
-                acc = acc * (1.0 - y * z) * (1.0 - y / z)
-            for x in xs:
-                acc = acc * (1.0 + x * z) * (1.0 + z / x)
-            if include_one:
-                acc = acc * (1.0 + z)
-            return acc
-
-        y_hi = max((abs(y) for y in ys), default=0.0)
-        hi = 1.0 / y_hi if y_hi else math.inf
-        return SymbolF(ev, (y_hi, hi), (y_hi, hi), label="dual-base")
+        return _alphabet_symbol(rp, rm, twisted=True)
     base_family = "o" if spec.family == "sp-dual" else "sp"
     return SymbolF.from_measure(MeasureSpec(base_family, rp.omega(), rm))
 

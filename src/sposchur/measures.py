@@ -34,6 +34,8 @@ from .series import GradedScalar
 from .specializations import Specialization
 
 _PARTITION_BUDGET = 10**6
+_LOG_Z_KMAX = 400  # terms of an infinite log Z series before giving up
+_LOG_Z_TOL = 3e-17  # two successive terms below this end the series
 
 __all__ = [
     "MeasureSpec",
@@ -70,12 +72,12 @@ class MeasureSpec:
 
     # -- normalization -------------------------------------------------------
 
-    def log_z(self, kmax: int = 400, tol: float = 3e-17) -> float:
+    def log_z(self) -> float:
         """log of the partition function Z.
 
         Finite-support power sums give a finite exact sum; alphabet-backed
-        specializations are summed until the terms decay below tol, raising
-        DivergentNormalization when they fail to.
+        specializations are summed until two successive terms fall below
+        3e-17, raising DivergentNormalization when they fail to.
         """
         rp, rm = self.rho_plus, self.rho_minus
 
@@ -91,13 +93,13 @@ class MeasureSpec:
             return sum(log_z_term(k) for k in range(1, fin + 1))
         total = 0.0
         prev = math.inf
-        for k in range(1, kmax + 1):
+        for k in range(1, _LOG_Z_KMAX + 1):
             term = log_z_term(k)
             total += term
             mag = abs(term)
-            if mag < tol and prev < tol:
+            if mag < _LOG_Z_TOL and prev < _LOG_Z_TOL:
                 return total
-            if k > 40 and prev > tol and mag >= prev:
+            if k > 40 and prev > _LOG_Z_TOL and mag >= prev:
                 raise DivergentNormalization(
                     f"partition function series not decaying at k={k}"
                 )

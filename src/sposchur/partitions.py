@@ -155,25 +155,25 @@ def symplectic_expansion_shapes(max_size: int) -> list[Partition]:
     the empty partition is included.  Each shape has even size 2*(sum a_i + d).
     """
     shapes = [Partition()]
-    for arms in _strict_arm_lists(max_size, shift=1):
+    for arms in _strict_arm_lists(max_size):
         shapes.append(from_frobenius(arms, [a + 1 for a in arms]))
     return shapes
 
 
 def orthogonal_expansion_shapes(max_size: int) -> list[Partition]:
-    """Partitions with Frobenius coordinates (b_1+1, b_2+1, ... | b_1, b_2, ...)."""
-    shapes = [Partition()]
-    for legs in _strict_arm_lists(max_size, shift=1):
-        shapes.append(from_frobenius([b + 1 for b in legs], legs))
-    return shapes
+    """Partitions with Frobenius coordinates (b_1+1, b_2+1, ... | b_1, b_2, ...).
+
+    These are the conjugates of the symplectic shapes, in the same order.
+    """
+    return [alpha.conjugate() for alpha in symplectic_expansion_shapes(max_size)]
 
 
-def _strict_arm_lists(max_size: int, shift: int) -> Iterator[list[int]]:
-    """Nonempty strictly decreasing a_1 > ... > a_d >= 0 with sum 2*a_i + (1+shift)*d <= max_size."""
+def _strict_arm_lists(max_size: int) -> Iterator[list[int]]:
+    """Nonempty strictly decreasing a_1 > ... > a_d >= 0 with sum 2*a_i + 2*d <= max_size."""
 
     def rec(budget: int, bound: int) -> Iterator[list[int]]:
-        for a in range(min(bound, (budget - 1 - shift) // 2), -1, -1):
-            head_cost = 2 * a + 1 + shift
+        for a in range(min(bound, (budget - 2) // 2), -1, -1):
+            head_cost = 2 * a + 2
             yield [a]
             for tail in rec(budget - head_cost, a - 1):
                 yield [a] + tail

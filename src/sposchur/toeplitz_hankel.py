@@ -39,19 +39,19 @@ from .measures import MeasureSpec
 from .series import GradedScalar
 from .specializations import Specialization
 
+_MAX_WINDOW = 400  # widest finite section the window search tries
+
+
 @dataclass
 class FredholmConfig:
-    """Truncation policy for Fredholm determinants.
+    """Truncation policy for discrete Fredholm determinants.
 
-    `window` and `tail_tol` drive the discrete finite sections (sites beyond
-    the cut; None lets the kernel decay pick the width); `order` is the
-    Gauss-Legendre order used where continuum kernels are discretized.
+    `window` and `tail_tol` drive the finite sections (sites beyond the cut;
+    None lets the kernel decay pick the width).
     """
 
     window: int | None = None
-    order: int = 6
     tail_tol: float = 1e-10
-    max_window: int = 400
 
 
 class Symbol:
@@ -109,14 +109,10 @@ class Symbol:
             gm, gp = self.rho_minus.e, self.rho_plus.e
         else:
             raise ValueError("which must be 'f' or 'f_tilde'")
-        out = GradedScalar.zero(degree)
-        k = max(0, -s)
-        while 2 * k + s <= degree:
-            c = gm(k) * gp(k + s)
-            if c:
-                out = out + GradedScalar.monomial(c, 2 * k + s, degree)
-            k += 1
-        return out
+        coeffs = [0] * (degree + 1)
+        for k in range(max(0, -s), (degree - s) // 2 + 1):
+            coeffs[2 * k + s] = gm(k) * gp(k + s)
+        return GradedScalar(coeffs)
 
 
 def th_det(sym: Symbol, which: str, size: int):
@@ -194,7 +190,7 @@ def gap_probability(
     """det(1 - K-hat) over configuration sites {m, m+1, ...} by finite section.
 
     Returns (determinant, tail bound, window used).  Without a configured
-    window, the window is the first multiple of 8 (up to max_window) at which
+    window, the window is the first multiple of 8 (up to 400) at which
     |K(m + w, m + w)| falls to tail_tol/100.  The "tail bound" is twice the
     diagonal mass sum |K(s, s)| beyond the window.  The kernel is signed and
     not Hermitian, so this is an estimate of the truncation error, not a
@@ -208,7 +204,7 @@ def gap_probability(
     if fred.window is not None:
         width = fred.window
     else:
-        widths = np.arange(8, max(fred.max_window, 1) + 8, 8)  # 8, 16, ... past max_window
+        widths = np.arange(8, _MAX_WINDOW + 8, 8)  # 8, 16, ..., _MAX_WINDOW
         width = int(widths[-1])
         for block in np.split(widths, range(8, len(widths), 8)):
             small = np.abs(np.diagonal(kernel(m + block, m + block))) <= fred.tail_tol / 100
@@ -216,9 +212,9 @@ def gap_probability(
                 width = int(block[np.argmax(small)])
                 break
     # |K(s, s)| from s = m + width through the first value below 1e-22,
-    # or through s = m + width + max_window + 1
+    # or through s = m + width + _MAX_WINDOW + 1
     tail = 0.0
-    s, last = m + width, m + width + fred.max_window + 1
+    s, last = m + width, m + width + _MAX_WINDOW + 1
     while s <= last:
         block = np.arange(s, min(s + 32, last + 1))
         d = np.abs(np.diagonal(kernel(block, block)))

@@ -6,6 +6,7 @@ import pytest
 
 from sposchur.errors import ContourViolation, QuadratureNotConverged
 from sposchur.kernels import (
+    dual_base_symbol,
     dual_lattice_kernel,
     KernelConfig,
     SymbolF,
@@ -141,10 +142,10 @@ def test_spectral_convergence_of_quadrature():
     theta = 1.0
     F = SymbolF.plancherel(theta)
     ref = kernel_contour(KernelConfig(nodes=1024), F, "sp", 0, 0)
-    from sposchur.kernels import _contour_value
+    from sposchur.kernels import _contour_matrix
 
     errs = [
-        abs(_contour_value(F, "sp", 0, 0, 1.2, 0.8, n).real - ref)
+        abs(_contour_matrix(F, "sp", [0], [0], 1.2, 0.8, n)[0, 0].real - ref)
         for n in (16, 32, 64, 128, 256)
     ]
     ratios = [b / a for a, b in zip(errs, errs[1:])]
@@ -427,12 +428,46 @@ def test_power_sum_symbols_need_finite_support():
     for spec in (
         MeasureSpec("sp", x.omega(), x.omega()),
         MeasureSpec("o", plancherel, x.omega()),
-        MeasureSpec("o-dual", x.omega(), plancherel),
     ):
         with pytest.raises(ValueError, match="finitely supported power sums"):
             SymbolF.from_measure(spec)
     with pytest.raises(ValueError, match="finitely supported power sums"):
+        dual_base_symbol(MeasureSpec("o-dual", x.omega(), plancherel))
+    with pytest.raises(ValueError, match="finitely supported power sums"):
         dual_lattice_kernel(MeasureSpec("sp-dual", x.omega(), plancherel))
+
+
+def test_from_measure_rejects_dual_families():
+    x = Specialization.from_bc_alphabet([Fraction(9, 10)])
+    y = Specialization.from_alphabet([Fraction(3, 10)])
+    rho = Specialization.from_powersums({1: Fraction(1, 2)})
+    for family in ("sp-dual", "o-dual"):
+        for rp, rm in ((x, y), (rho, rho)):
+            with pytest.raises(ValueError, match="dual_lattice_kernel"):
+                SymbolF.from_measure(MeasureSpec(family, rp, rm))
+
+
+def test_alphabet_symbols_are_the_product_form():
+    # sp/o: H(x; z) / (H(y; z) H(y; 1/z)); the base symbol of a dual measure
+    # puts E(x; z) in place of H(x; z)
+    xs, ys = [Fraction(9, 10), Fraction(1, 2)], [Fraction(3, 10), Fraction(1, 5)]
+    zs = [r * complex(math.cos(t), math.sin(t)) for r in (0.5, 1.0, 2.0) for t in (0.3, 2.0, 4.5)]
+    for include_one in (False, True):
+        x = Specialization.from_bc_alphabet(xs, include_one=include_one)
+        y = Specialization.from_alphabet(ys)
+        for family, build, sign in (
+            ("sp", SymbolF.from_measure, -1),
+            ("o", SymbolF.from_measure, -1),
+            ("sp-dual", dual_base_symbol, 1),
+            ("o-dual", dual_base_symbol, 1),
+        ):
+            F = build(MeasureSpec(family, x, y))
+            for z in zs:
+                plus = math.prod((1 + sign * float(v) * z) * (1 + sign * z / float(v)) for v in xs)
+                plus *= (1 + sign * z) if include_one else 1
+                minus = math.prod((1 - float(v) * z) * (1 - float(v) / z) for v in ys)
+                expected = minus * plus if sign > 0 else minus / plus
+                assert complex(F(z)) == pytest.approx(expected, rel=1e-14), (family, z)
 
 
 def test_quadrature_not_converged_raises():
@@ -452,13 +487,13 @@ def test_empty_alphabet_takes_the_power_sum_route():
     # an empty plain alphabet is the trivial specialization, like from_powersums({})
     z = 0.9 * np.exp(1j * np.linspace(0.0, 6.0, 13))
     plancherel = Specialization.plancherel(Fraction(1, 2))
-    for family in ("sp", "o", "sp-dual"):
-        empty = SymbolF.from_measure(
-            MeasureSpec(family, plancherel, Specialization.from_alphabet([]))
-        )
-        trivial = SymbolF.from_measure(
-            MeasureSpec(family, plancherel, Specialization.from_powersums({}))
-        )
+    for family, build in (
+        ("sp", SymbolF.from_measure),
+        ("o", SymbolF.from_measure),
+        ("sp-dual", dual_base_symbol),
+    ):
+        empty = build(MeasureSpec(family, plancherel, Specialization.from_alphabet([])))
+        trivial = build(MeasureSpec(family, plancherel, Specialization.from_powersums({})))
         assert empty.label == trivial.label
         assert empty.annulus_z == trivial.annulus_z
         assert empty.annulus_w == trivial.annulus_w
