@@ -37,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainTooLarge, QuadratureNotConverged, TruncationInsufficient
-from .kernels import kernel_bessel
+from .kernels import kernel_bessel, lattice_kernel
 from .special import airy_ai_vec, gauss_legendre_panels
-from .toeplitz_hankel import FredholmConfig, Symbol, gap_probability
+from .toeplitz_hankel import FredholmConfig, gap_probability
 
 # ---------------------------------------------------------------------------
 # limit kernels
@@ -311,8 +311,7 @@ def edge_cdf_discrete(family: str, theta: float, s: float) -> float:
     m = edge_site(theta, s)
     cube = theta ** (1.0 / 3.0)
     width = max(16, int(2.0 * theta + 8.0 * cube) - m + 8)
-    sym = Symbol.plancherel(theta)
     det, _, _ = gap_probability(
-        sym, family, m, FredholmConfig(window=width, tail_tol=1e-8)
+        lattice_kernel(family, theta=theta), m, FredholmConfig(window=width, tail_tol=1e-8)
     )
     return det

@@ -200,7 +200,10 @@ def cmd_verify_identities(args) -> int:
 
 def cmd_kernel(args) -> int:
     reps = args.rep.split(",")
-    lo, hi = (int(t) for t in args.range.split(":"))
+    bounds = args.range.split(":")
+    if len(bounds) != 2 or int(bounds[0]) > int(bounds[1]):
+        raise ValueError(f"--range {args.range!r}: need lo:hi with lo <= hi")
+    lo, hi = int(bounds[0]), int(bounds[1])
     config = {
         "command": "kernel-eval",
         "family": args.family,

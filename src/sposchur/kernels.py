@@ -15,7 +15,10 @@ the Bessel forms
 (arguments 2 theta).  Conventions: K_sp governs the particle set
 {lambda_i - i + 1} and K_o the set {lambda_i - i}; `lattice_kernel` exposes
 both re-indexed to the common configuration {lambda_i - i}, which is the form
-consumed by correlation determinants and Fredholm sections.
+consumed by correlation determinants and Fredholm sections.  Every route
+(`kernel_contour`, `kernel_bessel`, `kernel_fourier` and their `_with_error`
+forms) takes sites the same way: integers give a float, 1-D integer arrays
+give the matrix [K(a_i, b_j)].  Dual-family kernels are contour-only.
 
 Contour quadrature is the trapezoidal rule on circles (spectrally accurate
 for these analytic integrands), node count doubling from the configured start
@@ -173,15 +176,19 @@ class SymbolF:
     def default_config(self) -> KernelConfig:
         z_lo, z_hi = self.annulus_z
         if math.isinf(z_hi):
-            return KernelConfig()
-        if z_hi <= 1.0:
+            cfg = KernelConfig()
+        elif z_hi <= 1.0:
             r_z = z_lo + 0.65 * (z_hi - z_lo)
             r_w = z_lo + 0.35 * (z_hi - z_lo)
-            return KernelConfig(r_z=r_z, r_w=r_w)
-        # annulus straddling the unit circle
-        r_z = min(math.sqrt(z_hi), 2.0)
-        r_w = (z_lo + min(1.0, 0.95 / r_z)) / 2.0
-        return KernelConfig(r_z=r_z, r_w=r_w)
+            cfg = KernelConfig(r_z=r_z, r_w=r_w)
+        else:  # annulus straddling the unit circle
+            r_z = min(math.sqrt(z_hi), 2.0)
+            r_w = (z_lo + min(1.0, 0.95 / r_z)) / 2.0
+            cfg = KernelConfig(r_z=r_z, r_w=r_w)
+        w_lo, w_hi = self.annulus_w
+        if not w_lo < cfg.r_w < w_hi:  # a narrower w-annulus (dual base symbols)
+            cfg = KernelConfig(r_z=cfg.r_z, r_w=(w_lo + min(w_hi, 1.0 / cfg.r_z)) / 2.0)
+        return cfg
 
     # -- Laurent modes --------------------------------------------------------------
 
@@ -192,7 +199,16 @@ class SymbolF:
         mode).  The boundary modes are those with |n| > W/2.  The FFT size
         doubles from 256 until they fall to 1e-15 of the largest mode;
         QuadratureNotConverged is raised when they have not at 2^20 points.
+        The kernel needs the expansion in the annulus of the z (for 1/F, the
+        w) contour, so ContourViolation is raised when the unit circle lies
+        outside it: the modes there would give another kernel.
         """
+        lo, hi = self.annulus_w if inverse else self.annulus_z
+        if not lo < 1.0 < hi:
+            raise ContourViolation(
+                f"the unit circle lies outside the annulus ({lo}, {hi}) of "
+                f"{'1/' if inverse else ''}{self.label}; its modes there give another kernel"
+            )
         cached = self._mode_cache.get(inverse)
         if cached is not None and cached[0] >= min_order:
             return cached
@@ -246,12 +262,14 @@ def _alphabet_symbol(rp: Specialization, rm: Specialization, twisted: bool) -> S
         return plus if twisted else minus / plus
 
     y_hi = max((abs(y) for y in ys), default=0.0)
-    if twisted:
-        hi = 1.0 / y_hi if y_hi else math.inf
+    x_vals = [abs(v) for v in xs] + ([1.0] if include_one else [])
+    x_hi = min((min(v, 1.0 / v) for v in x_vals), default=math.inf)
+    if twisted:  # G is analytic off 0; 1/G has poles at -x^(+-1) and -1
+        z_hi = 1.0 / y_hi if y_hi else math.inf
+        w_hi = min(z_hi, x_hi)
     else:
-        x_vals = [abs(v) for v in xs] + ([1.0] if include_one else [])
-        hi = min((min(v, 1.0 / v) for v in x_vals), default=math.inf)
-    return SymbolF(ev, (y_hi, hi), (y_hi, hi), label="dual-base" if twisted else "alphabet")
+        z_hi = w_hi = x_hi
+    return SymbolF(ev, (y_hi, z_hi), (y_hi, w_hi), label="dual-base" if twisted else "alphabet")
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +310,9 @@ def _contour_data(F: SymbolF, r_z: float, r_w: float, n: int):
 
 def _contour_matrix(
     F: SymbolF, family: str, a, b, r_z: float, r_w: float, n: int
-) -> np.ndarray:
-    """The n-node trapezoid value of the double contour integral, [K_n(a_i, b_j)].
+) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node trapezoid value of the double contour integral, [K_n(a_i, b_j)],
+    and the size of the largest term of each entry's sum.
 
     The sum over node pairs (j, k) of B[b, j] A[a, k] / ((1 - w_j z_k)(1 - w_j / z_k))
     is applied without the n x n coupling.  By partial fractions the coupling is
@@ -308,53 +327,53 @@ def _contour_matrix(
     z, w, fz, fw, gz, g_over_z, c, d, near = _contour_data(F, r_z, r_w, n)
     a = np.asarray(a)[:, None]
     b = np.asarray(b)[:, None]
+    # A[a, k] = a_fac[k] z_k^a_pow and B[b, j] = b_fac[j] w_j^b_pow
     if family == "sp":
-        amat = fz * z ** (-a)
-        bmat = (1.0 - w**2) / fw * w**b
+        a_fac, a_pow, b_fac, b_pow = fz, -a, (1.0 - w**2) / fw, b
     else:
-        amat = (1.0 - z**2) * fz * z ** (-a - 1)
-        bmat = (1.0 / fw) * w ** (b + 1)
+        a_fac, a_pow, b_fac, b_pow = (1.0 - z**2) * fz, -a - 1, 1.0 / fw, b + 1
+    amat = a_fac * z**a_pow
+    bmat = b_fac * w**b_pow
     left = n * np.fft.ifft(amat * gz) * c - np.fft.fft(amat * g_over_z) * d
     value = left @ (n * np.fft.ifft(bmat)).T
     if near.size:
         cols = 1.0 / ((1.0 - w[:, None] * z[near]) * (1.0 - w[:, None] / z[near]))
         value += amat[:, near] @ (bmat @ cols).T
-    return value / n**2
+    # max |A[a, .]| max |B[b, .]| max |coupling|, the coupling largest at z = w = r
+    terms = (np.abs(a_fac).max() * r_z**a_pow) @ (np.abs(b_fac).max() * r_w**b_pow).T
+    return value / n**2, terms / ((1.0 - r_w * r_z) * (1.0 - r_w / r_z))
 
 
-def kernel_contour_grid_with_error(
-    cfg: KernelConfig,
-    F: SymbolF,
-    family: str,
-    a_values: Sequence[int],
-    b_values: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel on a grid of (a, b) by double trapezoidal contour quadrature.
+def kernel_contour_with_error(cfg: KernelConfig, F: SymbolF, family: str, a, b):
+    """Kernel by double trapezoidal contour quadrature, with an error estimate.
 
-    The node count doubles from cfg.nodes until every entry moves by at most
-    tol * max(1, |K|).  Returns the grid [K(a_i, b_j)] at that node count and
-    the per-entry move |K_n - K_{n/2}|, a measured estimate of the error, not
-    a bound.  An entry whose imaginary residue exceeds 1e-12 * max(1, |K|)
-    raises QuadratureNotConverged, as does a grid not converged by
-    cfg.max_nodes.
+    Integer sites give (value, error) as floats; 1-D site arrays give the grid
+    [K(a_i, b_j)] and the per-entry errors.  The node count doubles from
+    cfg.nodes until every entry moves by at most tol * max(1, |K|); the error
+    is that last move |K_n - K_{n/2}|, a measured estimate, not a bound.  An
+    entry whose imaginary residue exceeds 1e-12 times the larger of
+    max(1, |K|) and the largest term of its trapezoid sum raises
+    QuadratureNotConverged, as does a grid not converged by cfg.max_nodes.
     """
     _check_family(family)
     F.check_contours(cfg.r_z, cfg.r_w)
+    a, b, scalar = _site_arrays(a, b)
     n = cfg.nodes
-    prev = _contour_matrix(F, family, a_values, b_values, cfg.r_z, cfg.r_w, n)
+    prev, _ = _contour_matrix(F, family, a, b, cfg.r_z, cfg.r_w, n)
     while n < cfg.max_nodes:
         n *= 2
-        cur = _contour_matrix(F, family, a_values, b_values, cfg.r_z, cfg.r_w, n)
+        cur, terms = _contour_matrix(F, family, a, b, cfg.r_z, cfg.r_w, n)
         delta = np.abs(cur - prev)
         scale = np.maximum(1.0, np.abs(cur))
         if np.all(delta <= cfg.tol * scale):
-            bad = np.argwhere(np.abs(cur.imag) > 1e-12 * scale)
+            bad = np.argwhere(np.abs(cur.imag) > 1e-12 * np.maximum(scale, terms))
             if bad.size:
                 i, j = bad[0]
                 raise QuadratureNotConverged(
-                    f"imaginary residue {cur[i, j].imag} "
-                    f"at (a,b)=({a_values[i]},{b_values[j]})"
+                    f"imaginary residue {cur[i, j].imag} at (a,b)=({a[i]},{b[j]})"
                 )
+            if scalar:
+                return float(cur[0, 0].real), float(delta[0, 0])
             return cur.real, delta
         prev = cur
     raise QuadratureNotConverged(
@@ -362,27 +381,13 @@ def kernel_contour_grid_with_error(
     )
 
 
-def kernel_contour_with_error(
-    cfg: KernelConfig, F: SymbolF, family: str, a: int, b: int
-) -> tuple[float, float]:
-    """Kernel value by double trapezoidal contour quadrature, with error estimate."""
-    grid, err = kernel_contour_grid_with_error(cfg, F, family, [a], [b])
-    return float(grid[0, 0]), float(err[0, 0])
-
-
-def kernel_contour(cfg: KernelConfig, F: SymbolF, family: str, a: int, b: int) -> float:
+def kernel_contour(cfg: KernelConfig, F: SymbolF, family: str, a, b):
+    """`kernel_contour_with_error` without the error."""
     return kernel_contour_with_error(cfg, F, family, a, b)[0]
 
 
-def kernel_contour_grid(
-    cfg: KernelConfig,
-    F: SymbolF,
-    family: str,
-    a_values: Sequence[int],
-    b_values: Sequence[int],
-) -> np.ndarray:
-    """Kernel on a grid of (a, b); `kernel_contour_grid_with_error` without the error."""
-    return kernel_contour_grid_with_error(cfg, F, family, a_values, b_values)[0]
+kernel_contour_grid_with_error = kernel_contour_with_error
+kernel_contour_grid = kernel_contour
 
 
 # ---------------------------------------------------------------------------
@@ -519,28 +524,19 @@ def dual_base_symbol(spec: MeasureSpec) -> SymbolF:
     return SymbolF.from_measure(MeasureSpec(base_family, rp.omega(), rm))
 
 
-def dual_lattice_kernel(
-    spec: MeasureSpec,
-    representation: str = "contour",
-    cfg: KernelConfig | None = None,
-) -> Callable:
+def dual_lattice_kernel(spec: MeasureSpec) -> Callable:
     """Configuration kernel of a dual-family measure on {lambda_i - i}.
 
     Conjugation acts on configurations as the reflected particle-hole map
     a -> -1-a, so the kernel is delta(a,b) - K_base(-1-a, -1-b) with the base
-    family swapped (sp-dual rests on an o measure and conversely).  Like
+    family swapped (sp-dual rests on an o measure and conversely), by the
+    contour route at the base symbol's `default_config`.  Like
     `lattice_kernel`, it takes integer sites or 1-D site arrays.
     """
     if not spec.dual:
         raise ValueError("dual_lattice_kernel needs a dual-family measure")
     base_family = "o" if spec.family == "sp-dual" else "sp"
-    G = dual_base_symbol(spec)
-    base = lattice_kernel(
-        base_family,
-        symbol=G,
-        representation=representation,
-        cfg=cfg or G.default_config(),
-    )
+    base = lattice_kernel(base_family, symbol=dual_base_symbol(spec), representation="contour")
 
     def kernel(a, b):
         a_sites, b_sites, scalar = _site_arrays(a, b)
@@ -555,38 +551,30 @@ def lattice_kernel(
     theta: float | None = None,
     symbol: SymbolF | None = None,
     representation: str = "bessel",
-    cfg: KernelConfig | None = None,
 ) -> Callable:
     """Kernel re-indexed to the configuration {lambda_i - i}.
 
     K_sp natively governs {lambda_i - i + 1}, so its arguments shift by one;
     K_o already lives on {lambda_i - i}.  The function returned maps sites
     (a, b) to K(a, b): a float for integer sites, the matrix [K(a_i, b_j)]
-    for 1-D site arrays, from one kernel evaluation either way.
+    for 1-D site arrays, from one kernel evaluation either way.  The Bessel
+    route needs theta; the contour route (at the symbol's `default_config`)
+    and the Fourier route need a symbol.
     """
     _check_family(family)
     shift = 1 if family == "sp" else 0
-
     if representation == "bessel":
         if theta is None:
             raise ValueError("bessel representation needs theta")
         return lambda a, b: kernel_bessel(theta, family, np.add(a, shift), np.add(b, shift))
+    if representation not in ("contour", "fourier"):
+        raise ValueError(f"unknown representation {representation!r}")
+    if symbol is None:
+        raise ValueError(f"{representation} representation needs a symbol")
     if representation == "contour":
-        if symbol is None:
-            raise ValueError("contour representation needs a symbol")
-        use = cfg or symbol.default_config()
-
-        def contour(a, b):
-            a_sites, b_sites, scalar = _site_arrays(a, b)
-            grid = kernel_contour_grid(use, symbol, family, a_sites + shift, b_sites + shift)
-            return float(grid[0, 0]) if scalar else grid
-
-        return contour
-    if representation == "fourier":
-        if symbol is None:
-            raise ValueError("fourier representation needs a symbol")
-        return lambda a, b: kernel_fourier(symbol, family, np.add(a, shift), np.add(b, shift))
-    raise ValueError(f"unknown representation {representation!r}")
+        cfg = symbol.default_config()
+        return lambda a, b: kernel_contour(cfg, symbol, family, np.add(a, shift), np.add(b, shift))
+    return lambda a, b: kernel_fourier(symbol, family, np.add(a, shift), np.add(b, shift))
 
 
 def correlation_det(kernel: Callable, points: Sequence[int]) -> float:

@@ -28,6 +28,7 @@ an estimate of the truncation error, not a bound on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -177,30 +178,24 @@ class BOCheckResult:
     window: int
 
 
-def _lattice_kernel_for(sym: Symbol, family: str):
-    if sym.plancherel_theta is not None:
-        return lattice_kernel(family, theta=sym.plancherel_theta, representation="bessel")
-    F = SymbolF.from_measure(MeasureSpec(family, sym.rho_plus, sym.rho_minus))
-    return lattice_kernel(family, symbol=F, representation="fourier")
-
-
 def gap_probability(
-    sym: Symbol, family: str, m: int, fred: FredholmConfig | None = None
+    kernel: Callable, m: int, fred: FredholmConfig | None = None
 ) -> tuple[float, float, int]:
-    """det(1 - K-hat) over configuration sites {m, m+1, ...} by finite section.
+    """det(1 - K) over configuration sites {m, m+1, ...} by finite section.
 
-    Returns (determinant, tail bound, window used).  Without a configured
-    window, the window is the first multiple of 8 (up to 400) at which
-    |K(m + w, m + w)| falls to tail_tol/100.  The "tail bound" is twice the
-    diagonal mass sum |K(s, s)| beyond the window.  The kernel is signed and
-    not Hermitian, so this is an estimate of the truncation error, not a
-    bound; TruncationInsufficient is raised if it exceeds the configured
-    tolerance.  The kernel is called once
+    `kernel` is a configuration kernel as `lattice_kernel` and
+    `dual_lattice_kernel` return it: integer sites give a float, 1-D site
+    arrays the matrix [K(a_i, b_j)].  Returns (determinant, tail bound,
+    window used).  Without a configured window, the window is the first
+    multiple of 8 (up to 400) at which |K(m + w, m + w)| falls to
+    tail_tol/100.  The "tail bound" is twice the diagonal mass sum |K(s, s)|
+    beyond the window.  The kernel is signed and not Hermitian, so this is an
+    estimate of the truncation error, not a bound; TruncationInsufficient is
+    raised if it exceeds the configured tolerance.  The kernel is called once
     per block of 8 candidate widths, once per block of 32 tail sites and once
     for the window matrix.
     """
     fred = fred or FredholmConfig()
-    kernel = _lattice_kernel_for(sym, family)
     if fred.window is not None:
         width = fred.window
     else:
@@ -237,11 +232,20 @@ def gap_probability(
 def bo_check(
     sym: Symbol, family: str, m: int, fred: FredholmConfig | None = None
 ) -> BOCheckResult:
-    """Compare the determinant (D2_m or half D4_m) with Z * det(1 - K-hat)."""
+    """Compare the determinant (D2_m or half D4_m) with Z * det(1 - K-hat).
+
+    K-hat is the Bessel kernel for symbols built by `Symbol.plancherel` and
+    the Fourier-mode kernel of the sp/o symbol otherwise.
+    """
     if family not in ("sp", "o"):
         raise ValueError("family must be 'sp' or 'o'")
     lhs, z = szego_normalized_det(sym, "D2" if family == "sp" else "D4", m)
-    det, tail_bound, window = gap_probability(sym, family, m, fred)
+    if sym.plancherel_theta is not None:
+        kernel = lattice_kernel(family, theta=sym.plancherel_theta)
+    else:
+        F = SymbolF.from_measure(MeasureSpec(family, sym.rho_plus, sym.rho_minus))
+        kernel = lattice_kernel(family, symbol=F, representation="fourier")
+    det, tail_bound, window = gap_probability(kernel, m, fred)
     rhs = z * det
     return BOCheckResult(
         lhs=lhs, rhs=rhs, gap=lhs - rhs, tail_bound=tail_bound, window=window

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 from pathlib import Path
 
 import pytest
@@ -66,6 +67,46 @@ def test_correlations_golden(tmp_path, golden, argv):
     code, text = run_cli(tmp_path, "correlations", *argv)
     assert code == 0
     assert text == (GOLDEN / golden).read_text()
+
+
+_POWERSUM_SYMBOL = json.dumps({
+    "rho_plus": {"powersums": {"1": "1/3", "2": "-1/5"}},
+    "rho_minus": {"powersums": {"1": "1/4", "3": "-1/7"}},
+})
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        # a Plancherel symbol: Fredholm sections of the Bessel kernel
+        ("bo_check_plancherel.csv", ("bo-check", "--theta", "0.5", "--m", "2:4")),
+        # a power-sum symbol: Fredholm sections of the Fourier-mode kernel
+        ("bo_check_powersum.csv", ("bo-check", "--symbol", _POWERSUM_SYMBOL, "--m", "2:4")),
+        # the discrete column is a finite section at theta = 50
+        ("tw_cdf_discrete_o.csv", ("tw-cdf", "--sign", "-", "--s=-1:0:1", "--theta", "50")),
+    ],
+)
+def test_fredholm_golden(tmp_path, golden, argv):
+    code, text = run_cli(tmp_path, *argv)
+    assert code == 0
+    assert text == (GOLDEN / golden).read_text()
+
+
+def _readme_commands() -> list[str]:
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("sposchur ")]
+
+
+def test_readme_has_eight_commands():
+    assert len(_readme_commands()) == 8
+
+
+@pytest.mark.parametrize("command", _readme_commands())
+def test_readme_command_runs(tmp_path, command):
+    code, text = run_cli(tmp_path, *shlex.split(command)[1:])
+    assert code == 0, command
+    assert text.startswith("# config: "), command
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -154,6 +195,8 @@ def test_empty_ranges_and_zero_steps_are_config_errors(tmp_path, capsys):
         ("tw-cdf", "--s=0:inf:1"),
         ("bo-check", "--theta", "0.5", "--m", "8:2"),
         ("th-dets", "--theta", "0.25", "--sizes", "3:1"),
+        ("kernel-eval", "--theta", "1", "--range=5:1"),
+        ("kernel-eval", "--theta", "1", "--range=1"),
     ):
         code, text = run_cli(tmp_path, *argv)
         assert code == 2 and text == "", argv

@@ -145,7 +145,7 @@ def test_spectral_convergence_of_quadrature():
     from sposchur.kernels import _contour_matrix
 
     errs = [
-        abs(_contour_matrix(F, "sp", [0], [0], 1.2, 0.8, n)[0, 0].real - ref)
+        abs(_contour_matrix(F, "sp", [0], [0], 1.2, 0.8, n)[0][0, 0].real - ref)
         for n in (16, 32, 64, 128, 256)
     ]
     ratios = [b / a for a, b in zip(errs, errs[1:])]
@@ -192,7 +192,7 @@ def test_fft_application_matches_dense_coupling():
             for n in (64, 256):
                 for r_z, r_w in [(1.2, 0.8), (0.7, 0.4), (1.5, 0.5)]:
                     ref = _dense_trapezoid(F, family, sites, sites, r_z, r_w, n)
-                    got = _contour_matrix(F, family, sites, sites, r_z, r_w, n)
+                    got, _ = _contour_matrix(F, family, sites, sites, r_z, r_w, n)
                     assert np.all(
                         np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref))
                     ), (family, F.label, n, r_z, r_w)
@@ -236,6 +236,19 @@ def test_contour_grid_checks_every_imaginary_residue():
     F = SymbolF.exp_laurent([(0.3j, 1, False), (-0.5, -1, False)], label="complex")
     with pytest.raises(QuadratureNotConverged, match="imaginary residue"):
         kernel_contour_grid(CFG, F, "sp", range(-3, 4), range(-3, 4))
+
+
+def test_contour_residue_is_measured_against_the_largest_term():
+    # the o base of this sp-dual measure has summands ~1e7 at these sites
+    # (|F(z)| r_w^-|b| grows); its converged grid carries an imaginary
+    # residue of 2.1e-12, rounding of those summands, not a complex kernel
+    x = Specialization.from_bc_alphabet([Fraction(9, 10), Fraction(1, 2)], include_one=True)
+    y = Specialization.from_alphabet([Fraction(3, 10), Fraction(1, 5)])
+    G = dual_base_symbol(MeasureSpec("sp-dual", x, y))
+    cfg = G.default_config()
+    grid, errs = kernel_contour_grid_with_error(cfg, G, "o", range(-5, 4), range(-5, 4))
+    assert grid.shape == (9, 9) and np.all(np.isfinite(grid))
+    assert np.all(errs <= cfg.tol * np.maximum(1.0, np.abs(grid)))
 
 
 def test_contour_grid_memory_stays_linear_in_nodes():
@@ -327,7 +340,7 @@ def test_contour_and_dual_matrices_match_entries():
     F = SymbolF.plancherel(theta)
     sites = np.array([-3, -1, 0, 2, 4])
     for family in ("sp", "o"):
-        mat = lattice_kernel(family, symbol=F, representation="contour", cfg=CFG)(sites, sites)
+        mat = lattice_kernel(family, symbol=F, representation="contour")(sites, sites)
         shift = 1 if family == "sp" else 0
         for i, a in enumerate(sites):
             for j, b in enumerate(sites):
@@ -385,8 +398,7 @@ def test_alphabet_measure_correlation_vs_bruteforce():
     y = Specialization.from_alphabet([Fraction(1, 4)])
     spec = MeasureSpec("sp", x, y)
     F = SymbolF.from_measure(spec)
-    cfg = F.default_config()
-    k = lattice_kernel("sp", symbol=F, representation="contour", cfg=cfg)
+    k = lattice_kernel("sp", symbol=F, representation="contour")
     for pts in ([0], [-1, 1]):
         res = correlation_bruteforce(spec, pts, tol=1e-9)
         assert correlation_det(k, pts) == pytest.approx(
@@ -405,6 +417,47 @@ def test_dual_alphabet_measure_correlation_vs_bruteforce():
             assert correlation_det(k, pts) == pytest.approx(
                 res.value, abs=res.tail_estimate + 1e-7
             ), (family, pts)
+
+
+def test_dual_kernel_keeps_r_w_inside_the_poles_of_one_over_e():
+    # 1/E(x; w) has a pole at w = -x = -1/5; a w-circle of radius 0.2875
+    # (the z-annulus default) gives another kernel, 0.02 against 0.35 at [0]
+    x = Specialization.from_bc_alphabet([Fraction(1, 5)])
+    y = Specialization.from_alphabet([Fraction(1, 10)])
+    for family in ("sp-dual", "o-dual"):
+        spec = MeasureSpec(family, x, y)
+        assert dual_base_symbol(spec).annulus_w == pytest.approx((0.1, 0.2))
+        k = dual_lattice_kernel(spec)
+        for pts in ([0], [-1, 0]):
+            res = correlation_bruteforce(spec, pts, tol=1e-9)
+            assert correlation_det(k, pts) == pytest.approx(
+                res.value, abs=res.tail_estimate + 1e-8
+            ), (family, pts)
+
+
+def test_fourier_route_raises_off_the_unit_circle_annulus():
+    # alphabet symbols have poles between the contour circles and |z| = 1, so
+    # their unit-circle modes give another kernel (off by ~3 here)
+    x = Specialization.from_bc_alphabet([Fraction(4, 5)])
+    x_one = Specialization.from_bc_alphabet([Fraction(4, 5)], include_one=True)
+    y = Specialization.from_alphabet([Fraction(1, 4)])
+    sites = np.arange(-5, 4)
+    cases = [
+        ("sp", SymbolF.from_measure(MeasureSpec("sp", x, y))),
+        ("o", dual_base_symbol(MeasureSpec("sp-dual", x, y))),
+        ("o", dual_base_symbol(MeasureSpec("sp-dual", x_one, y))),
+    ]
+    for family, F in cases:
+        with pytest.raises(ContourViolation, match="unit circle"):
+            kernel_fourier(F, family, sites, sites)
+        with pytest.raises(ContourViolation, match="unit circle"):
+            lattice_kernel(family, symbol=F, representation="fourier")(0, 0)
+        kernel_contour(F.default_config(), F, family, sites, sites)  # the contour route works
+    # the dual base symbol's w-circle must stay inside the pole -x of 1/E(x; w)
+    G = cases[1][1]
+    assert G.annulus_w == pytest.approx((0.25, 0.8))
+    with pytest.raises(ContourViolation, match="r_w"):
+        kernel_contour(KernelConfig(r_z=1.1, r_w=0.85), G, "o", 0, 0)
 
 
 def test_dual_powersum_measure_correlation_vs_bruteforce():

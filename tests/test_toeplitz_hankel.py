@@ -7,6 +7,7 @@ import pytest
 
 from sposchur.characters import TH_PATTERNS
 from sposchur.errors import TruncationInsufficient
+from sposchur.kernels import lattice_kernel
 from sposchur.series import GradedScalar
 from sposchur.specializations import Specialization
 from sposchur.toeplitz_hankel import (
@@ -198,16 +199,17 @@ def test_bo_large_m_approaches_z():
 
 
 def test_fredholm_window_doubling_robustness():
-    sym = Symbol.plancherel(0.5)
-    det1, tail1, w1 = gap_probability(sym, "sp", 3, FredholmConfig(window=20))
-    det2, tail2, w2 = gap_probability(sym, "sp", 3, FredholmConfig(window=40))
+    kernel = lattice_kernel("sp", theta=0.5)
+    det1, tail1, w1 = gap_probability(kernel, 3, FredholmConfig(window=20))
+    det2, tail2, w2 = gap_probability(kernel, 3, FredholmConfig(window=40))
     assert abs(det2 - det1) <= max(tail1, 1e-14)
 
 
 def test_fredholm_truncation_error():
-    sym = Symbol.plancherel(0.5)
     with pytest.raises(TruncationInsufficient):
-        gap_probability(sym, "sp", 2, FredholmConfig(window=2, tail_tol=1e-14))
+        gap_probability(
+            lattice_kernel("sp", theta=0.5), 2, FredholmConfig(window=2, tail_tol=1e-14)
+        )
 
 
 def test_bo_nonplancherel_symbol():
@@ -242,6 +244,6 @@ def test_plancherel_tag_selects_the_bessel_route():
     assert plain.plancherel_theta is None
     fred = FredholmConfig(window=12)
     for family in ("sp", "o"):
-        via_bessel = gap_probability(tagged, family, 2, fred)[0]
-        via_fourier = gap_probability(plain, family, 2, fred)[0]
+        via_bessel = bo_check(tagged, family, 2, fred).rhs
+        via_fourier = bo_check(plain, family, 2, fred).rhs
         assert via_bessel == pytest.approx(via_fourier, abs=1e-12), family
