@@ -198,6 +198,8 @@ def max_error_by_theta(rows: list[ScanRow]) -> dict[float, float]:
 
 
 def edge_site(theta: float, x: float) -> int:
+    if not theta > 0:  # the edge scaling takes theta^(1/3) and divides by it
+        raise ValueError(f"theta must be > 0, got {theta!r}")
     return math.floor(2.0 * theta + x * theta ** (1.0 / 3.0))
 
 

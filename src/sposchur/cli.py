@@ -34,6 +34,7 @@ from .kernels import (
     kernel_bessel_with_error,
     kernel_contour_grid_with_error,
     kernel_fourier_with_error,
+    reset_numeric_caches,
 )
 from .measures import MeasureSpec, correlation_bruteforce, plancherel_measure
 from .specializations import Specialization
@@ -99,23 +100,20 @@ def _load_measure(args) -> MeasureSpec:
     return plancherel_measure(args.family, args.theta)
 
 
-def _emit(args, config: dict, header: list[str], rows: list[tuple]) -> None:
-    lines = ["# config: " + json.dumps(config, sort_keys=True)]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+# the dispatch function, file paths and JSON documents stay out of the echo
+_NOT_ECHOED = ("fn", "output", "config", "measure", "symbol")
+
+
+def _emit(args, header: list[str], rows: list[tuple]) -> None:
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
+    lines = ["# config: " + json.dumps(config, sort_keys=True), ",".join(header)]
+    lines += [",".join(map(str, row)) for row in rows]
     text = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def _map(fn, items):
@@ -147,12 +145,6 @@ def cmd_verify_identities(args) -> int:
     for flag in ("degree", "trials"):
         if getattr(args, flag) < 0:
             raise ValueError(f"--{flag} must be >= 0")
-    config = {
-        "command": "verify-identities",
-        "degree": args.degree,
-        "trials": args.trials,
-        "seed": args.seed,
-    }
     rng = random.Random(args.seed)
     rows: list[tuple] = []
     ok = True
@@ -194,7 +186,7 @@ def cmd_verify_identities(args) -> int:
                     gessel_deg,
                     toeplitz_hankel.gessel_check(sym, which, size, gessel_deg),
                 )
-    _emit(args, config, ["identity", "degree", "status"], rows)
+    _emit(args, ["identity", "degree", "status"], rows)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -204,15 +196,10 @@ def cmd_kernel(args) -> int:
     if len(bounds) != 2 or int(bounds[0]) > int(bounds[1]):
         raise ValueError(f"--range {args.range!r}: need lo:hi with lo <= hi")
     lo, hi = int(bounds[0]), int(bounds[1])
-    config = {
-        "command": "kernel-eval",
-        "family": args.family,
-        "rep": args.rep,
-        "theta": args.theta,
-        "range": args.range,
-        "radii": args.radii,
-    }
-    r_z, r_w = (float(t) for t in args.radii.split(","))
+    try:
+        r_z, r_w = (float(t) for t in args.radii.split(","))
+    except ValueError:
+        raise ValueError(f"--radii {args.radii!r}: need r_z,r_w, two numbers") from None
     cfg = KernelConfig(r_z=r_z, r_w=r_w)
     F = SymbolF.plancherel(args.theta)
     sites = range(lo, hi + 1)
@@ -233,27 +220,21 @@ def cmd_kernel(args) -> int:
         return (args.family, rep, a, b, val, err)
 
     rows = sorted(_map(run, tasks), key=lambda r: (r[1], r[2], r[3]))
-    _emit(args, config, ["family", "representation", "a", "b", "value", "est_error"], rows)
+    _emit(args, ["family", "representation", "a", "b", "value", "est_error"], rows)
     return EXIT_OK
 
 
 def cmd_correlations(args) -> int:
     spec = _load_measure(args)
+    args.family = spec.family  # a --measure document names its own family
     point_sets = _parse_point_sets(args.points)
-    config = {
-        "command": "correlations",
-        "family": spec.family,
-        "theta": args.theta,
-        "points": args.points,
-        "tol": args.tol,
-    }
 
     def run(pts):
         res = correlation_bruteforce(spec, pts, tol=args.tol)
         return (";".join(str(p) for p in pts), res.cutoff, res.value, res.tail_estimate)
 
     rows = _map(run, point_sets)
-    _emit(args, config, ["points", "cutoff", "value", "est_tail"], rows)
+    _emit(args, ["points", "cutoff", "value", "est_tail"], rows)
     return EXIT_OK
 
 
@@ -273,12 +254,6 @@ def cmd_th_dets(args) -> int:
     sym = _load_symbol(args)
     sizes = _parse_int_range(args.sizes)
     whichs = args.which.split(",")
-    config = {
-        "command": "th-dets",
-        "which": args.which,
-        "theta": args.theta,
-        "sizes": args.sizes,
-    }
 
     def run(task):
         which, n = task
@@ -286,7 +261,7 @@ def cmd_th_dets(args) -> int:
         return (which, n, val, target, val - target, 0.0)
 
     rows = _map(run, [(w, n) for w in whichs for n in sizes])
-    _emit(args, config, ["family", "n_or_m", "lhs", "rhs", "gap", "tail_bound"], rows)
+    _emit(args, ["family", "n_or_m", "lhs", "rhs", "gap", "tail_bound"], rows)
     return EXIT_OK
 
 
@@ -294,13 +269,6 @@ def cmd_bo(args) -> int:
     sym = _load_symbol(args)
     ms = _parse_int_range(args.m)
     families = args.family.split(",")
-    config = {
-        "command": "bo-check",
-        "family": args.family,
-        "theta": args.theta,
-        "m": args.m,
-        "tol": args.tol,
-    }
     fred = FredholmConfig(tail_tol=min(1e-10, args.tol / 10))
 
     def run(task):
@@ -309,54 +277,25 @@ def cmd_bo(args) -> int:
         return (family, m, res.lhs, res.rhs, res.gap, res.tail_bound)
 
     rows = _map(run, [(f, m) for f in families for m in ms])
-    _emit(args, config, ["family", "n_or_m", "lhs", "rhs", "gap", "tail_bound"], rows)
+    _emit(args, ["family", "n_or_m", "lhs", "rhs", "gap", "tail_bound"], rows)
     worst = max(abs(r[4]) for r in rows) if rows else 0.0
     return EXIT_OK if worst <= args.tol else EXIT_CHECK_FAILED
 
 
-def cmd_bulk(args) -> int:
+def cmd_scan(args) -> int:
     thetas = _parse_float_list(args.theta)
-    offsets = [int(v) for v in _parse_grid(args.offsets)]
-    config = {
-        "command": "bulk-scan",
-        "family": args.family,
-        "theta": args.theta,
-        "alpha": args.alpha,
-        "offsets": args.offsets,
-    }
-    rows = [
-        (r.theta, r.x, r.y, r.discrete, r.limit, r.abs_error)
-        for r in asymptotics.bulk_scan(args.family, thetas, args.alpha, offsets)
-    ]
-    _emit(args, config, ["theta", "x", "y", "discrete", "limit", "abs_error"], rows)
-    return EXIT_OK
-
-
-def cmd_edge(args) -> int:
-    thetas = _parse_float_list(args.theta)
-    grid = _parse_grid(args.grid)
-    config = {
-        "command": "edge-scan",
-        "family": args.family,
-        "theta": args.theta,
-        "grid": args.grid,
-    }
-    rows = [
-        (r.theta, r.x, r.y, r.discrete, r.limit, r.abs_error)
-        for r in asymptotics.edge_scan(args.family, thetas, grid)
-    ]
-    _emit(args, config, ["theta", "x", "y", "discrete", "limit", "abs_error"], rows)
+    if args.command == "bulk-scan":
+        offsets = [int(v) for v in _parse_grid(args.offsets)]
+        scan = asymptotics.bulk_scan(args.family, thetas, args.alpha, offsets)
+    else:
+        scan = asymptotics.edge_scan(args.family, thetas, _parse_grid(args.grid))
+    rows = [(r.theta, r.x, r.y, r.discrete, r.limit, r.abs_error) for r in scan]
+    _emit(args, ["theta", "x", "y", "discrete", "limit", "abs_error"], rows)
     return EXIT_OK
 
 
 def cmd_tw(args) -> int:
     svals = _parse_grid(args.s)
-    config = {
-        "command": "tw-cdf",
-        "sign": args.sign,
-        "s": args.s,
-        "theta": args.theta,
-    }
     family = "sp" if args.sign == "+" else "o"
 
     def run(s):
@@ -370,7 +309,7 @@ def cmd_tw(args) -> int:
         return (s, 0.0, 0.0, "", lim, "")
 
     rows = _map(run, svals)
-    _emit(args, config, ["s", "x", "y", "discrete", "limit", "abs_error"], rows)
+    _emit(args, ["s", "x", "y", "discrete", "limit", "abs_error"], rows)
     return EXIT_OK
 
 
@@ -426,13 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
     bu.add_argument("--theta", default="50,200,800")
     bu.add_argument("--alpha", type=float, default=0.0)
     bu.add_argument("--offsets", default="-3:3:1")
-    bu.set_defaults(fn=cmd_bulk)
+    bu.set_defaults(fn=cmd_scan)
 
     e = sub.add_parser("edge-scan", help="edge scan against the Airy 2->1 kernels")
     e.add_argument("--family", choices=["sp", "o"], default="sp")
     e.add_argument("--theta", default="50,200,800")
     e.add_argument("--grid", default="-2:2:1")
-    e.set_defaults(fn=cmd_edge)
+    e.set_defaults(fn=cmd_scan)
 
     tw = sub.add_parser("tw-cdf", help="Tracy-Widom 2->1 distributions")
     tw.add_argument("--sign", choices=["+", "-"], default="+")
@@ -443,45 +382,43 @@ def build_parser() -> argparse.ArgumentParser:
     for sp in sub.choices.values():
         sp.add_argument("--output", help="write the report to this path")
         sp.add_argument("--config", help="JSON file of option defaults; flags override")
+    p.subcommands = sub.choices  # where main() sets a config file's defaults
     return p
 
 
-def _apply_config_file(args, argv: list[str]) -> None:
-    """Fill options from a JSON config file; explicit flags win."""
-    if not getattr(args, "config", None):
-        return
+def _apply_config_file(parser, args) -> None:
+    """Make the entries of the ``--config`` JSON object the subcommand's defaults.
+
+    Non-string values become their JSON text, so each value goes through its
+    option's type like a flag.  The caller parses again, and explicit flags,
+    abbreviated ones too, override these defaults.
+    """
     with open(args.config) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
-    given = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            given.add(tok[2:].split("=", 1)[0].replace("-", "_"))
+    defaults = {}
     for key, value in doc.items():
         attr = key.replace("-", "_")
         if attr in ("config", "output", "command"):
             continue
-        if not hasattr(args, attr):
+        if attr == "fn" or not hasattr(args, attr):
             raise ValueError(f"config key {key!r} unknown for this command")
-        if attr not in given:
-            setattr(args, attr, value)
+        defaults[attr] = value if isinstance(value, str) else json.dumps(value)
+    parser.subcommands[args.command].set_defaults(**defaults)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse uses its own exit codes
-        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    try:
-        from .kernels import reset_numeric_caches
-
-        _apply_config_file(args, argv)
+        if args.config:
+            _apply_config_file(parser, args)
+            args = parser.parse_args(argv)
         reset_numeric_caches()  # each invocation starts from empty caches
         return args.fn(args)
+    except SystemExit as exc:  # argparse uses its own exit codes
+        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     except (SposchurError, ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

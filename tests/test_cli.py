@@ -102,11 +102,23 @@ def test_readme_has_eight_commands():
     assert len(_readme_commands()) == 8
 
 
+# the echoes of the two scans, which no golden file pins
+_README_ECHOES = {
+    "bulk-scan": '# config: {"alpha": 0.0, "command": "bulk-scan", "family": "sp", '
+    '"offsets": "-3:3:1", "theta": "50,200,800"}',
+    "edge-scan": '# config: {"command": "edge-scan", "family": "o", "grid": "-2:2:1", '
+    '"theta": "50,200,800"}',
+}
+
+
 @pytest.mark.parametrize("command", _readme_commands())
 def test_readme_command_runs(tmp_path, command):
-    code, text = run_cli(tmp_path, *shlex.split(command)[1:])
+    argv = shlex.split(command)[1:]
+    code, text = run_cli(tmp_path, *argv)
     assert code == 0, command
     assert text.startswith("# config: "), command
+    if argv[0] in _README_ECHOES:
+        assert text.split("\n", 1)[0] == _README_ECHOES[argv[0]]
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -197,14 +209,30 @@ def test_empty_ranges_and_zero_steps_are_config_errors(tmp_path, capsys):
         ("th-dets", "--theta", "0.25", "--sizes", "3:1"),
         ("kernel-eval", "--theta", "1", "--range=5:1"),
         ("kernel-eval", "--theta", "1", "--range=1"),
+        ("kernel-eval", "--theta", "1", "--radii", "1.2"),
+        ("kernel-eval", "--theta", "1", "--radii", "1.2,0.8,3"),
     ):
         code, text = run_cli(tmp_path, *argv)
         assert code == 2 and text == "", argv
-        assert argv[-1].split("=")[-1] in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert argv[-1].split("=")[-1] in err
+        if argv[-2] == "--radii":
+            assert "--radii" in err
     # a descending grid is a valid one
     code, text = run_cli(tmp_path, "tw-cdf", "--sign", "+", "--s", "1:0:-1")
     assert code == 0
     assert [line.split(",")[0] for line in text.strip().split("\n")[2:]] == ["1.0", "0.0"]
+
+
+def test_edge_scaling_rejects_nonpositive_theta(tmp_path, capsys):
+    for argv in (
+        ("edge-scan", "--theta", "-5"),
+        ("tw-cdf", "--theta", "-1"),
+        ("tw-cdf", "--theta", "0"),
+    ):
+        code, text = run_cli(tmp_path, *argv)
+        assert code == 2 and text == "", argv
+        assert "theta" in capsys.readouterr().err
 
 
 def test_edge_scan_below_the_airy_domain_exits_2(tmp_path, capsys):
@@ -228,11 +256,27 @@ def test_config_file_defaults_with_flag_override(tmp_path):
     code, text = run_cli(tmp_path, "th-dets", "--config", str(cfg))
     assert code == 0
     assert text.count("\nD1,") == 2
-    # flag overrides config
-    code2, text2 = run_cli(
-        tmp_path, "th-dets", "--config", str(cfg), "--which", "D3"
-    )
-    assert code2 == 0
-    assert "\nD3," in text2 and "\nD1," not in text2
+    # flag overrides config, abbreviated too
+    for flag in ("--which", "--whi"):
+        code2, text2 = run_cli(tmp_path, "th-dets", "--config", str(cfg), flag, "D3")
+        assert code2 == 0
+        assert "\nD3," in text2 and "\nD1," not in text2, flag
     code3, _ = run_cli(tmp_path, "th-dets", "--config", str(tmp_path / "nope.json"))
     assert code3 == 2
+
+
+def test_config_file_values_parse_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    # file values go through the option's type: the report is the flag form's
+    for doc, argv in (
+        ({"theta": "0.5", "sizes": "1:2"}, ("th-dets", "--theta", "0.5", "--sizes", "1:2")),
+        ({"theta": "50", "s": "0:1:1"}, ("tw-cdf", "--theta", "50", "--s", "0:1:1")),
+        ({"theta": 50, "offsets": "0:1:1"}, ("bulk-scan", "--theta", "50", "--offsets", "0:1:1")),
+    ):
+        cfg.write_text(json.dumps(doc))
+        from_file = run_cli(tmp_path, argv[0], "--config", str(cfg))
+        assert from_file[0] == 0 and from_file == run_cli(tmp_path, *argv), doc
+    # a value argparse rejects is a config error, like a bad flag
+    cfg.write_text(json.dumps({"degree": "x"}))
+    assert main(["verify-identities", "--config", str(cfg)]) == 2
+    assert "--degree" in capsys.readouterr().err
