@@ -14,8 +14,10 @@ Airy 2->1 crossover kernels
 representation over rays at angles ±pi/3 (right) and ±2pi/3 (left); both are
 implemented and cross-checked.  The s-integrals run on a fixed composite
 Gauss-Legendre template over [0, 80], cut per call where every y has
-y + s > 16: past the cut each integrand is at most 0.536 Ai(y+s), so each
-term loses at most 0.536 int_16^inf Ai ~ 5.5e-21.  The template end puts
+y + s > 16, and per row inside that prefix: Ai(y_j + s) and Ai(x_i + s) are
+evaluated only where their argument is <= 16 and are exact zeros past it.
+Each dropped integrand is at most 0.536 Ai(u) with u > 16, so each term
+loses at most 2 x 0.536 int_16^inf Ai ~ 2 x 5.5e-21.  The template end puts
 y >= -64; below that `airy_2to1` raises DomainTooLarge.
 
 Scan helpers compare lattice kernels with their limits; because lattice
@@ -72,27 +74,42 @@ _S_END = 80.0
 _S_TEMPLATE = gauss_legendre_panels(0.0, _S_END, 192, 10)
 
 
+def _ai_rows(z: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Ai(z_i + s_k) where z_i + s_k <= 16, exact zeros past the cut."""
+    u = z[:, None] + s
+    out = np.zeros_like(u)
+    live = u <= _AI_CUT
+    out[live] = airy_ai_vec(u[live])
+    return out
+
+
 def airy_2to1(sign: str, x, y):
     """A±(x, y) via the two Airy-product integrals.
 
     Scalars give a float; 1-D arrays give the matrix [A±(x_i, y_j)].  Both
     integrands carry the factor Ai(y + s), which decays superexponentially, so
     each call sums only the prefix of the s-template (composite 10-node
-    Gauss-Legendre on 192 panels of [0, 80]) with s <= 16 - min(y).  Beyond
-    that point y + s > 16 for every y, and each neglected integrand, Ai(x ± s)
-    Ai(y + s), is at most max|Ai| Ai(y + s) <= 0.536 Ai(y + s).  Each of the
-    two terms thus loses at most 0.536 int_16^inf Ai(u) du ~ 5.5e-21, the
-    infinite tail past s = 80 included.  When min(y) >= 16 the prefix is
-    empty and the matrix is exactly 0.  The template ends at 80, so y below
-    -64 raises DomainTooLarge.  The second integrand oscillates in Ai(x - s);
-    with C = (A+ - A-)/2 the full-line identity C + C^T = 2^(-1/3)
-    Ai(2^(-1/3)(x + y)) holds to ~1e-12 over [-64, 12]^2.  When `x is y` the
-    Ai(y + s) grid also serves as Ai(x + s).
+    Gauss-Legendre on 192 panels of [0, 80]) with s <= 16 - min(y), and
+    within it evaluates Ai(y_j + s) only where y_j + s <= 16, with exact
+    zeros past that per-row cut; so does Ai(x_i + s) when `x is not y`.  The
+    cross factor Ai(x - s) is evaluated on the whole prefix.  Each dropped
+    integrand, Ai(x ± s) Ai(y + s) or Ai(x + s) Ai(y + s), is at most
+    max|Ai| Ai(u) <= 0.536 Ai(u) with u > 16.  Each of the two terms thus
+    loses at most 2 x 0.536 int_16^inf Ai(u) du ~ 2 x 5.5e-21, the infinite
+    tail past s = 80 included.  When min(y) >= 16 the prefix is empty and
+    the matrix is exactly 0.  The template ends at 80, so y below -64 raises
+    DomainTooLarge; non-finite x or y raise ValueError.  The second
+    integrand oscillates in Ai(x - s); with C = (A+ - A-)/2 the full-line
+    identity C + C^T = 2^(-1/3) Ai(2^(-1/3)(x + y)) holds to ~1e-12 over
+    [-64, 12]^2.  When `x is y` the Ai(y + s) grid also serves as Ai(x + s).
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     scalar = np.ndim(x) == 0 and np.ndim(y) == 0
-    ys = np.atleast_1d(y)
+    xs, ys = np.atleast_1d(x), np.atleast_1d(y)
+    both = np.concatenate([xs, ys])
+    if not np.isfinite(both).all():  # the u <= 16 masks would zero a NaN
+        raise ValueError(f"airy_2to1 needs finite x and y, got {both[~np.isfinite(both)][0]}")
     reach = _AI_CUT - np.min(ys, initial=np.inf)
     if reach > _S_END:
         raise DomainTooLarge(
@@ -101,11 +118,10 @@ def airy_2to1(sign: str, x, y):
     nodes, weights = _S_TEMPLATE
     keep = np.searchsorted(nodes, reach, side="right")
     s, w = nodes[:keep], weights[:keep]
-    xs = np.atleast_1d(x)[:, None]
-    up_y = airy_ai_vec(ys[:, None] + s)
-    up_x = up_y if x is y else airy_ai_vec(xs + s)
+    up_y = _ai_rows(ys, s)
+    up_x = up_y if x is y else _ai_rows(xs, s)
     plus = (up_x * w) @ up_y.T
-    cross = (airy_ai_vec(xs - s) * w) @ up_y.T
+    cross = (airy_ai_vec(xs[:, None] - s) * w) @ up_y.T
     value = plus + cross if sign == "+" else plus - cross
     return float(value[0, 0]) if scalar else value
 
@@ -200,6 +216,8 @@ def max_error_by_theta(rows: list[ScanRow]) -> dict[float, float]:
 def edge_site(theta: float, x: float) -> int:
     if not theta > 0:  # the edge scaling takes theta^(1/3) and divides by it
         raise ValueError(f"theta must be > 0, got {theta!r}")
+    if not math.isfinite(x):  # the site is an integer
+        raise ValueError(f"edge coordinate x must be finite, got {x!r}")
     return math.floor(2.0 * theta + x * theta ** (1.0 / 3.0))
 
 
@@ -267,8 +285,10 @@ def tw_2to1_cdf(sign: str, s: float, interval: float = 16.0, panels: int = 24) -
     The kernel decays superexponentially to the right, so a fixed window with
     composite Gauss-Legendre nodes of order 6 reaches well below the 1e-7
     stability target; `panels`/`interval` doubling is the advertised
-    stability check.
+    stability check.  A non-finite s raises ValueError.
     """
+    if not math.isfinite(s):
+        raise ValueError(f"tw_2to1_cdf needs a finite s, got {s!r}")
     end = s + interval
     tail = airy_2to1(sign, end, end)
     if abs(tail) > 1e-9:

@@ -107,16 +107,48 @@ def test_airy_2to1_cross_term_identity():
 
 
 def test_airy_2to1_cut_matches_the_full_template():
-    # every node of 96 panels on [0, 40], no cut; the cut drops < 1e-20, and
-    # BLAS sums the shorter products in another order (~5 ulp at s = -8)
+    # every node of 96 panels on [0, 40], no cut; the cut drops < 2 x 5.5e-21
+    # per term, and BLAS sums the shorter products in another order (~5 ulp
+    # at s = -8).  x != y runs the per-row cut on Ai(x + s) as well.
     s, w = gauss_legendre_panels(0.0, 40.0, 96, 10)
     for start in (-8.0, -6.0, 0.0, 4.0):
-        xs, _ = gauss_legendre_panels(start, start + 16.0, 24, 6)
-        up = airy_ai_vec(xs[:, None] + s)
-        full_plus = (up * w) @ up.T
-        full_cross = (airy_ai_vec(xs[:, None] - s) * w) @ up.T
-        for sign, full in (("+", full_plus + full_cross), ("-", full_plus - full_cross)):
-            assert np.max(np.abs(airy_2to1(sign, xs, xs) - full)) <= 4e-15, (sign, start)
+        ys, _ = gauss_legendre_panels(start, start + 16.0, 24, 6)
+        for xs in (ys, np.linspace(start - 3.0, start + 19.0, 37)):
+            up_y = airy_ai_vec(ys[:, None] + s)
+            full_plus = (airy_ai_vec(xs[:, None] + s) * w) @ up_y.T
+            full_cross = (airy_ai_vec(xs[:, None] - s) * w) @ up_y.T
+            for sign, full in (("+", full_plus + full_cross), ("-", full_plus - full_cross)):
+                err = np.max(np.abs(airy_2to1(sign, xs, ys) - full))
+                assert err <= 4e-15, (sign, start, len(xs))
+
+
+def test_tw_cdf_evaluates_ai_only_inside_the_cut(monkeypatch):
+    # Ai(u) for u > 16 is below 5e-20 and is never evaluated, in the cross
+    # factor Ai(x - s) (x <= s + 16 <= 16 here) as in the per-row cut
+    seen = []
+
+    def recording(u):
+        seen.append(np.asarray(u, dtype=float).ravel())
+        return airy_ai_vec(u)
+
+    monkeypatch.setattr("sposchur.asymptotics.airy_ai_vec", recording)
+    for s in (-6.0, -2.0, 0.0):
+        seen.clear()
+        tw_2to1_cdf("+", s)
+        args = np.concatenate(seen)
+        assert args.size and np.max(args) <= 16.0, (s, np.max(args))
+
+
+def test_airy_2to1_and_tw_cdf_reject_non_finite_input():
+    for x, y in ((math.nan, 0.0), (0.0, math.nan), (np.array([0.0, math.inf]), 1.0),
+                 (0.0, np.array([-math.inf, 0.0]))):
+        with pytest.raises(ValueError, match="finite"):
+            airy_2to1("+", x, y)
+    for s in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            tw_2to1_cdf("-", s)
+    with pytest.raises(ValueError, match="finite"):
+        edge_cdf_discrete("sp", 50.0, math.nan)
 
 
 def test_airy_2to1_domain_ends():

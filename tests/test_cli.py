@@ -235,6 +235,21 @@ def test_edge_scaling_rejects_nonpositive_theta(tmp_path, capsys):
         assert "theta" in capsys.readouterr().err
 
 
+def test_non_finite_edge_coordinates_exit_2(tmp_path, capsys):
+    for argv in (
+        ("tw-cdf", "--s=inf"),
+        ("tw-cdf", "--s=nan"),
+        ("tw-cdf", "--s=-inf", "--theta", "200"),
+        ("tw-cdf", "--s=nan", "--theta", "200"),
+        ("edge-scan", "--theta", "50", "--grid=inf"),
+        ("edge-scan", "--theta", "50", "--grid=0,nan"),
+    ):
+        code, text = run_cli(tmp_path, *argv)
+        assert code == 2 and text == "", argv
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err, argv
+
+
 def test_edge_scan_below_the_airy_domain_exits_2(tmp_path, capsys):
     # airy_2to1 integrates Ai(y + s) for s up to 80, so y must be >= -64
     code, text = run_cli(tmp_path, "edge-scan", "--theta", "50", "--grid=-70:-69:1")

@@ -5,6 +5,7 @@ import pytest
 
 from sposchur.errors import DomainTooLarge
 from sposchur.special import (
+    _airy_u_coeffs,
     airy_ai,
     airy_ai_quadrature,
     airy_ai_vec,
@@ -106,6 +107,49 @@ def test_airy_vec_matches_scalar():
     vec = airy_ai_vec(xs)
     for i, x in enumerate(xs):
         assert vec[i] == airy_ai(float(x))
+
+
+def test_airy_bits_do_not_depend_on_the_batch():
+    # airy_2to1 evaluates only the arguments inside its cut, so an element's
+    # bits must not change with the rest of the batch
+    rng = np.random.default_rng(20)
+    seam = [6.8, -6.8, np.nextafter(6.8, 7.0), np.nextafter(-6.8, -7.0), 6.8693, 6.8694]
+    xs = np.concatenate([rng.uniform(-40.0, 80.0, 2000), seam, [0.0, 1e-8, -1e-8]])
+    rng.shuffle(xs)
+    batch = airy_ai_vec(xs)
+    single = np.array([airy_ai_vec(np.array([x]))[0] for x in xs])
+    assert np.array_equal(batch, single)
+    assert np.array_equal(airy_ai_vec(xs.reshape(49, 41)), batch.reshape(49, 41))
+
+
+def test_airy_right_tail_keeps_optimal_truncation():
+    # reference: add (-1)^k u_k xi^-k term by term while the terms shrink;
+    # Horner with the last term masked below x = 6.869 sums the same terms
+    xs = np.concatenate([np.linspace(6.8, 6.9, 201)[1:], np.linspace(6.9, 40.0, 400)])
+    xi = (2.0 / 3.0) * xs**1.5
+    us = _airy_u_coeffs(26)
+    ref = []
+    for z in xi:
+        total, best = 0.0, 1.0
+        for k, u in enumerate(us):
+            term = u / z**k
+            if term > best:
+                break
+            total, best = total + (-1) ** k * term, term
+        ref.append(total)
+    ref = np.exp(-xi) / (2.0 * math.sqrt(math.pi) * xs**0.25) * np.array(ref)
+    assert np.max(np.abs(airy_ai_vec(xs) / ref - 1.0)) <= 4e-15
+
+
+def test_airy_nan_and_non_finite_arguments():
+    out = airy_ai_vec(np.array([np.nan, 0.0, np.nan]))
+    assert np.isnan(out[0]) and np.isnan(out[2]) and out[1] == airy_ai(0.0)
+    assert np.isnan(airy_ai_vec(np.array([np.nan]))[0])
+    with pytest.raises(ValueError, match="nan"):
+        airy_ai(float("nan"))
+    for x in (math.inf, -math.inf):
+        with pytest.raises(DomainTooLarge):
+            airy_ai(x)
 
 
 # ---------------------------------------------------------------------------
