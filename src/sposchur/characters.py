@@ -30,6 +30,11 @@ their denominators hold integer polynomials, t -> 2^B packs each into one
 integer, and the balanced base-2^B digits of the packed determinant are its
 coefficients.  B is one bit (the sign) above a bound on those coefficients,
 the product of the rows' summed absolute coefficients.  There is no size cap.
+Graded characters (h_n entering as h_n t^n) pack the same table integers
+directly: row d holds num[k] * (den[m] // den[k]) * 2^(B k) for k <= D, and
+since a row uses each image at most twice (once in its Toeplitz part, once in
+its Hankel part), twice its summed |num[k] * (den[m] // den[k])| bounds the
+row's absolute coefficients before any row is built.
 """
 
 from __future__ import annotations
@@ -112,7 +117,13 @@ def series_determinant(rows: list[list[GradedScalar]]) -> GradedScalar:
         mat.append(polys)
     bits = bound.bit_length() + 1
     packed = [[sum(c << (bits * k) for k, c in enumerate(poly)) for poly in row] for row in mat]
-    det = _det_bareiss_int(packed) & ((1 << (bits * (degree + 1))) - 1)
+    return _unpack(_det_bareiss_int(packed), bits, degree, scale)
+
+
+def _unpack(det: int, bits: int, degree: int, scale: int) -> GradedScalar:
+    """The series over `scale` whose t^n numerator is the n-th balanced
+    base-2^bits digit of the packed determinant det, for n <= degree."""
+    det &= (1 << (bits * (degree + 1))) - 1
     mask, half = (1 << bits) - 1, 1 << (bits - 1)
     numerators = []
     for _ in range(degree + 1):
@@ -189,7 +200,9 @@ def th_determinant(rows: list[list], degree: int | None = None):
     return series_determinant(rows) if rows else GradedScalar.one(degree)
 
 
-def _jacobi_trudi(rho: Specialization, form: str, offsets, reach: int, row: Callable):
+def _jacobi_trudi(
+    rho: Specialization, form: str, offsets, reach: int, row: Callable, degree: int | None = None
+):
     """det[row(d, g) for d in offsets] over the h (form "h") or e images g.
 
     row(d, g) may use g(k) for k <= d + reach only.  Exact images build integer
@@ -197,22 +210,44 @@ def _jacobi_trudi(rho: Specialization, form: str, offsets, reach: int, row: Call
     the images times den[m], and the determinant is Bareiss over the product of
     the den[m].  A float image at the largest index (a float p_k makes every
     image from k on a float) sends float rows of the images to `determinant`.
+
+    With a degree D the determinant is graded (image k enters times t^k) and
+    truncated at t^D: g(k) is the integer above times 2^(B k), 0 for k > D, and
+    `_unpack` reads the coefficients off the packed determinant.  row(d, g)
+    must then use each g(k) at most twice, so that twice the summed unshifted
+    |g(k)|, k <= min(m, D), bounds the row's l1 norm; B is one bit above the
+    product of those bounds.  Float images raise TypeError.
     """
+    # the size-0 value, built first so that a negative degree is refused up front
+    one = Fraction(1) if degree is None else GradedScalar.one(degree)
     if not offsets:
-        return Fraction(1)
+        return one
     top = max(offsets) + reach
     table = rho.h_table(top) if form == "h" else rho.e_table(top)
     if table is None:
+        if degree is not None:
+            raise TypeError("exact coefficient expected, got float")
         values = rho.h if form == "h" else rho.e
         return determinant([row(d, values) for d in offsets])
     num, den = table
+    if degree is not None:
+        bound = 1
+        for d in offsets:
+            m = d + reach
+            bound *= 2 * sum(abs(num[k]) * (den[m] // den[k]) for k in range(min(m, degree) + 1))
+        bits = bound.bit_length() + 1
     scale = 1
     rows = []
     for d in offsets:
         dm = den[d + reach]
         scale *= dm
-        rows.append(row(d, lambda k: num[k] * (dm // den[k]) if k >= 0 else 0))
-    return Fraction(_det_bareiss_int(rows), scale)
+        if degree is None:
+            g = lambda k: num[k] * (dm // den[k]) if k >= 0 else 0  # noqa: E731
+        else:
+            g = lambda k: num[k] * (dm // den[k]) << (bits * k) if 0 <= k <= degree else 0  # noqa: E731
+        rows.append(row(d, g))
+    det = _det_bareiss_int(rows)
+    return Fraction(det, scale) if degree is None else _unpack(det, bits, degree, scale)
 
 
 def _character(which: str, shifts, rho: Specialization, degree: int | None = None):
@@ -223,20 +258,15 @@ def _character(which: str, shifts, rho: Specialization, degree: int | None = Non
     p_k -> degree k, the image h_n or e_n enters as h_n t^n (zero for n < 0).
     The graded s_lambda is a single monomial, but the sp/o determinants mix
     degrees (sp_{(1,1)} = e_2 - 1 has degrees 2 and 0), so they are taken over
-    the series ring, truncated at `degree`.
+    the series ring, truncated at `degree`, on packed integer rows.
     """
     pattern = TH_PATTERNS[which]
     n = len(shifts)
-    if degree is None:
-        offsets = [s - i for i, s in enumerate(shifts)]
-        value = _jacobi_trudi(
-            rho, pattern.form, offsets, n - 1, lambda d, g: th_row(pattern, d, n, g)
-        )
-        return pattern.halve(value, n)
-    values = rho.h if pattern.form == "h" else rho.e
-    zero = GradedScalar.zero(degree)
-    g = lambda k: GradedScalar.monomial(values(k), k, degree) if k >= 0 else zero  # noqa: E731
-    return pattern.halve(th_determinant(th_rows(which, shifts, g), degree), n)
+    offsets = [s - i for i, s in enumerate(shifts)]
+    value = _jacobi_trudi(
+        rho, pattern.form, offsets, n - 1, lambda d, g: th_row(pattern, d, n, g), degree
+    )
+    return pattern.halve(value, n)
 
 
 def _schur(parts, rho: Specialization, form: str):

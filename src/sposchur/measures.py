@@ -195,11 +195,17 @@ def _sum_weights(
     less than tol/10; block increments decay geometrically for contractive
     specializations (superexponentially in the Plancherel case), so the last
     increment is a measured tail estimate.
+
+    Exact weights accumulate per predicate as an int numerator over a running
+    common denominator, rescaled only when a weight's denominator does not
+    divide it; each block becomes one Fraction at its checkpoint.  Weights are
+    exact when every power sum of finite support (the first 8 of an infinite
+    one) is.
     """
-    exact_in = spec.rho_plus.is_exact(8) and spec.rho_minus.is_exact(8)
-    zero = Fraction(0) if exact_in else 0.0
-    totals = [zero] * len(keeps)
-    blocks = [zero] * len(keeps)
+    exact_in = all(r.is_exact(r.max_support or 8) for r in (spec.rho_plus, spec.rho_minus))
+    totals = [Fraction(0) if exact_in else 0.0] * len(keeps)
+    nums = [0 if exact_in else 0.0] * len(keeps)  # the open blocks
+    dens = [1] * len(keeps)
     cutoff = max(8, 2 * max((abs(p) for p in sites), default=0))
     depth = max([0] + [-p for p in sites])
     seen = 0
@@ -217,12 +223,23 @@ def _sum_weights(
                             w = spec.unnormalized_weight(lam)
                             if not w:
                                 break
-                        blocks[i] += w
+                        if exact_in:
+                            q = w.denominator
+                            if dens[i] % q:
+                                grow = q // math.gcd(dens[i], q)
+                                nums[i] *= grow
+                                dens[i] *= grow
+                            nums[i] += w.numerator * (dens[i] // q)
+                        else:
+                            nums[i] += w
             n += 1
+        if exact_in:
+            blocks = [Fraction(a, b) for a, b in zip(nums, dens)]
+            nums, dens = [0] * len(keeps), [1] * len(keeps)
+        else:
+            blocks, nums = nums, [0.0] * len(keeps)
         increments = [abs(float(b)) for b in blocks]
-        for i in range(len(keeps)):
-            totals[i] += blocks[i]
-            blocks[i] = zero
+        totals = [t + b for t, b in zip(totals, blocks)]
         if max(increments, default=0.0) < tol / 10 and not first_checkpoint:
             z = spec.z()
             return [

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sposchur.characters import (
+    character_series,
     o_char,
     o_char_series,
     o_char_via_e,
@@ -481,3 +482,92 @@ def test_concurrent_table_growth_matches_serial():
     assert not any(thread.is_alive() for thread in threads)
     for got in results:
         assert [got[lam] for lam in shapes] == serial
+
+
+# ---------------------------------------------------------------------------
+# graded characters: packed integer rows against GradedScalar rows
+# ---------------------------------------------------------------------------
+
+
+class GradedImages:
+    """h_n t^n and e_n t^n as GradedScalar monomials (zero for n < 0), so that
+    `textbook_rows` builds the graded Jacobi-Trudi matrices entry by entry."""
+
+    def __init__(self, rho, degree):
+        self.rho, self.degree = rho, degree
+        self.zero = GradedScalar.zero(degree)
+
+    def h(self, n):
+        return GradedScalar.monomial(self.rho.h(n), n, self.degree) if n >= 0 else self.zero
+
+    def e(self, n):
+        return GradedScalar.monomial(self.rho.e(n), n, self.degree) if n >= 0 else self.zero
+
+
+def reference_character_series(family, lam, rho, degree):
+    """One GradedScalar per entry of the textbook matrix, then series_determinant."""
+    rows = textbook_rows(family, lam, GradedImages(rho, degree))
+    if not rows:
+        return GradedScalar.one(degree)
+    det = series_determinant(rows)
+    return det / 2 if family in HALVED else det
+
+
+def graded_specializations():
+    alphabet = Specialization.from_alphabet([Fraction(2, 3), Fraction(-1, 4), Fraction(5, 7)])
+    return [
+        Specialization.from_powersums(
+            {1: Fraction(7, 3), 2: Fraction(-5, 4), 3: Fraction(2, 9), 5: Fraction(-11, 6)}
+        ),
+        Specialization.plancherel(Fraction(3, 5)),
+        alphabet,
+        Specialization.from_bc_alphabet([Fraction(3, 5), Fraction(-2, 7)]),
+        Specialization.from_bc_alphabet([Fraction(1, 3)], include_one=True),
+        alphabet.omega(),
+    ]
+
+
+def test_graded_characters_match_graded_scalar_rows():
+    # every partition of size <= 9 against degrees below and above its size
+    shapes = list(enumerate_partitions(9))
+    for rho in graded_specializations():
+        for degree in (0, 1, 5, 8, 10):
+            for family in ("sp", "o"):
+                for lam in shapes:
+                    got = character_series(family, lam, rho, degree)
+                    want = reference_character_series(family, lam, rho, degree)
+                    assert (got.numerators, got.denominator) == (
+                        want.numerators, want.denominator,
+                    ), (family, lam, degree, rho.kind)
+
+
+def test_graded_character_edge_cases():
+    rho = rational_rho()
+    lam = Partition([2, 1])
+    # float images are refused, not rounded, at any degree
+    for degree in (0, 3):
+        with pytest.raises(TypeError, match="exact coefficient expected, got float"):
+            character_series("sp", lam, Specialization.plancherel(0.5), degree)
+    # a float p_3 reaches h_3 even when the degree stops below it
+    mixed = Specialization.from_powersums({1: Fraction(1, 2), 3: 0.25})
+    with pytest.raises(TypeError, match="exact coefficient expected, got float"):
+        character_series("o", Partition([3]), mixed, 1)
+    assert character_series("o", Partition([1]), mixed, 0) == GradedScalar.zero(0)
+    for shape in (lam, Partition()):
+        with pytest.raises(ValueError):
+            character_series("sp", shape, rho, -1)
+    with pytest.raises(ValueError):
+        character_series("o", lam, Specialization.plancherel(0.5), -1)
+    for degree in (0, 3):
+        assert character_series("sp", Partition(), rho, degree) == GradedScalar.one(degree)
+    # |lambda| > D: sp_(2) = h_2 has no term of degree <= 1, and o_(2) = h_2 - 1
+    # keeps only its constant term
+    theta = Fraction(1, 2)
+    plancherel = Specialization.plancherel(theta)
+    assert character_series("sp", Partition([2]), plancherel, 1) == GradedScalar.zero(1)
+    assert character_series("o", Partition([2]), plancherel, 1) == GradedScalar([-1, 0])
+    assert character_series("sp", Partition([3, 1]), plancherel, 3) == GradedScalar(
+        [0, 0, -theta**2 / 2, 0]
+    )
+    with pytest.raises(ValueError, match="unknown character family"):
+        character_series("x", lam, rho, 3)

@@ -24,6 +24,15 @@ def test_verify_identities_golden(tmp_path):
     assert text == (GOLDEN / "verify_identities_d3.csv").read_text()
 
 
+def test_verify_identities_readme_golden(tmp_path):
+    # the README command
+    code, text = run_cli(
+        tmp_path, "verify-identities", "--degree", "8", "--trials", "5", "--seed", "0"
+    )
+    assert code == 0
+    assert text == (GOLDEN / "verify_identities_d8.csv").read_text()
+
+
 def test_kernel_golden(tmp_path):
     code, text = run_cli(
         tmp_path, "kernel-eval", "--family", "o", "--rep", "bessel", "--theta", "0.5",

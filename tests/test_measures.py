@@ -86,6 +86,19 @@ def test_single_set_equals_batch_of_one():
             assert single == batch, (theta, pts)
 
 
+def test_float_power_sum_beyond_the_eighth_sums_in_floats():
+    # a float p_9 makes the weights of partitions of size >= 9 floats, so the
+    # sum runs in floats, as for the all-float specialization
+    def spec(third, quarter):
+        rho = Specialization.from_powersums({1: third, 9: 1e-3})
+        return MeasureSpec("sp", rho, Specialization.plancherel(quarter))
+
+    mixed = correlation_bruteforce(spec(Fraction(1, 3), Fraction(1, 4)), [0], tol=1e-9)
+    floats = correlation_bruteforce(spec(1 / 3, 0.25), [0], tol=1e-9)
+    assert mixed.cutoff > 9
+    assert mixed.value == pytest.approx(floats.value, abs=1e-12)
+
+
 def test_log_z_matches_log_normalization_series():
     rng = random.Random(5)
 
