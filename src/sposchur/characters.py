@@ -21,10 +21,15 @@ expose as an independent second route for testing.
 Exact characters are integer on arrival: the specialization keeps its h and
 e images as integer numerators num[k] over nested denominators den[k]
 (`Specialization.h_table`, `e_table`), so a row whose largest index is m
-holds the integers num[k] * (den[m] // den[k]), its entries times den[m].
-One fraction-free Bareiss elimination of those rows over the product of the
-row scales gives the value.  Float images (a float at the largest index)
-build float rows for `determinant`, LU via numpy.  Series determinants run
+holds the integers num[k] * (den[m] // den[k]), its entries times den[m],
+sliced from the specialization's list of them (`scaled_table`).  One
+fraction-free Bareiss elimination of those rows over the product of the row
+scales gives the value.  `schur`, `sp_char` and `o_char` take the h-form and
+their `_via_e` twins the e-form; the dispatchers `character` and
+`schur_factor` take the smaller determinant for exact images, the e-form
+when lambda_1 < length(lambda), and keep the h-form for float images.
+Float images (a float at the largest index) build float rows for
+`determinant`, LU via numpy.  Series determinants run
 the same integer elimination by Kronecker substitution: rows cleared of
 their denominators hold integer polynomials, t -> 2^B packs each into one
 integer, and the balanced base-2^B digits of the packed determinant are its
@@ -180,16 +185,14 @@ def th_pattern(which: str) -> THPattern:
     return TH_PATTERNS[which]
 
 
-def th_row(pattern: THPattern, d: int, n: int, g: Callable) -> list:
-    """[g(d + j) +/- g(d - j - offset) for j < n], one row of a pattern matrix."""
-    return [pattern.combine(g(d + j), g(d - j - pattern.offset)) for j in range(n)]
-
-
 def th_rows(which: str, shifts, g: Callable) -> list[list]:
     """[[g(s_i - i + j) +/- g(s_i - i - j - offset)]], 0-indexed, one row per shift."""
     pattern = th_pattern(which)
     n = len(shifts)
-    return [th_row(pattern, s - i, n, g) for i, s in enumerate(shifts)]
+    return [
+        [pattern.combine(g(s - i + j), g(s - i - j - pattern.offset)) for j in range(n)]
+        for i, s in enumerate(shifts)
+    ]
 
 
 def th_determinant(rows: list[list], degree: int | None = None):
@@ -200,52 +203,57 @@ def th_determinant(rows: list[list], degree: int | None = None):
     return series_determinant(rows) if rows else GradedScalar.one(degree)
 
 
+def _images(vals: list, lo: int, hi: int) -> list:
+    """[vals[k] for lo <= k < hi], with zeros at negative k."""
+    if lo >= 0:
+        return vals[lo:hi]
+    return [0] * (min(hi, 0) - lo) + vals[: max(hi, 0)]
+
+
 def _jacobi_trudi(
     rho: Specialization, form: str, offsets, reach: int, row: Callable, degree: int | None = None
 ):
-    """det[row(d, g) for d in offsets] over the h (form "h") or e images g.
+    """det[row(d, vals) for d in offsets] over the h (form "h") or e images.
 
-    row(d, g) may use g(k) for k <= d + reach only.  Exact images build integer
-    rows: row d takes g(k) = num[k] * (den[m] // den[k]) with m = d + reach,
-    the images times den[m], and the determinant is Bareiss over the product of
-    the den[m].  A float image at the largest index (a float p_k makes every
-    image from k on a float) sends float rows of the images to `determinant`.
+    row(d, vals) reads vals[k] for k <= m = d + reach, by slicing; an image of
+    negative index is zero.  Exact images build integer rows: vals is the
+    specialization's scaled row m, the images times den[m], and the
+    determinant is Bareiss over the product of the den[m].  A float image at
+    the largest index (a float p_k makes every image from k on a float) sends
+    float rows of the images to `determinant`.
 
     With a degree D the determinant is graded (image k enters times t^k) and
-    truncated at t^D: g(k) is the integer above times 2^(B k), 0 for k > D, and
-    `_unpack` reads the coefficients off the packed determinant.  row(d, g)
-    must then use each g(k) at most twice, so that twice the summed unshifted
-    |g(k)|, k <= min(m, D), bounds the row's l1 norm; B is one bit above the
-    product of those bounds.  Float images raise TypeError.
+    truncated at t^D: vals[k] is the integer above times 2^(B k), 0 for k > D,
+    and `_unpack` reads the coefficients off the packed determinant.
+    row(d, vals) must then use each vals[k] at most twice, so that twice the
+    summed unshifted |vals[k]|, k <= min(m, D), bounds the row's l1 norm; B is
+    one bit above the product of those bounds.  Float images raise TypeError.
     """
     # the size-0 value, built first so that a negative degree is refused up front
     one = Fraction(1) if degree is None else GradedScalar.one(degree)
     if not offsets:
         return one
-    top = max(offsets) + reach
-    table = rho.h_table(top) if form == "h" else rho.e_table(top)
+    table = rho.scaled_table(form, max(offsets) + reach)
     if table is None:
         if degree is not None:
             raise TypeError("exact coefficient expected, got float")
         values = rho.h if form == "h" else rho.e
-        return determinant([row(d, values) for d in offsets])
-    num, den = table
+        return determinant([row(d, [values(k) for k in range(d + reach + 1)]) for d in offsets])
+    scaled, den = table
     if degree is not None:
         bound = 1
         for d in offsets:
-            m = d + reach
-            bound *= 2 * sum(abs(num[k]) * (den[m] // den[k]) for k in range(min(m, degree) + 1))
+            bound *= 2 * sum(abs(v) for v in scaled[d + reach][: degree + 1])
         bits = bound.bit_length() + 1
     scale = 1
     rows = []
     for d in offsets:
-        dm = den[d + reach]
-        scale *= dm
-        if degree is None:
-            g = lambda k: num[k] * (dm // den[k]) if k >= 0 else 0  # noqa: E731
-        else:
-            g = lambda k: num[k] * (dm // den[k]) << (bits * k) if 0 <= k <= degree else 0  # noqa: E731
-        rows.append(row(d, g))
+        m = d + reach
+        scale *= den[m]
+        vals = scaled[m]
+        if degree is not None:
+            vals = [v << (bits * k) for k, v in enumerate(vals[: degree + 1])] + [0] * (m - degree)
+        rows.append(row(d, vals))
     det = _det_bareiss_int(rows)
     return Fraction(det, scale) if degree is None else _unpack(det, bits, degree, scale)
 
@@ -258,22 +266,26 @@ def _character(which: str, shifts, rho: Specialization, degree: int | None = Non
     p_k -> degree k, the image h_n or e_n enters as h_n t^n (zero for n < 0).
     The graded s_lambda is a single monomial, but the sp/o determinants mix
     degrees (sp_{(1,1)} = e_2 - 1 has degrees 2 and 0), so they are taken over
-    the series ring, truncated at `degree`, on packed integer rows.
+    the series ring, truncated at `degree`, on packed integer rows.  Row d is
+    [vals[d + j] +/- vals[d - j - offset] for j < n], read as two slices.
     """
     pattern = TH_PATTERNS[which]
     n = len(shifts)
     offsets = [s - i for i, s in enumerate(shifts)]
-    value = _jacobi_trudi(
-        rho, pattern.form, offsets, n - 1, lambda d, g: th_row(pattern, d, n, g), degree
-    )
-    return pattern.halve(value, n)
+    hankel = 1 - n - pattern.offset  # the Hankel part of row d starts at d + hankel
+
+    def row(d, vals):
+        h = _images(vals, d + hankel, d + hankel + n)
+        return list(map(pattern.combine, _images(vals, d, d + n), reversed(h)))
+
+    return pattern.halve(_jacobi_trudi(rho, pattern.form, offsets, n - 1, row, degree), n)
 
 
 def _schur(parts, rho: Specialization, form: str):
     """det[g(parts_i - i + j)], 0-indexed, over the h or e images."""
     n = len(parts)
     offsets = [p - i for i, p in enumerate(parts)]
-    return _jacobi_trudi(rho, form, offsets, n - 1, lambda d, g: [g(d + j) for j in range(n)])
+    return _jacobi_trudi(rho, form, offsets, n - 1, lambda d, vals: _images(vals, d, d + n))
 
 
 def schur(lam: Partition, rho: Specialization):
@@ -295,7 +307,9 @@ def skew_schur(lam: Partition, mu: Partition, rho: Specialization):
     offsets = [p - i for i, p in enumerate(lam.parts)]
     cols = [j - mu.part(j + 1) for j in range(n)]
     reach = max(cols, default=0)
-    return _jacobi_trudi(rho, "h", offsets, reach, lambda d, g: [g(d + c) for c in cols])
+    return _jacobi_trudi(
+        rho, "h", offsets, reach, lambda d, vals: [vals[d + c] if d + c >= 0 else 0 for c in cols]
+    )
 
 
 def sp_char(lam: Partition, rho: Specialization):
@@ -343,13 +357,32 @@ def omega_dual_check(lam: Partition, rho: Specialization) -> bool:
     return sp_char(lam, rho) == o_char(lam.conjugate(), rho.omega())
 
 
+def _e_form_is_smaller(lam: Partition, rho: Specialization) -> bool:
+    """Whether lambda_1 < length(lambda) and the images rho gives lambda are exact."""
+    parts = lam.parts
+    if not parts or parts[0] >= len(parts):
+        return False
+    return rho.h_table(parts[0] + len(parts) - 1) is not None
+
+
 def character(family: str, lam: Partition, rho: Specialization):
-    """Dispatch: 'sp' or 'o' character of lambda at rho."""
+    """Dispatch: 'sp' or 'o' character of lambda at rho.
+
+    Exact images take the smaller of the two equal Jacobi-Trudi determinants:
+    the e-form (lambda_1 rows) when lambda_1 < length(lambda), else the h-form
+    (length rows).  Float images keep the h-form, whose bits the float outputs
+    depend on.
+    """
     if family == "sp":
-        return sp_char(lam, rho)
+        return sp_char_via_e(lam, rho) if _e_form_is_smaller(lam, rho) else sp_char(lam, rho)
     if family == "o":
-        return o_char(lam, rho)
+        return o_char_via_e(lam, rho) if _e_form_is_smaller(lam, rho) else o_char(lam, rho)
     raise ValueError(f"unknown character family {family!r}")
+
+
+def schur_factor(lam: Partition, rho: Specialization):
+    """s_lambda(rho) on the smaller Jacobi-Trudi determinant, by the rule of `character`."""
+    return schur_via_e(lam, rho) if _e_form_is_smaller(lam, rho) else schur(lam, rho)
 
 
 def sp_char_series(lam: Partition, rho: Specialization, degree: int) -> GradedScalar:

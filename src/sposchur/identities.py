@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .characters import character, character_series, o_char, schur, sp_char
+from .characters import character, character_series, o_char, schur, schur_factor, sp_char
 from .partitions import Partition, enumerate_partitions
 from .series import GradedScalar
 from .specializations import Specialization
@@ -110,7 +110,7 @@ def character_sum_series(
             continue
         if width_bound is not None and lam.part(1) > width_bound:
             continue
-        s = schur(lam.conjugate() if dual else lam, rho_minus)
+        s = schur_factor(lam.conjugate() if dual else lam, rho_minus)
         if not s:
             continue
         s_part = GradedScalar.monomial(s, lam.size(), degree)

@@ -14,9 +14,11 @@ identity.  Weights can be negative (signed measures); they are summed as-is.
 Particle configurations live on the integers: lambda maps to the strictly
 decreasing set {lambda_i - i : i >= 1}, whose tail below the length L is the
 packed Fermi sea -L-1, -L-2, ...  `correlation_bruteforce` sums weights of
-all partitions whose configuration contains a given finite point set, doubling
-the size cutoff adaptively; it is the independent oracle against which the
-determinantal kernels are validated.
+all partitions whose configuration contains a given finite point set; it is
+the independent oracle against which the determinantal kernels are
+validated.  The size cutoff starts at max(8, 2 max|site|) and grows by
+`_BLOCK` = 4 sizes at a time until the last block adds less than tol/10, with
+at least two checkpoints.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .characters import character, schur
+from .characters import character, schur_factor
 from .errors import CutoffTooSmall, DivergentNormalization
 from .identities import FAMILIES, character_sum_series, log_z_terms, normalization_series
 from .partitions import Partition, enumerate_partitions, partitions_of_size
@@ -119,7 +121,7 @@ class MeasureSpec:
         c = character(self.char_family, lam, self.rho_plus)
         if not c:
             return c
-        return c * schur(lam.conjugate() if self.dual else lam, self.rho_minus)
+        return c * schur_factor(lam.conjugate() if self.dual else lam, self.rho_minus)
 
     def weight(self, lam: Partition) -> float:
         """Normalized (possibly negative) weight of a single partition."""
@@ -196,16 +198,17 @@ def _sum_weights(
     specializations (superexponentially in the Plancherel case), so the last
     increment is a measured tail estimate.
 
-    Exact weights accumulate per predicate as an int numerator over a running
-    common denominator, rescaled only when a weight's denominator does not
-    divide it; each block becomes one Fraction at its checkpoint.  Weights are
-    exact when every power sum of finite support (the first 8 of an infinite
-    one) is.
+    Exact weights accumulate as int numerators, one per predicate, over one
+    block denominator shared by all predicates and rescaled only when a
+    weight's denominator does not divide it: each weight is brought to it with
+    one % and one //, then added to every predicate it passes.  Each block
+    becomes one Fraction per predicate at its checkpoint.  Weights are exact
+    when every power sum of finite support (the first 8 of an infinite one) is.
     """
     exact_in = all(r.is_exact(r.max_support or 8) for r in (spec.rho_plus, spec.rho_minus))
     totals = [Fraction(0) if exact_in else 0.0] * len(keeps)
-    nums = [0 if exact_in else 0.0] * len(keeps)  # the open blocks
-    dens = [1] * len(keeps)
+    nums = [0 if exact_in else 0.0] * len(keeps)  # the open block
+    den = 1
     cutoff = max(8, 2 * max((abs(p) for p in sites), default=0))
     depth = max([0] + [-p for p in sites])
     seen = 0
@@ -216,26 +219,25 @@ def _sum_weights(
             for lam in partitions_of_size(n):
                 seen += 1
                 conf = _configuration_set(lam, depth)
-                w = None
-                for i, keep in enumerate(keeps):
-                    if keep(conf):
-                        if w is None:
-                            w = spec.unnormalized_weight(lam)
-                            if not w:
-                                break
-                        if exact_in:
-                            q = w.denominator
-                            if dens[i] % q:
-                                grow = q // math.gcd(dens[i], q)
-                                nums[i] *= grow
-                                dens[i] *= grow
-                            nums[i] += w.numerator * (dens[i] // q)
-                        else:
-                            nums[i] += w
+                hits = [i for i, keep in enumerate(keeps) if keep(conf)]
+                if not hits:
+                    continue
+                w = spec.unnormalized_weight(lam)
+                if not w:
+                    continue
+                if exact_in:
+                    q = w.denominator
+                    if den % q:
+                        grow = q // math.gcd(den, q)
+                        nums = [a * grow for a in nums]
+                        den *= grow
+                    w = w.numerator * (den // q)
+                for i in hits:
+                    nums[i] += w
             n += 1
         if exact_in:
-            blocks = [Fraction(a, b) for a, b in zip(nums, dens)]
-            nums, dens = [0] * len(keeps), [1] * len(keeps)
+            blocks = [Fraction(a, den) for a in nums]
+            nums, den = [0] * len(keeps), 1
         else:
             blocks, nums = nums, [0.0] * len(keeps)
         increments = [abs(float(b)) for b in blocks]

@@ -26,6 +26,14 @@ class Partition:
                 raise ValueError(f"parts must be weakly decreasing, got {raw}")
         self.parts = tuple(p for p in raw if p)
 
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
+        """A partition from a tuple of positive ints already known to be weakly
+        decreasing, without the checks of the constructor."""
+        lam = object.__new__(cls)
+        lam.parts = parts
+        return lam
+
     # -- basic structure ---------------------------------------------------
 
     def size(self) -> int:
@@ -46,7 +54,7 @@ class Partition:
         for p in self.parts:
             for i in range(p):
                 cols[i] += 1
-        return Partition(cols)
+        return Partition._trusted(tuple(cols))
 
     def contains(self, other: "Partition") -> bool:
         """Containment of Young diagrams, mu subset-of self."""
@@ -78,7 +86,9 @@ class Partition:
 
         Below the length the positions are the trivial -i tail of the sea.
         """
-        return [self.part(i) - i for i in range(1, depth + 1)]
+        n = len(self.parts)
+        sea = range(-n - 1, -depth - 1, -1)
+        return [p - i for i, p in enumerate(self.parts[:depth], 1)] + list(sea)
 
     # -- dunder plumbing ----------------------------------------------------
 
@@ -139,13 +149,13 @@ def enumerate_partitions(max_size: int) -> Iterator[Partition]:
         raise ValueError("max_size must be >= 0")
     for n in range(max_size + 1):
         for parts in partitions_of(n):
-            yield Partition(parts)
+            yield Partition._trusted(parts)
 
 
 def partitions_of_size(n: int) -> Iterator[Partition]:
     """Partitions of exactly n, in the same deterministic order."""
     for parts in partitions_of(n):
-        yield Partition(parts)
+        yield Partition._trusted(parts)
 
 
 def symplectic_expansion_shapes(max_size: int) -> list[Partition]:

@@ -64,6 +64,8 @@ class Specialization:
         # integer tables (numerators, nested denominators) of the exact images
         self._h_table: tuple[list[int], list[int]] = ([1], [1])
         self._e_table: tuple[list[int], list[int]] = ([1], [1])
+        # per form, row m = [num[k] * (den[m] // den[k]) for k <= m] of its table
+        self._scaled: dict[str, list[list[int]]] = {"h": [], "e": []}
 
     # -- constructors ------------------------------------------------------
 
@@ -154,13 +156,40 @@ class Specialization:
         """Integer tables (num, den) with h_k = num[k] / den[k] for 0 <= k <= n,
         den[k] | den[k+1]; None when h_n is a float.
 
-        The lists are shared and only ever appended to; read indices <= n.
+        The lists are shared and only ever appended to (den after num); read
+        indices <= n.
         """
-        return None if isinstance(self.h(n), float) else self._h_table
+        return self._table(self._h_table, self.h, n)
 
     def e_table(self, n: int) -> tuple[list[int], list[int]] | None:
         """Integer tables of e_0..e_n, as `h_table`."""
-        return None if isinstance(self.e(n), float) else self._e_table
+        return self._table(self._e_table, self.e, n)
+
+    @staticmethod
+    def _table(table, image, n):
+        # an index the table already holds is exact; past it, the image decides
+        if len(table[1]) > n:
+            return table
+        return None if isinstance(image(n), float) else table
+
+    def scaled_table(self, form: str, m: int) -> tuple[list[list[int]], list[int]] | None:
+        """(rows, den) for the h images (form "h") or the e images (form "e"):
+        rows[j] = [num[k] * (den[j] // den[k]) for k <= j], the exact images
+        0..j times den[j], for 0 <= j <= m; None when the image at m is a float.
+
+        The rows are built on first request and shared; read indices <= m.
+        """
+        rows = self._scaled[form]
+        table, image = (self._h_table, self.h) if form == "h" else (self._e_table, self.e)
+        if len(rows) <= m:
+            if self._table(table, image, m) is None:
+                return None
+            num, den = table
+            with self._lock:
+                while len(rows) <= m:
+                    j = len(rows)
+                    rows.append([a * (den[j] // b) for a, b in zip(num[: j + 1], den)])
+        return rows, table[1]
 
     def _extend(self, n: int) -> None:
         with self._lock:

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sposchur import characters
 from sposchur.characters import (
+    character,
     character_series,
     o_char,
     o_char_series,
@@ -16,6 +18,7 @@ from sposchur.characters import (
     o_via_expansion,
     omega_dual_check,
     schur,
+    schur_factor,
     schur_via_e,
     series_determinant,
     skew_schur,
@@ -332,6 +335,53 @@ def test_sp_beyond_alphabet_rank_observed():
     assert isinstance(value, Fraction)
 
 
+def dispatch_specializations():
+    return [
+        Specialization.plancherel(Fraction(2, 5)),
+        Specialization.from_powersums({1: Fraction(3, 4), 2: Fraction(-2, 5), 3: Fraction(1, 6)}),
+        Specialization.from_alphabet([Fraction(1, 3), Fraction(-3, 5)]),
+        Specialization.from_bc_alphabet([Fraction(2, 3)], include_one=True),
+    ]
+
+
+def test_dispatch_matches_both_fixed_forms():
+    for rho in dispatch_specializations():
+        for lam in enumerate_partitions(10):
+            for got, h_form, e_form in (
+                (schur_factor, schur, schur_via_e),
+                (lambda lam, rho: character("sp", lam, rho), sp_char, sp_char_via_e),
+                (lambda lam, rho: character("o", lam, rho), o_char, o_char_via_e),
+            ):
+                value = got(lam, rho)
+                assert isinstance(value, Fraction), (lam, rho.kind)
+                assert value == h_form(lam, rho) == e_form(lam, rho), (lam, rho.kind)
+
+
+def test_dispatch_takes_the_e_form_only_for_exact_narrow_shapes(monkeypatch):
+    forms = {"schur": "schur_via_e", "sp_char": "sp_char_via_e", "o_char": "o_char_via_e"}
+    taken = []
+    for name in [*forms, *forms.values()]:
+        original = getattr(characters, name)
+        monkeypatch.setattr(
+            characters, name, lambda lam, rho, n=name, f=original: taken.append(n) or f(lam, rho)
+        )
+    calls = {
+        "schur": schur_factor,
+        "sp_char": lambda lam, rho: character("sp", lam, rho),
+        "o_char": lambda lam, rho: character("o", lam, rho),
+    }
+    for rho, exact in (
+        (Specialization.plancherel(Fraction(2, 5)), True),
+        (Specialization.plancherel(0.4), False),  # floats keep the h-form
+    ):
+        for lam in enumerate_partitions(6):
+            narrow = exact and lam.part(1) < lam.length()
+            for h_name, call in calls.items():
+                taken.clear()
+                call(lam, rho)
+                assert taken == [forms[h_name] if narrow else h_name], (lam, exact)
+
+
 def test_character_float_mode():
     rho = Specialization.plancherel(0.5)
     assert sp_char(Partition([2, 1]), rho) == pytest.approx(
@@ -455,7 +505,10 @@ def test_concurrent_table_growth_matches_serial():
         )
 
     def run(rho, part):
-        return [(schur(lam, rho), sp_char(lam, rho)) for lam in part]
+        return [
+            (schur(lam, rho), sp_char(lam, rho), schur_factor(lam, rho), character("o", lam, rho))
+            for lam in part
+        ]
 
     serial = run(fresh(), shapes)
     shared = fresh()

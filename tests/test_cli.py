@@ -146,6 +146,17 @@ def test_threaded_output_is_identical(tmp_path, monkeypatch):
     assert single == threaded
 
 
+def test_threaded_exact_correlations_are_identical(tmp_path, monkeypatch):
+    # the workers share the measure's specializations and grow their tables together
+    args = ("correlations", *_powersum_measure_argv("o-dual"))
+    monkeypatch.setenv("SPOSCHUR_THREADS", "1")
+    _, single = run_cli(tmp_path, *args)
+    monkeypatch.setenv("SPOSCHUR_THREADS", "2")
+    _, threaded = run_cli(tmp_path, *args)
+    assert single == threaded
+    assert single.count("\n") == 5  # the config line, the header and three rows
+
+
 def test_csv_schema_and_config_echo(tmp_path):
     code, text = run_cli(
         tmp_path, "correlations", "--family", "sp", "--theta", "0.2", "--points", "0"

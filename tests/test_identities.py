@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from sposchur import characters
 from sposchur.identities import (
     cauchy_check,
     character_sum_series,
@@ -12,6 +13,7 @@ from sposchur.identities import (
     normalization_series,
     omega_duality_check,
 )
+from sposchur.partitions import Partition
 from sposchur.series import GradedScalar
 from sposchur.specializations import Specialization
 
@@ -102,6 +104,21 @@ def test_suite_checks():
     assert jacobi_trudi_cross_check(rho, 6)
     assert expansion_cross_check(rho, 6)
     assert omega_duality_check(rho, 6)
+
+
+@pytest.mark.parametrize("e_form", ["schur_via_e", "sp_char_via_e", "o_char_via_e"])
+def test_jacobi_trudi_cross_check_catches_a_wrong_e_form(monkeypatch, e_form):
+    rho = Specialization.from_powersums({1: Fraction(1, 2), 2: Fraction(-2, 3), 3: 1})
+    original = getattr(characters, e_form)
+    wrong = Partition([2, 1, 1])
+
+    def mutated(lam, rho):
+        value = original(lam, rho)
+        return value + 1 if lam == wrong else value
+
+    monkeypatch.setattr(characters, e_form, mutated)
+    assert not jacobi_trudi_cross_check(rho, 4)
+    assert jacobi_trudi_cross_check(rho, 3)  # below |(2,1,1)| the forms still agree
 
 
 def test_log_normalization_rejects_bad_family():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from sposchur.characters import o_char, schur, sp_char
 from sposchur.errors import CutoffTooSmall, DivergentNormalization
 from sposchur.identities import FAMILIES, log_normalization_series
 from sposchur.kernels import correlation_det, lattice_kernel
@@ -97,6 +98,48 @@ def test_float_power_sum_beyond_the_eighth_sums_in_floats():
     floats = correlation_bruteforce(spec(1 / 3, 0.25), [0], tol=1e-9)
     assert mixed.cutoff > 9
     assert mixed.value == pytest.approx(floats.value, abs=1e-12)
+
+
+def test_weights_equal_the_h_form_products():
+    h_form = {"sp": sp_char, "o": o_char}
+    exact = MeasureSpec(
+        "sp",
+        Specialization.from_powersums({1: Fraction(2, 3), 2: Fraction(-1, 4), 3: Fraction(1, 5)}),
+        Specialization.from_powersums({1: Fraction(1, 2), 2: Fraction(1, 7)}),
+    )
+    for family in FAMILIES:
+        spec = MeasureSpec(family, exact.rho_plus, exact.rho_minus)
+        for lam in enumerate_partitions(8):
+            mu = lam.conjugate() if spec.dual else lam
+            want = h_form[spec.char_family](lam, spec.rho_plus) * schur(mu, spec.rho_minus)
+            assert spec.unnormalized_weight(lam) == want, (family, lam)
+    # float images keep the h-form determinants, bit for bit
+    spec = plancherel_measure("sp", 0.3)
+    for lam in list(enumerate_partitions(8))[1:]:
+        want = sp_char(lam, spec.rho_plus) * schur(lam, spec.rho_minus)
+        assert spec.unnormalized_weight(lam).hex() == want.hex(), lam
+
+
+def test_batch_sums_match_fraction_sums():
+    # each set's value is the plain Fraction sum of the weights up to the cutoff,
+    # and its tail estimate the last block of 4 sizes, whatever the other sets add
+    spec = MeasureSpec(
+        "o-dual",
+        Specialization.from_powersums({1: Fraction(1, 3), 2: Fraction(1, 8)}),
+        Specialization.from_powersums({1: Fraction(1, 4), 3: Fraction(-1, 6)}),
+    )
+    sets = [[0], [-1, 2], [3], [-2, 0, 1]]
+    results = correlation_bruteforce_batch(spec, sets)
+    for pts, res in zip(sets, results):
+        total = last = Fraction(0)
+        for lam in enumerate_partitions(res.cutoff):
+            if set(pts) <= _configuration_set(lam, 2):
+                w = spec.unnormalized_weight(lam)
+                total += w
+                if lam.size() > res.cutoff - 4:
+                    last += w
+        assert res.value.hex() == (float(total) / spec.z()).hex(), pts
+        assert res.tail_estimate == abs(float(last)) / spec.z() + 1e-15, pts
 
 
 def test_log_z_matches_log_normalization_series():
