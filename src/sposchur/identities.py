@@ -9,6 +9,25 @@ graded specialization and 0 for plain numbers (the alphabet side of the dual
 Cauchy identity).  Both sides of every identity are then finite polynomials
 modulo t^(D+1) and can be compared exactly.
 
+The checks test one family and one bound per call, and a run makes many such
+calls on the same specializations, so `character_sum_series` looks up every
+per-partition factor in the memo of the specialization it is evaluated at
+(`Specialization.memo`) and runs the dispatchers of `characters` only on a
+miss.  Keys are (family, parts, degree):
+
+    ("sp" | "o", lambda.parts, D)     graded character at rho+, truncated at t^D
+    ("sp" | "o", lambda.parts, None)  exact character at rho+ (weight_plus=0)
+    ("s", mu.parts, None)             s_mu(rho-), mu = lambda' for the dual
+                                      families, so plain and dual sums share it
+
+A memo lives and dies with its specialization.  The values are exact, so a
+hit returns what a miss computes, and two threads that miss together store
+equal values.  Nothing else fills the memo: the brute-force weights
+(`MeasureSpec.unnormalized_weight`) visit up to 10^6 partitions once each,
+and the fixed-form functions (`schur`, `sp_char`, `o_char`, their `_via_e`
+twins, `skew_schur`) stay uncached so that the cross-checks below compare
+independently computed determinants.
+
 Closed forms used throughout (log of the right-hand sides):
 
     sum sp_l(r+) s_l(r-)   : sum_k [ p+_k p-_k / k ] + [ p-_{2k}/(2k) - (p-_k)^2/(2k) ]
@@ -20,6 +39,7 @@ Closed forms used throughout (log of the right-hand sides):
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable
 
 from .characters import character, character_series, o_char, schur, schur_factor, sp_char
 from .partitions import Partition, enumerate_partitions
@@ -82,6 +102,22 @@ def normalization_series(
     return log_normalization_series(family, rho_plus, rho_minus, degree, weight_plus).exp()
 
 
+def _memoized(rho: Specialization, key: tuple, evaluate: Callable):
+    """rho.memo[key], stored from evaluate() on a miss."""
+    value = rho.memo.get(key)
+    if value is None:
+        value = rho.memo[key] = evaluate()
+    return value
+
+
+def _shifted(x: GradedScalar, power: int) -> GradedScalar:
+    """x * t^power, truncated at x's degree: a shift, not a convolution."""
+    nums = x.numerators
+    return GradedScalar.from_numerators(
+        [0] * power + list(nums[: len(nums) - power]), x.denominator
+    )
+
+
 def character_sum_series(
     family: str,
     rho_plus: Specialization,
@@ -95,7 +131,8 @@ def character_sum_series(
 
     Dual families conjugate lambda in the Schur factor.  Optional bounds
     restrict the sum to length(lambda) <= length_bound or lambda_1 <=
-    width_bound (the Gessel-restricted sums).
+    width_bound (the Gessel-restricted sums).  Both factors go through the
+    specializations' memos (see the module docstring).
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -110,14 +147,21 @@ def character_sum_series(
             continue
         if width_bound is not None and lam.part(1) > width_bound:
             continue
-        s = schur_factor(lam.conjugate() if dual else lam, rho_minus)
+        mu = lam.conjugate() if dual else lam
+        s = _memoized(rho_minus, ("s", mu.parts, None), lambda: schur_factor(mu, rho_minus))
         if not s:
             continue
-        s_part = GradedScalar.monomial(s, lam.size(), degree)
+        # the Schur factor is the monomial s t^|lambda|: scale, then shift
         if weight_plus:
-            term = character_series(base, lam, rho_plus, degree) * s_part
+            c = _memoized(
+                rho_plus,
+                (base, lam.parts, degree),
+                lambda: character_series(base, lam, rho_plus, degree),
+            )
+            term = _shifted(c * s, lam.size())
         else:
-            term = character(base, lam, rho_plus) * s_part
+            c = _memoized(rho_plus, (base, lam.parts, None), lambda: character(base, lam, rho_plus))
+            term = GradedScalar.monomial(c * s, lam.size(), degree)
         if term:
             out = out + term
     return out

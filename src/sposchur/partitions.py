@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 class Partition:
     """Weakly decreasing tuple of positive integers."""
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "_conj")
 
     def __init__(self, parts: Iterable[int] = ()):
         raw = tuple(int(p) for p in parts)
@@ -25,13 +25,16 @@ class Partition:
             if i and raw[i - 1] < p:
                 raise ValueError(f"parts must be weakly decreasing, got {raw}")
         self.parts = tuple(p for p in raw if p)
+        self._conj = None
 
     @classmethod
-    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
+    def _trusted(cls, parts: tuple[int, ...], conj: tuple[int, ...] | None = None) -> "Partition":
         """A partition from a tuple of positive ints already known to be weakly
-        decreasing, without the checks of the constructor."""
+        decreasing, without the checks of the constructor; `conj`, when given,
+        must be the parts of its conjugate."""
         lam = object.__new__(cls)
         lam.parts = parts
+        lam._conj = conj
         return lam
 
     # -- basic structure ---------------------------------------------------
@@ -47,14 +50,20 @@ class Partition:
         return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
 
     def conjugate(self) -> "Partition":
-        """Transpose of the Young diagram: lambda'_i = #{j : lambda_j >= i}."""
-        if not self.parts:
-            return Partition()
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for i in range(p):
-                cols[i] += 1
-        return Partition._trusted(tuple(cols))
+        """Transpose of the Young diagram: lambda'_i = #{j : lambda_j >= i}.
+
+        The parts of the conjugate are computed once per partition and kept,
+        and the conjugate returned holds these parts as its own conjugate's,
+        so conjugating back computes nothing.
+        """
+        conj = self._conj
+        if conj is None:
+            cols = [0] * (self.parts[0] if self.parts else 0)
+            for p in self.parts:
+                for i in range(p):
+                    cols[i] += 1
+            conj = self._conj = tuple(cols)
+        return Partition._trusted(conj, self.parts)
 
     def contains(self, other: "Partition") -> bool:
         """Containment of Young diagrams, mu subset-of self."""

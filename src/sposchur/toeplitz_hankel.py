@@ -27,6 +27,7 @@ an estimate of the truncation error, not a bound on it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -128,14 +129,16 @@ def th_det(sym: Symbol, which: str, size: int):
 
 
 def th_det_series(sym: Symbol, which: str, size: int, degree: int) -> GradedScalar:
-    """Exact graded Toeplitz+Hankel determinant, modulo t^(degree+1)."""
+    """Exact graded Toeplitz+Hankel determinant, modulo t^(degree+1).
+
+    The matrix reads each of its ~3 size distinct indices up to 2 size times;
+    each coefficient is computed once.
+    """
     series = th_pattern(which).symbol
     if size < 0:
         raise ValueError("size must be >= 0")
-    rows = th_rows(
-        which, [0] * size, lambda k: sym.fourier_series_coeff(series, k, degree)
-    )
-    return th_determinant(rows, degree)
+    coeff = functools.cache(lambda k: sym.fourier_series_coeff(series, k, degree))
+    return th_determinant(th_rows(which, [0] * size, coeff), degree)
 
 
 def gessel_check(sym: Symbol, which: str, size: int, degree: int) -> bool:

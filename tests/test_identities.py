@@ -1,3 +1,4 @@
+import collections
 import random
 from fractions import Fraction
 
@@ -13,9 +14,11 @@ from sposchur.identities import (
     normalization_series,
     omega_duality_check,
 )
+from sposchur.measures import MeasureSpec, correlation_bruteforce_batch
 from sposchur.partitions import Partition
 from sposchur.series import GradedScalar
 from sposchur.specializations import Specialization
+from sposchur.toeplitz_hankel import Symbol, gessel_check
 
 
 def random_rational_specialization(rng, kmax=3):
@@ -125,3 +128,84 @@ def test_log_normalization_rejects_bad_family():
     rho = Specialization.zero()
     with pytest.raises(ValueError):
         log_normalization_series("nope", rho, rho, 4)
+
+
+# ---------------------------------------------------------------------------
+# the per-specialization memo of the identity sums
+# ---------------------------------------------------------------------------
+
+BOUNDS = [{}] + [{key: b} for key in ("length_bound", "width_bound") for b in range(1, 5)]
+
+
+def assert_memo_is_invisible(make_plus, make_minus, degrees, families, weight_plus):
+    """Each sum on one reused pair of specializations equals it on a fresh pair."""
+    plus, minus = make_plus(), make_minus()
+    for degree in degrees:
+        for family in families:
+            for bounds in BOUNDS:
+                reused = character_sum_series(family, plus, minus, degree, weight_plus, **bounds)
+                fresh = character_sum_series(
+                    family, make_plus(), make_minus(), degree, weight_plus, **bounds
+                )
+                assert reused == fresh, (family, degree, weight_plus, bounds)
+
+
+def test_memo_returns_what_fresh_specializations_compute():
+    # degree 6, then 8 on the same specializations: a key without the degree
+    # would hand the degree-6 characters to the degree-8 sums, and a key
+    # without the dual flag the Schur factor of lambda to the dual sums
+    def plus():
+        return Specialization.from_powersums({1: Fraction(1, 2), 2: Fraction(-2, 3), 3: 1})
+
+    def minus():
+        return Specialization.from_powersums({1: Fraction(3, 4), 2: Fraction(1, 5)})
+
+    assert_memo_is_invisible(plus, minus, (6, 8), ("sp", "o", "sp-dual", "o-dual"), 1)
+
+
+def test_memo_returns_what_fresh_specializations_compute_on_the_alphabet_path():
+    def plus():
+        return Specialization.from_bc_alphabet([Fraction(1, 2), Fraction(2, 5)])
+
+    def minus():
+        return Specialization.from_alphabet([Fraction(1, 3), Fraction(1, 7)])
+
+    assert_memo_is_invisible(plus, minus, (4, 6), ("sp-dual", "o-dual", "sp", "o"), 0)
+    # exact and graded characters of one specialization keep apart
+    rho = plus()
+    y = minus()
+    exact = character_sum_series("sp", rho, y, 6, weight_plus=0)
+    graded = character_sum_series("sp", rho, y, 6)
+    assert exact == character_sum_series("sp", plus(), y, 6, weight_plus=0)
+    assert graded == character_sum_series("sp", plus(), y, 6)
+    assert exact != graded
+
+
+def test_brute_force_weights_fill_no_memo():
+    for family in ("sp", "o", "sp-dual", "o-dual"):
+        spec = MeasureSpec(family, Specialization.plancherel(Fraction(2, 5)),
+                           Specialization.plancherel(Fraction(1, 5)))
+        correlation_bruteforce_batch(spec, [[0], [-1, 2]])
+        assert spec.rho_plus.memo == {} and spec.rho_minus.memo == {}
+
+
+def test_gessel_sweep_evaluates_each_character_once(monkeypatch):
+    """A memo miss changes no value, so only a count catches it."""
+    seen = collections.Counter()
+    original = characters._jacobi_trudi
+
+    def counting(rho, form, offsets, reach, row, degree=None):
+        # the row builder's code and captured pattern tell sp, o and Schur apart
+        cells = tuple(cell.cell_contents for cell in row.__closure__ or ())
+        seen[id(rho), form, tuple(offsets), reach, degree, row.__code__, cells] += 1
+        return original(rho, form, offsets, reach, row, degree)
+
+    monkeypatch.setattr(characters, "_jacobi_trudi", counting)
+    sym = Symbol(
+        Specialization.from_powersums({1: Fraction(2, 3), 2: Fraction(-1, 4)}),
+        Specialization.from_powersums({1: Fraction(1, 2), 2: Fraction(1, 3)}),
+    )
+    for which in ("D1", "D2", "D3", "D4"):
+        for size in range(1, 5):
+            assert gessel_check(sym, which, size, 8)
+    assert seen and max(seen.values()) == 1

@@ -120,6 +120,25 @@ def test_weights_equal_the_h_form_products():
         assert spec.unnormalized_weight(lam).hex() == want.hex(), lam
 
 
+def test_each_weight_conjugates_lambda_at_most_once(monkeypatch):
+    computed = []
+    original = Partition.conjugate
+
+    def counting(lam):
+        computed.append(lam._conj is None)  # no parts kept yet: this call computes them
+        return original(lam)
+
+    monkeypatch.setattr(Partition, "conjugate", counting)
+    for family in FAMILIES:
+        for theta in (Fraction(2, 5), 0.4):
+            spec = MeasureSpec(family, Specialization.plancherel(theta),
+                               Specialization.plancherel(theta / 2))
+            for lam in enumerate_partitions(7):
+                computed.clear()
+                spec.unnormalized_weight(lam)
+                assert sum(computed) <= 1, (family, theta, lam)
+
+
 def test_batch_sums_match_fraction_sums():
     # each set's value is the plain Fraction sum of the weights up to the cutoff,
     # and its tail estimate the last block of 4 sizes, whatever the other sets add

@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 from fractions import Fraction
@@ -130,6 +131,22 @@ def test_gessel_identities_past_size_four():
         for which in ("D1", "D2", "D3", "D4"):
             for size in (5, 6):
                 assert gessel_check(sym, which, size, degree=10), (which, size)
+
+
+def test_th_det_series_computes_each_coefficient_once(monkeypatch):
+    calls = collections.Counter()
+    original = Symbol.fourier_series_coeff
+
+    def counting(sym, which, s, degree):
+        calls[which, s, degree] += 1
+        return original(sym, which, s, degree)
+
+    monkeypatch.setattr(Symbol, "fourier_series_coeff", counting)
+    sym = Symbol.plancherel(Fraction(1, 2))
+    for which in TH_PATTERNS:
+        calls.clear()
+        th_det_series(sym, which, 4, 6)
+        assert calls and max(calls.values()) == 1, which
 
 
 def test_negative_sizes_raise():
