@@ -10,19 +10,30 @@ Cauchy identity).  Both sides of every identity are then finite polynomials
 modulo t^(D+1) and can be compared exactly.
 
 The checks test one family and one bound per call, and a run makes many such
-calls on the same specializations, so `character_sum_series` looks up every
-per-partition factor in the memo of the specialization it is evaluated at
-(`Specialization.memo`) and runs the dispatchers of `characters` only on a
-miss.  Keys are (family, parts, degree):
+calls on the same specializations, so `character_sum_series` keeps its sums
+in the memos of the specializations it evaluates (`Specialization.memo`).  A
+length or width bound admits or excludes whole cells of partitions with the
+same (length(lambda), lambda_1), so the memo of rho+ holds, per (family, D,
+weight_plus, rho-), the partitions |lambda| <= D grouped by cell (one walk)
+and the exact sum of each cell computed so far.  A call adds the sums of
+the cells its bounds admit and computes only the missing ones, each as one
+sum of its terms over the lcm of their denominators.  The cells fill
+lazily, so the first bounded sum of a pair evaluates no factor outside its
+bound.  A cell's terms look up their per-partition factors in the memos too,
+so sums of other families or degrees on the same specializations evaluate
+each factor once.  Keys:
 
+    (family, D, weight_plus, rho-)    at rho+: (cells, sums of the cells
+                                      computed so far)
     ("sp" | "o", lambda.parts, D)     graded character at rho+, truncated at t^D
     ("sp" | "o", lambda.parts, None)  exact character at rho+ (weight_plus=0)
     ("s", mu.parts, None)             s_mu(rho-), mu = lambda' for the dual
                                       families, so plain and dual sums share it
 
-A memo lives and dies with its specialization.  The values are exact, so a
-hit returns what a miss computes, and two threads that miss together store
-equal values.  Nothing else fills the memo: the brute-force weights
+A memo lives and dies with its specialization; the memo of rho+ keeps rho-
+alive as long as it lives.  The values are exact, so a hit returns what a
+miss computes, and two threads that miss together store equal values.
+Nothing else fills the memo: the brute-force weights
 (`MeasureSpec.unnormalized_weight`) visit up to 10^6 partitions once each,
 and the fixed-form functions (`schur`, `sp_char`, `o_char`, their `_via_e`
 twins, `skew_schur`) stay uncached so that the cross-checks below compare
@@ -72,9 +83,13 @@ def log_normalization_series(
     degree: int,
     weight_plus: int = 1,
 ) -> GradedScalar:
-    """log Z as a graded series, for any of the four measure families."""
+    """log Z as a graded series, for any of the four measure families.
+
+    `weight_plus` is the grading weight of rho+, 0 or 1 (module docstring).
+    """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    _check_weight_plus(weight_plus)
     coeffs = [Fraction(0)] * (degree + 1)
     for k in range(1, degree + 1):
         d = (weight_plus + 1) * k
@@ -110,12 +125,48 @@ def _memoized(rho: Specialization, key: tuple, evaluate: Callable):
     return value
 
 
+def _check_weight_plus(weight_plus) -> None:
+    if weight_plus not in (0, 1):
+        raise ValueError(f"weight_plus must be 0 or 1, got {weight_plus!r}")
+
+
 def _shifted(x: GradedScalar, power: int) -> GradedScalar:
     """x * t^power, truncated at x's degree: a shift, not a convolution."""
     nums = x.numerators
     return GradedScalar.from_numerators(
         [0] * power + list(nums[: len(nums) - power]), x.denominator
     )
+
+
+def _cell_sum(
+    family: str,
+    partitions: list[Partition],
+    rho_plus: Specialization,
+    rho_minus: Specialization,
+    degree: int,
+    weight_plus: int,
+) -> GradedScalar:
+    """sum over the given partitions of (sp/o)_lambda(rho+) s_lambda(rho-)."""
+    base = family.removesuffix("-dual")
+    dual = base != family
+    terms = []
+    for lam in partitions:
+        mu = lam.conjugate() if dual else lam
+        s = _memoized(rho_minus, ("s", mu.parts, None), lambda: schur_factor(mu, rho_minus))
+        if not s:
+            continue
+        # the Schur factor is the monomial s t^|lambda|: scale, then shift
+        if weight_plus:
+            c = _memoized(
+                rho_plus,
+                (base, lam.parts, degree),
+                lambda: character_series(base, lam, rho_plus, degree),
+            )
+            terms.append(_shifted(c * s, lam.size()))
+        else:
+            c = _memoized(rho_plus, (base, lam.parts, None), lambda: character(base, lam, rho_plus))
+            terms.append(GradedScalar.monomial(c * s, lam.size(), degree))
+    return GradedScalar.sum(terms, degree)
 
 
 def character_sum_series(
@@ -130,41 +181,36 @@ def character_sum_series(
     """sum over lambda of (sp/o)_lambda(rho+) s_lambda(rho-), degree by degree.
 
     Dual families conjugate lambda in the Schur factor.  Optional bounds
-    restrict the sum to length(lambda) <= length_bound or lambda_1 <=
-    width_bound (the Gessel-restricted sums).  Both factors go through the
-    specializations' memos (see the module docstring).
+    restrict the sum to length(lambda) <= length_bound and lambda_1 <=
+    width_bound (the Gessel-restricted sums).  The sum adds the memoized
+    sums of the (length, lambda_1) cells the bounds admit, and computes the
+    missing ones from per-partition factors that are memoized too (see the
+    module docstring).  `weight_plus` must be 0 or 1.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    out = GradedScalar.zero(degree)
-    base = family.removesuffix("-dual")
-    dual = base != family
-    # the Schur factor contributes degree |lambda|, and the graded sp/o factor
-    # is a series with terms down to degree 0, so every partition with
-    # |lambda| <= degree can reach degree <= D
-    for lam in enumerate_partitions(degree):
-        if length_bound is not None and lam.length() > length_bound:
-            continue
-        if width_bound is not None and lam.part(1) > width_bound:
-            continue
-        mu = lam.conjugate() if dual else lam
-        s = _memoized(rho_minus, ("s", mu.parts, None), lambda: schur_factor(mu, rho_minus))
-        if not s:
-            continue
-        # the Schur factor is the monomial s t^|lambda|: scale, then shift
-        if weight_plus:
-            c = _memoized(
-                rho_plus,
-                (base, lam.parts, degree),
-                lambda: character_series(base, lam, rho_plus, degree),
-            )
-            term = _shifted(c * s, lam.size())
-        else:
-            c = _memoized(rho_plus, (base, lam.parts, None), lambda: character(base, lam, rho_plus))
-            term = GradedScalar.monomial(c * s, lam.size(), degree)
-        if term:
-            out = out + term
-    return out
+    _check_weight_plus(weight_plus)
+    key = (family, degree, weight_plus, rho_minus)
+    cells = rho_plus.memo.get(key)
+    if cells is None:
+        # the Schur factor contributes degree |lambda|, and the graded sp/o
+        # factor is a series with terms down to degree 0, so every partition
+        # with |lambda| <= degree can reach degree <= D
+        groups: dict[tuple[int, int], list[Partition]] = {}
+        for lam in enumerate_partitions(degree):
+            groups.setdefault((lam.length(), lam.part(1)), []).append(lam)
+        cells = rho_plus.memo.setdefault(key, (groups, {}))
+    groups, sums = cells
+    admitted = [
+        cell
+        for cell in groups
+        if (length_bound is None or cell[0] <= length_bound)
+        and (width_bound is None or cell[1] <= width_bound)
+    ]
+    for cell in admitted:
+        if cell not in sums:
+            sums[cell] = _cell_sum(family, groups[cell], rho_plus, rho_minus, degree, weight_plus)
+    return GradedScalar.sum([sums[cell] for cell in admitted], degree)
 
 
 def cauchy_check(

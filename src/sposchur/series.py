@@ -86,6 +86,20 @@ class GradedScalar:
             nums[power] = c.numerator
         return cls.from_numerators(nums, c.denominator)
 
+    @classmethod
+    def sum(cls, terms: Sequence["GradedScalar"], degree: int) -> "GradedScalar":
+        """The sum of series truncated at `degree`, over the lcm of their
+        denominators: one lcm and one gcd for the whole sum."""
+        den = math.lcm(*(x.denominator for x in terms))
+        nums = [0] * (degree + 1)
+        for x in terms:
+            if x.degree != degree:
+                raise ValueError(f"mixed truncation degrees {x.degree} and {degree}")
+            scale = den // x.denominator
+            for n, a in enumerate(x.numerators):
+                nums[n] += a * scale
+        return cls.from_numerators(nums, den)
+
     # -- inspection ----------------------------------------------------------
 
     @property

@@ -21,8 +21,10 @@ from index k on a float, and the tables stop below it.  Caches and tables are
 grown under a lock so specializations can be shared across threads.
 
 `Specialization.memo` holds the characters and Schur factors that
-`identities.character_sum_series` has evaluated at this specialization (see
-that module for its keys); it lives and dies with the specialization.
+`identities.character_sum_series` has evaluated at this specialization and,
+at rho+, its sums by (length, lambda_1) cell per (family, degree,
+weight_plus, rho-) (see that module for its keys); it lives and dies with
+the specialization.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ class Specialization:
         self._e_table: tuple[list[int], list[int]] = ([1], [1])
         # per form, row m = [num[k] * (den[m] // den[k]) for k <= m] of its table
         self._scaled: dict[str, list[list[int]]] = {"h": [], "e": []}
-        # per-partition factors of the identity sums evaluated at this
-        # specialization, filled by `identities.character_sum_series` only
+        # per-partition factors and cell sums of the identity sums evaluated
+        # at this specialization, filled by `identities.character_sum_series` only
         self.memo: dict[tuple, object] = {}
 
     # -- constructors ------------------------------------------------------

@@ -27,7 +27,6 @@ an estimate of the truncation error, not a bound on it.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -71,6 +70,8 @@ class Symbol:
         self.rho_plus = rho_plus
         self.rho_minus = rho_minus
         self.plancherel_theta: float | None = None
+        # graded Fourier coefficients by (series, index, degree), filled by th_det_series
+        self.series_coeffs: dict[tuple[str, int, int], GradedScalar] = {}
         f = SymbolF.exp_laurent(
             [(pv, k, False) for k, pv in powersum_table(rho_plus)]
             + [(pv, -k, False) for k, pv in powersum_table(rho_minus)],
@@ -131,13 +132,22 @@ def th_det(sym: Symbol, which: str, size: int):
 def th_det_series(sym: Symbol, which: str, size: int, degree: int) -> GradedScalar:
     """Exact graded Toeplitz+Hankel determinant, modulo t^(degree+1).
 
-    The matrix reads each of its ~3 size distinct indices up to 2 size times;
-    each coefficient is computed once.
+    The matrix reads each of its ~3 size distinct indices up to 2 size times,
+    and D1/D3 share f, D2/D4 share f~ across sizes; each coefficient is
+    computed once per symbol and kept in `sym.series_coeffs`.
     """
     series = th_pattern(which).symbol
     if size < 0:
         raise ValueError("size must be >= 0")
-    coeff = functools.cache(lambda k: sym.fourier_series_coeff(series, k, degree))
+    coeffs = sym.series_coeffs
+
+    def coeff(k: int) -> GradedScalar:
+        key = (series, k, degree)
+        value = coeffs.get(key)
+        if value is None:
+            value = coeffs[key] = sym.fourier_series_coeff(series, k, degree)
+        return value
+
     return th_determinant(th_rows(which, [0] * size, coeff), degree)
 
 

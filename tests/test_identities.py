@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from sposchur import characters
+from sposchur import characters, identities
 from sposchur.identities import (
     cauchy_check,
     character_sum_series,
@@ -15,7 +15,7 @@ from sposchur.identities import (
     omega_duality_check,
 )
 from sposchur.measures import MeasureSpec, correlation_bruteforce_batch
-from sposchur.partitions import Partition
+from sposchur.partitions import Partition, enumerate_partitions
 from sposchur.series import GradedScalar
 from sposchur.specializations import Specialization
 from sposchur.toeplitz_hankel import Symbol, gessel_check
@@ -130,24 +130,71 @@ def test_log_normalization_rejects_bad_family():
         log_normalization_series("nope", rho, rho, 4)
 
 
+@pytest.mark.parametrize("weight_plus", [2, -1, Fraction(1, 2)])
+def test_grading_weights_other_than_0_and_1_raise(weight_plus):
+    # the sum knows only graded (1) and plain (0) characters at rho+, while
+    # log Z would scale the cross degrees by any weight: a true identity
+    # compared False at weight 2, and weight -1 failed inside exp
+    rp = Specialization.from_powersums({1: Fraction(1, 2), 2: Fraction(1, 3)})
+    rm = Specialization.from_powersums({1: Fraction(1, 4)})
+    for call in (cauchy_check, character_sum_series, log_normalization_series):
+        with pytest.raises(ValueError, match="weight_plus must be 0 or 1"):
+            call("sp", rp, rm, 6, weight_plus)
+
+
 # ---------------------------------------------------------------------------
 # the per-specialization memo of the identity sums
 # ---------------------------------------------------------------------------
 
-BOUNDS = [{}] + [{key: b} for key in ("length_bound", "width_bound") for b in range(1, 5)]
+# from small to large admitted sets: both bounds at once, bounds past the degree
+BOUNDS = (
+    [{"length_bound": 0}, {"length_bound": 1, "width_bound": 1}]
+    + [{key: b} for b in range(1, 5) for key in ("length_bound", "width_bound")]
+    + [{"length_bound": 2, "width_bound": 3}, {"length_bound": 3, "width_bound": 2}]
+    + [{"length_bound": 9}, {"width_bound": 12}, {"length_bound": 20, "width_bound": 20}, {}]
+)
+
+
+def walk_sum(family, rho_plus, rho_minus, degree, weight_plus, bounds):
+    """The unmemoized sum: one walk over |lambda| <= degree, term by term."""
+    base = family.removesuffix("-dual")
+    out = GradedScalar.zero(degree)
+    for lam in enumerate_partitions(degree):
+        if lam.length() > bounds.get("length_bound", degree):
+            continue
+        if lam.part(1) > bounds.get("width_bound", degree):
+            continue
+        mu = lam.conjugate() if base != family else lam
+        s = GradedScalar.monomial(characters.schur(mu, rho_minus), lam.size(), degree)
+        if weight_plus:
+            out = out + characters.character_series(base, lam, rho_plus, degree) * s
+        else:
+            out = out + s * characters.character(base, lam, rho_plus)
+    return out
 
 
 def assert_memo_is_invisible(make_plus, make_minus, degrees, families, weight_plus):
-    """Each sum on one reused pair of specializations equals it on a fresh pair."""
-    plus, minus = make_plus(), make_minus()
+    """Each sum on one reused pair of specializations equals the walk on a
+    fresh pair, with bounds requested from small to large on one pair and
+    from large to small on another."""
+    expected = {}
     for degree in degrees:
         for family in families:
-            for bounds in BOUNDS:
-                reused = character_sum_series(family, plus, minus, degree, weight_plus, **bounds)
-                fresh = character_sum_series(
-                    family, make_plus(), make_minus(), degree, weight_plus, **bounds
+            for i, bounds in enumerate(BOUNDS):
+                expected[degree, family, i] = walk_sum(
+                    family, make_plus(), make_minus(), degree, weight_plus, bounds
                 )
-                assert reused == fresh, (family, degree, weight_plus, bounds)
+    for order in (range(len(BOUNDS)), range(len(BOUNDS) - 1, -1, -1)):
+        plus, minus = make_plus(), make_minus()
+        for degree in degrees:
+            for family in families:
+                for i in order:
+                    reused = character_sum_series(
+                        family, plus, minus, degree, weight_plus, **BOUNDS[i]
+                    )
+                    assert reused == expected[degree, family, i], (
+                        family, degree, weight_plus, BOUNDS[i]
+                    )
 
 
 def test_memo_returns_what_fresh_specializations_compute():
@@ -161,6 +208,14 @@ def test_memo_returns_what_fresh_specializations_compute():
         return Specialization.from_powersums({1: Fraction(3, 4), 2: Fraction(1, 5)})
 
     assert_memo_is_invisible(plus, minus, (6, 8), ("sp", "o", "sp-dual", "o-dual"), 1)
+    # the cells of rho+ are kept per rho-: a second rho- gets its own sums
+    rho, other = plus(), Specialization.from_powersums({1: Fraction(-1, 3)})
+    assert character_sum_series("sp", rho, minus(), 6, length_bound=2) != (
+        character_sum_series("sp", rho, other, 6, length_bound=2)
+    )
+    assert character_sum_series("sp", rho, other, 6, length_bound=2) == (
+        walk_sum("sp", plus(), other, 6, 1, {"length_bound": 2})
+    )
 
 
 def test_memo_returns_what_fresh_specializations_compute_on_the_alphabet_path():
@@ -189,6 +244,13 @@ def test_brute_force_weights_fill_no_memo():
         assert spec.rho_plus.memo == {} and spec.rho_minus.memo == {}
 
 
+def gessel_symbol():
+    return Symbol(
+        Specialization.from_powersums({1: Fraction(2, 3), 2: Fraction(-1, 4)}),
+        Specialization.from_powersums({1: Fraction(1, 2), 2: Fraction(1, 3)}),
+    )
+
+
 def test_gessel_sweep_evaluates_each_character_once(monkeypatch):
     """A memo miss changes no value, so only a count catches it."""
     seen = collections.Counter()
@@ -201,11 +263,45 @@ def test_gessel_sweep_evaluates_each_character_once(monkeypatch):
         return original(rho, form, offsets, reach, row, degree)
 
     monkeypatch.setattr(characters, "_jacobi_trudi", counting)
-    sym = Symbol(
-        Specialization.from_powersums({1: Fraction(2, 3), 2: Fraction(-1, 4)}),
-        Specialization.from_powersums({1: Fraction(1, 2), 2: Fraction(1, 3)}),
-    )
+    sym = gessel_symbol()
     for which in ("D1", "D2", "D3", "D4"):
         for size in range(1, 5):
             assert gessel_check(sym, which, size, 8)
     assert seen and max(seen.values()) == 1
+
+
+def test_gessel_sweep_walks_the_partitions_once_per_family(monkeypatch):
+    walks = collections.Counter()
+    original = identities.enumerate_partitions
+
+    def counting(degree):
+        walks[degree] += 1
+        return original(degree)
+
+    monkeypatch.setattr(identities, "enumerate_partitions", counting)
+    sym = gessel_symbol()
+    for which in ("D1", "D2", "D3", "D4"):
+        for size in range(1, 5):
+            assert gessel_check(sym, which, size, 8)
+    assert walks == {8: 2}  # D1/D2 share the sp cells, D3/D4 the o cells
+
+
+def test_a_length_bound_evaluates_no_longer_character(monkeypatch):
+    # the cells a bound excludes stay empty until a call admits them, so the
+    # first bounded sum of a pair does not pay for the whole Cauchy sum
+    lengths = []
+    character_series, schur_factor = identities.character_series, identities.schur_factor
+
+    def recording_character(family, lam, rho, degree):
+        lengths.append(lam.length())
+        return character_series(family, lam, rho, degree)
+
+    def recording_schur(mu, rho):
+        lengths.append(mu.length())
+        return schur_factor(mu, rho)
+
+    monkeypatch.setattr(identities, "character_series", recording_character)
+    monkeypatch.setattr(identities, "schur_factor", recording_schur)
+    sym = gessel_symbol()
+    assert gessel_check(sym, "D1", 1, 8)
+    assert lengths and max(lengths) == 1

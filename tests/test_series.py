@@ -49,6 +49,8 @@ def test_ring_axioms_smoke():
     assert a * GradedScalar.one(2) == a
     # truncated product
     assert b * b == GradedScalar([0, 0, "1/9"])
+    with pytest.raises(ValueError, match="mixed truncation degrees"):
+        GradedScalar.sum([a, GradedScalar([1])], 2)
 
 
 @given(same_degree(series_strategy, series_strategy, series_strategy))
@@ -153,6 +155,7 @@ def test_operations_match_fraction_reference(absv, c):
     ca, cb, cs = list(a.coeffs), list(b.coeffs), list(s.coeffs)
     assert_matches(a + b, [x + y for x, y in zip(ca, cb)])
     assert_matches(a - b, [x - y for x, y in zip(ca, cb)])
+    assert_matches(GradedScalar.sum([a, b, s], a.degree), [x + y + z for x, y, z in zip(ca, cb, cs)])
     assert_matches(a * b, ref_mul(ca, cb))
     assert_matches(a * c, [x * c for x in ca])
     assert_matches(s.exp(), ref_exp(cs))
@@ -177,6 +180,7 @@ def test_canonical_form_is_route_independent():
         GradedScalar([-3, 0]) / -6,
         GradedScalar([Fraction(1, 6), Fraction(1, 3)]) * 3 - GradedScalar([0, 1]),
         GradedScalar([2, 0]).inverse(),
+        GradedScalar.sum([GradedScalar([Fraction(1, 6), 0]), GradedScalar([Fraction(1, 3), 0])], 1),
     ]
     for s in routes:
         assert (s.numerators, s.denominator, hash(s)) == ((1, 0), 2, hash(half))
@@ -184,6 +188,8 @@ def test_canonical_form_is_route_independent():
     zero = GradedScalar([Fraction(5, 7), 1]) - GradedScalar([Fraction(5, 7), 1])
     assert (zero.numerators, zero.denominator) == ((0, 0), 1)
     assert zero == GradedScalar.zero(1) == 0
+    empty = GradedScalar.sum([], 1)
+    assert (empty.numerators, empty.denominator) == ((0, 0), 1)
 
 
 def test_inverse_of_a_negative_constant_term():

@@ -143,10 +143,17 @@ def test_th_det_series_computes_each_coefficient_once(monkeypatch):
 
     monkeypatch.setattr(Symbol, "fourier_series_coeff", counting)
     sym = Symbol.plancherel(Fraction(1, 2))
+    # D1/D3 read f and D2/D4 read f~, at overlapping indices across sizes
     for which in TH_PATTERNS:
-        calls.clear()
-        th_det_series(sym, which, 4, 6)
-        assert calls and max(calls.values()) == 1, which
+        for size in range(1, 5):
+            th_det_series(sym, which, size, 6)
+    assert calls and max(calls.values()) <= 1
+    assert {which for which, _s, _d in calls} == {"f", "f_tilde"}
+    # the kept coefficients are truncated at their degree: another degree
+    # on the same symbol computes its own
+    fresh = Symbol.plancherel(Fraction(1, 2))
+    for which in TH_PATTERNS:
+        assert th_det_series(sym, which, 3, 8) == th_det_series(fresh, which, 3, 8)
 
 
 def test_negative_sizes_raise():
