@@ -32,7 +32,7 @@ from .kernels import (
     KernelConfig,
     SymbolF,
     kernel_bessel_with_error,
-    kernel_contour_grid_with_error,
+    kernel_contour_with_error,
     kernel_fourier_with_error,
     reset_numeric_caches,
 )
@@ -205,7 +205,7 @@ def cmd_kernel(args) -> int:
     sites = range(lo, hi + 1)
     tasks = [(rep, a, b) for rep in reps for a in sites for b in sites]
     if "contour" in reps:  # one node doubling for the whole range
-        contour, contour_err = kernel_contour_grid_with_error(cfg, F, args.family, sites, sites)
+        contour, contour_err = kernel_contour_with_error(cfg, F, args.family, sites, sites)
 
     def run(task):
         rep, a, b = task

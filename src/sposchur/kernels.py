@@ -26,7 +26,9 @@ until two successive grids agree entry by entry.  The double trapezoid sum is
 never formed against the n x n coupling 1/((1-wz)(1-w/z)): partial fractions
 split it into a part depending on j+k and a part depending on j-k mod n, each
 diagonal in Fourier space, so every node count costs O(n log n) time and O(n)
-memory per site (`_contour_matrix`).
+memory per site (`_contour_matrix`).  Both parts keep the coupling's geometric
+series to its first n/2 terms, so the rule converges at the rate the symbol
+allows, not at the (r_w r_z)^n of the full series aliased onto n nodes.
 """
 
 from __future__ import annotations
@@ -283,10 +285,11 @@ def _contour_data(F: SymbolF, r_z: float, r_w: float, n: int):
     """Nodes and O(n) quadrature vectors for n-point trapezoid rules on two circles.
 
     Returns z, w, F(z), F(w), g z and g / z with g = 1 / (z - 1/z), the
-    aliased geometric coefficients c_r = rho1^r / (1 - rho1^n) and
-    d_r = rho2^r / (1 - rho2^n) (rho1 = r_w r_z, rho2 = r_w / r_z), and the
-    indices of the guarded nodes, |z^2 - 1| < _Z_GUARD, where g z and g / z
-    are set to 0.  Cached per symbol, keyed by (r_z, r_w, n).
+    coupling's truncated geometric coefficients c_r = rho1^r and
+    d_r = rho2^r (rho1 = r_w r_z, rho2 = r_w / r_z) for r < n/2 and 0 for
+    r >= n/2, the indices of the guarded nodes, |z^2 - 1| < _Z_GUARD, where
+    g z and g / z are set to 0, and their coupling columns.  Cached per
+    symbol, keyed by (r_z, r_w, n).
     """
     key = (r_z, r_w, n)
     cache = F._fz_cache
@@ -299,13 +302,31 @@ def _contour_data(F: SymbolF, r_z: float, r_w: float, n: int):
         far = np.abs(zz1) >= _Z_GUARD
         gz = np.divide(z * z, zz1, out=np.zeros(n, complex), where=far)
         g_over_z = np.divide(1.0, zz1, out=np.zeros(n, complex), where=far)
-        rho1, rho2 = r_w * r_z, r_w / r_z
-        c = rho1**k / (1.0 - rho1**n)
-        d = rho2**k / (1.0 - rho2**n)
+        r = k[: n // 2]
+        c = np.zeros(n)
+        d = np.zeros(n)
+        c[r] = (r_w * r_z) ** r
+        d[r] = (r_w / r_z) ** r
+        near = np.flatnonzero(~far)
         if len(cache) > 8:
             cache.clear()
-        data = cache[key] = (z, w, F(z), F(w), gz, g_over_z, c, d, np.flatnonzero(~far))
+        data = cache[key] = (
+            z, w, F(z), F(w), gz, g_over_z, c, d, near, _guarded_columns(z[near], r_w, n)
+        )
     return data
+
+
+def _guarded_columns(zs: np.ndarray, r_w: float, n: int) -> np.ndarray:
+    """The truncated coupling sum_{r < n/2} w_j^r U_r(z) at the guarded nodes zs,
+    one column per node, with U_r(z) = (z^(r+1) - z^(-r-1)) / (z - 1/z).
+
+    U_r is summed as z^-r sum_{k <= r} z^(2k), which stays accurate at
+    z = +-1, where the quotient is 0/0; sum_r x_r w_j^r on w_j = r_w omega^j
+    is n ifft(x).
+    """
+    r = np.arange(n // 2)[:, None]
+    u = np.cumsum((zs * zs) ** r, axis=0) * zs ** (-r)
+    return n * np.fft.ifft(r_w**r * u, n, axis=0)
 
 
 def _contour_matrix(
@@ -314,17 +335,23 @@ def _contour_matrix(
     """The n-node trapezoid value of the double contour integral, [K_n(a_i, b_j)],
     and the size of the largest term of each entry's sum.
 
-    The sum over node pairs (j, k) of B[b, j] A[a, k] / ((1 - w_j z_k)(1 - w_j / z_k))
-    is applied without the n x n coupling.  By partial fractions the coupling is
-    g(z) (z p - q / z) with p = 1 / (1 - w z), q = 1 / (1 - w / z); p depends on
-    j + k mod n and q on j - k mod n, with the exact aliased expansions
-    p = sum_r c_r omega^((j+k) r), q = sum_r d_r omega^((j-k) r).  So the sum is
-    sum_r B~[b, r] (c_r A1~[a, r] - d_r A2^[a, r]) with B~ = n ifft(B),
-    A1~ = n ifft(A g z), A2^ = fft(A g / z), all along the node axis: O(n log n)
-    per site.  Guarded nodes near z = +-1, where g blows up, add their exact
-    coupling columns instead.
+    The sum over node pairs (j, k) of B[b, j] A[a, k] C(w_j, z_k) is applied
+    without the n x n coupling C.  The coupling 1 / ((1 - w z)(1 - w / z)) is
+    g(z) (z p - q / z) by partial fractions, with p = 1 / (1 - w z) =
+    sum_r (w z)^r and q = 1 / (1 - w / z) = sum_r (w / z)^r, and C keeps the
+    modes r < n/2 of both series: p = sum_r c_r omega^((j+k) r) depends on
+    j + k mod n and q = sum_r d_r omega^((j-k) r) on j - k mod n.  Those are
+    the modes that B's n-node trigonometric interpolant pairs with, so the
+    w-sum is that interpolant's exact w-integral against the coupling (the
+    Nyquist mode aside) and the rule converges at the rate the symbol
+    allows; the full series aliased onto n nodes would add an error of order
+    (r_w r_z)^n.  So the sum is sum_r B~[b, r] (c_r A1~[a, r] - d_r A2^[a, r]) with
+    B~ = n ifft(B), A1~ = n ifft(A g z), A2^ = fft(A g / z), all along the
+    node axis: O(n log n) per site.  Guarded nodes near z = +-1, where g
+    blows up, add their truncated coupling columns (`_guarded_columns`)
+    instead.
     """
-    z, w, fz, fw, gz, g_over_z, c, d, near = _contour_data(F, r_z, r_w, n)
+    z, w, fz, fw, gz, g_over_z, c, d, near, cols = _contour_data(F, r_z, r_w, n)
     a = np.asarray(a)[:, None]
     b = np.asarray(b)[:, None]
     # A[a, k] = a_fac[k] z_k^a_pow and B[b, j] = b_fac[j] w_j^b_pow
@@ -337,7 +364,6 @@ def _contour_matrix(
     left = n * np.fft.ifft(amat * gz) * c - np.fft.fft(amat * g_over_z) * d
     value = left @ (n * np.fft.ifft(bmat)).T
     if near.size:
-        cols = 1.0 / ((1.0 - w[:, None] * z[near]) * (1.0 - w[:, None] / z[near]))
         value += amat[:, near] @ (bmat @ cols).T
     # max |A[a, .]| max |B[b, .]| max |coupling|, the coupling largest at z = w = r
     terms = (np.abs(a_fac).max() * r_z**a_pow) @ (np.abs(b_fac).max() * r_w**b_pow).T

@@ -31,7 +31,7 @@ from sposchur.kernels import (
     SymbolF,
     correlation_det,
     kernel_bessel,
-    kernel_contour_grid,
+    kernel_contour,
     kernel_fourier,
     lattice_kernel,
 )
@@ -90,7 +90,7 @@ def test_criterion_03_kernel_cross_representation():
     for theta in (0.5, 1.0, 2.0):
         F = SymbolF.plancherel(theta)
         for family in ("sp", "o"):
-            grid_contour = kernel_contour_grid(
+            grid_contour = kernel_contour(
                 KernelConfig(), F, family, list(span), list(span)
             )
             for i, a in enumerate(span):
