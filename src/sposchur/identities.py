@@ -13,18 +13,18 @@ The checks test one family and one bound per call, and a run makes many such
 calls on the same specializations, so `character_sum_series` keeps its sums
 in the memos of the specializations it evaluates (`Specialization.memo`).  A
 length or width bound admits or excludes whole cells of partitions with the
-same (length(lambda), lambda_1), so the memo of rho+ holds, per (family, D,
-weight_plus, rho-), the partitions |lambda| <= D grouped by cell (one walk)
-and the exact sum of each cell computed so far.  A call adds the sums of
-the cells its bounds admit and computes only the missing ones, each as one
-sum of its terms over the lcm of their denominators.  The cells fill
-lazily, so the first bounded sum of a pair evaluates no factor outside its
-bound.  A cell's terms look up their per-partition factors in the memos too,
-so sums of other families or degrees on the same specializations evaluate
-each factor once.  Keys:
+same (length(lambda), lambda_1), so the memo of rho+ holds, per D, the
+partitions |lambda| <= D grouped by cell (one walk, shared by every family
+and rho-), and per (family, D, weight_plus, rho-) the exact sum of each cell
+computed so far.  A call adds the sums of the cells its bounds admit and
+computes only the missing ones, each as one sum of its terms over the lcm of
+their denominators.  The sums fill lazily, so the first bounded sum of a
+pair evaluates no factor outside its bound.  A cell's terms look up their
+per-partition factors in the memos too, so sums of other families or
+degrees on the same specializations evaluate each factor once.  Keys:
 
-    (family, D, weight_plus, rho-)    at rho+: (cells, sums of the cells
-                                      computed so far)
+    ("cells", D)                      at rho+: the partitions |lambda| <= D by cell
+    (family, D, weight_plus, rho-)    at rho+: the sums of its cells so far
     ("sp" | "o", lambda.parts, D)     graded character at rho+, truncated at t^D
     ("sp" | "o", lambda.parts, None)  exact character at rho+ (weight_plus=0)
     ("s", mu.parts, None)             s_mu(rho-), mu = lambda' for the dual
@@ -190,17 +190,16 @@ def character_sum_series(
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     _check_weight_plus(weight_plus)
-    key = (family, degree, weight_plus, rho_minus)
-    cells = rho_plus.memo.get(key)
-    if cells is None:
+    groups = rho_plus.memo.get(("cells", degree))
+    if groups is None:
         # the Schur factor contributes degree |lambda|, and the graded sp/o
         # factor is a series with terms down to degree 0, so every partition
         # with |lambda| <= degree can reach degree <= D
-        groups: dict[tuple[int, int], list[Partition]] = {}
+        groups = {}
         for lam in enumerate_partitions(degree):
             groups.setdefault((lam.length(), lam.part(1)), []).append(lam)
-        cells = rho_plus.memo.setdefault(key, (groups, {}))
-    groups, sums = cells
+        rho_plus.memo[("cells", degree)] = groups
+    sums = rho_plus.memo.setdefault((family, degree, weight_plus, rho_minus), {})
     admitted = [
         cell
         for cell in groups

@@ -68,25 +68,51 @@ class KernelConfig:
             raise ValueError("node count must be a power of two >= 4")
 
 
-def powersum_table(rho: Specialization) -> list[tuple[int, float]]:
-    """(k, float p_k) for the nonzero power sums of a finitely supported rho."""
-    if rho.max_support is None:
-        raise ValueError("a power-sum symbol needs finitely supported power sums")
-    return [(k, float(rho.p(k))) for k in range(1, rho.max_support + 1) if rho.p(k)]
+def _letters(rho: Specialization) -> list[tuple[float, float]]:
+    """The letters a/d of an alphabet as pairs (a, d), H(rho; u) =
+    prod 1 / (1 - a u / d): (y, 1) for each y of a plain alphabet, (x, 1) and
+    (1, x) for each x of a BC alphabet, and (1, 1) for its letter 1; none
+    for other specializations."""
+    if rho.kind == "alphabet":
+        return [(float(y), 1.0) for y in rho.variables]
+    if rho.kind == "bc_alphabet":
+        pairs = [pair for x in map(float, rho.variables) for pair in ((x, 1.0), (1.0, x))]
+        return pairs + [(1.0, 1.0)] * rho.include_one
+    return []
 
 
-def _has_letters(rho: Specialization) -> bool:
-    """An alphabet with variables or a 1; an empty alphabet has no power sums either."""
-    alphabet = rho.kind in ("alphabet", "bc_alphabet")
-    return alphabet and bool(rho.variables or rho.include_one)
+def _evaluator(terms: list, linear: list) -> Callable[[np.ndarray], np.ndarray]:
+    """z -> exp(sum of terms) times the linear factors.
+
+    A term (c, k, paired) is c z^k / |k|, or c (z^k + z^-k) / k if paired,
+    summed in order.  An entry (pairs, side, divide) of `linear` is the
+    product of 1 + c u / d over its pairs (c, d), with u = z, 1/z or both by
+    side; the factors that divide are multiplied apart and divide once.
+    """
+
+    def ev(z):
+        acc = np.zeros_like(z)
+        for c, k, paired in terms:
+            acc = acc + c * ((z**k + z**-k) if paired else z**k) / abs(k)
+        if not linear:
+            return np.exp(acc)
+        parts = [np.ones_like(z), np.ones_like(z)]  # multiplying, dividing
+        for pairs, side, divide in linear:
+            for c, d in pairs:
+                if side != "1/z":
+                    parts[divide] = parts[divide] * (1.0 + c * z / d)
+                if side != "z":
+                    parts[divide] = parts[divide] * (1.0 + c / z / d)
+        return np.exp(acc) * parts[0] / parts[1]
+
+    return ev
 
 
 class SymbolF:
     """The function F(z) driving a kernel, with Laurent-mode caches.
 
-    For an sp/o measure F = H(rho+; z) / (H(rho-; z) H(rho-; 1/z)).
-    Alphabet-backed specializations evaluate through the rational product
-    form, finitely supported power sums through exp of a Laurent polynomial.
+    Every symbol the package builds is a `product` of H/E factors; for an
+    sp/o measure F = H(rho+; z) / (H(rho-; z) H(rho-; 1/z)).
     """
 
     def __init__(
@@ -108,6 +134,55 @@ class SymbolF:
     # -- constructors --------------------------------------------------------
 
     @classmethod
+    def product(
+        cls, factors: Sequence[tuple], label: str, powersum_label: str | None = None
+    ) -> "SymbolF":
+        """The product of the factors (rho, form, side, power): H(rho; u)^power
+        for form "h", E(rho; u)^power for form "e", power +-1, with u = z,
+        1/z or both of them for side "z", "1/z" or "both".
+
+        Finitely supported power sums go into one exp of a Laurent
+        polynomial, their terms in factor order; alphabets into products of
+        their linear factors, those of H factors first.  An H factor of an
+        alphabet bounds both contours to the annulus where its series
+        converges; an E factor bounds only the contour on which it is
+        inverted, z for power -1 and w for power +1.  `powersum_label`, if
+        given, labels a symbol without alphabet factors.
+        """
+        terms, linear_h, linear_e = [], [], []
+        z_lo = w_lo = 0.0
+        z_hi = w_hi = math.inf
+        for rho, form, side, power in factors:
+            pairs = _letters(rho)
+            if not pairs:
+                if rho.max_support is None:
+                    raise ValueError("a power-sum symbol needs finitely supported power sums")
+                for k in range(1, rho.max_support + 1):
+                    if p := rho.p(k):  # log E has (-1)^(k-1) p_k in place of p_k
+                        c = power * float(p) * (-1 if form == "e" and k % 2 == 0 else 1)
+                        terms.append((c, -k if side == "1/z" else k, side == "both"))
+                continue
+            # H(rho; 1/z) converges for |z| > inner and H(rho; z) for |z| <
+            # 1/inner; a BC alphabet, closed under x -> 1/x, takes min |a/d|
+            # for that, since 1/(1/x) can miss the float x by an ulp
+            moduli = [abs(a) / abs(d) for a, d in pairs]
+            inner = max(moduli)
+            outer = min(moduli) if rho.kind == "bc_alphabet" else (1.0 / inner if inner else math.inf)
+            lo, hi = (0.0 if side == "z" else inner), (math.inf if side == "1/z" else outer)
+            if form == "h" or power < 0:
+                z_lo, z_hi = max(z_lo, lo), min(z_hi, hi)
+            if form == "h" or power > 0:
+                w_lo, w_hi = max(w_lo, lo), min(w_hi, hi)
+            sign = -1.0 if form == "h" else 1.0  # H = 1 / prod (1 - a u), E = prod (1 + a u)
+            (linear_h if form == "h" else linear_e).append(
+                ([(sign * a, d) for a, d in pairs], side, (form == "h") == (power > 0))
+            )
+        if not (linear_h or linear_e) and powersum_label is not None:
+            label = powersum_label
+        ev = _evaluator(terms, linear_h + linear_e)
+        return cls(ev, (z_lo, z_hi), (w_lo, w_hi), label=label)
+
+    @classmethod
     def exp_laurent(
         cls, terms: Sequence[tuple[float, int, bool]], label: str = "powersum"
     ) -> "SymbolF":
@@ -116,15 +191,7 @@ class SymbolF:
         A term (c, k, False) is c z^k / |k|; a term (c, k, True) is
         c (z^k + z^-k) / k.  Terms are summed in the order given.
         """
-        terms = list(terms)
-
-        def ev(z):
-            acc = np.zeros_like(z)
-            for c, k, paired in terms:
-                acc = acc + c * ((z**k + z**-k) if paired else z**k) / abs(k)
-            return np.exp(acc)
-
-        return cls(ev, (0.0, math.inf), (0.0, math.inf), label=label)
+        return cls(_evaluator(list(terms), []), (0.0, math.inf), (0.0, math.inf), label=label)
 
     @classmethod
     def plancherel(cls, theta: float) -> "SymbolF":
@@ -142,19 +209,8 @@ class SymbolF:
             raise ValueError(
                 f"from_measure takes sp/o measures; use dual_lattice_kernel for {spec.family!r}"
             )
-        rp, rm = spec.rho_plus, spec.rho_minus
-        if _has_letters(rp) or _has_letters(rm):
-            if rp.kind not in ("bc_alphabet",) or rm.kind not in ("alphabet",):
-                raise ValueError(
-                    "alphabet symbols need a BC alphabet rho+ and a plain alphabet rho-"
-                )
-            return _alphabet_symbol(rp, rm, twisted=False)
-
-        # finitely supported power sums: log F is a Laurent polynomial
-        plus, minus = powersum_table(rp), powersum_table(rm)
-        return cls.exp_laurent(
-            [(pv, k, False) for k, pv in plus] + [(-pv, k, True) for k, pv in minus]
-        )
+        factors = [(spec.rho_plus, "h", "z", 1), (spec.rho_minus, "h", "both", -1)]
+        return cls.product(factors, "alphabet", powersum_label="powersum")
 
     # -- evaluation and contours ------------------------------------------------
 
@@ -231,47 +287,6 @@ class SymbolF:
         raise QuadratureNotConverged(
             f"Laurent modes of {self.label} not converged at {_MAX_FFT} points"
         )
-
-    def mode(self, order: int, inverse: bool = False) -> float:
-        w, coeffs, _ = self.modes(inverse, min_order=abs(order))
-        return float(coeffs[order + w])
-
-
-def _alphabet_symbol(rp: Specialization, rm: Specialization, twisted: bool) -> SymbolF:
-    """F = H(rho+; z) / (H(rho-; z) H(rho-; 1/z)) by its rational product form.
-
-    rho+ is a BC alphabet x (and maybe the letter 1), rho- a plain alphabet y:
-    F = prod (1 - y z)(1 - y / z) / prod (1 - x z)(1 - z / x) [(1 - z)].
-    `twisted` puts E(rho+; z) = H(omega rho+; z), the product of
-    (1 + x z)(1 + z / x) [(1 + z)], in place of H(rho+; z).
-    """
-    xs = [float(v) for v in rp.variables]
-    ys = [float(v) for v in rm.variables]
-    include_one = rp.include_one
-    sign = 1.0 if twisted else -1.0
-
-    def ev(z):
-        z = np.asarray(z, dtype=complex)
-        minus = np.ones_like(z)
-        for y in ys:
-            minus = minus * (1.0 - y * z) * (1.0 - y / z)
-        # E(rho+) multiplies onto the y product; H(rho+) is a separate denominator
-        plus = minus if twisted else np.ones_like(z)
-        for x in xs:
-            plus = plus * (1.0 + sign * x * z) * (1.0 + sign * z / x)
-        if include_one:
-            plus = plus * (1.0 + sign * z)
-        return plus if twisted else minus / plus
-
-    y_hi = max((abs(y) for y in ys), default=0.0)
-    x_vals = [abs(v) for v in xs] + ([1.0] if include_one else [])
-    x_hi = min((min(v, 1.0 / v) for v in x_vals), default=math.inf)
-    if twisted:  # G is analytic off 0; 1/G has poles at -x^(+-1) and -1
-        z_hi = 1.0 / y_hi if y_hi else math.inf
-        w_hi = min(z_hi, x_hi)
-    else:
-        z_hi = w_hi = x_hi
-    return SymbolF(ev, (y_hi, z_hi), (y_hi, w_hi), label="dual-base" if twisted else "alphabet")
 
 
 # ---------------------------------------------------------------------------
@@ -539,15 +554,12 @@ def dual_base_symbol(spec: MeasureSpec) -> SymbolF:
     m'_sp(.; rho+, rho-) is the image of m_o(.; omega(rho+), rho-) under
     conjugation, and vice versa for m'_o.  The base symbol is therefore the
     plain H-form F with the plus side omega-twisted, i.e. H(omega rho+; z) =
-    E(rho+; z).
+    E(rho+; z): E(rho+; z) / (H(rho-; z) H(rho-; 1/z)).
     """
     if not spec.dual:
         raise ValueError("dual_base_symbol needs a dual-family measure")
-    rp, rm = spec.rho_plus, spec.rho_minus
-    if rp.kind == "bc_alphabet" and rm.kind == "alphabet":
-        return _alphabet_symbol(rp, rm, twisted=True)
-    base_family = "o" if spec.family == "sp-dual" else "sp"
-    return SymbolF.from_measure(MeasureSpec(base_family, rp.omega(), rm))
+    factors = [(spec.rho_plus, "e", "z", 1), (spec.rho_minus, "h", "both", -1)]
+    return SymbolF.product(factors, "dual-base", powersum_label="powersum")
 
 
 def dual_lattice_kernel(spec: MeasureSpec) -> Callable:

@@ -22,9 +22,9 @@ grown under a lock so specializations can be shared across threads.
 
 `Specialization.memo` holds the characters and Schur factors that
 `identities.character_sum_series` has evaluated at this specialization and,
-at rho+, its sums by (length, lambda_1) cell per (family, degree,
-weight_plus, rho-) (see that module for its keys); it lives and dies with
-the specialization.
+at rho+, the partitions by (length, lambda_1) cell per degree and its sums
+by cell per (family, degree, weight_plus, rho-) (see that module for its
+keys); it lives and dies with the specialization.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import TruncationOverflow
-from .series import GradedScalar
 
 
 def _coerce(value):
@@ -262,10 +261,6 @@ class Specialization:
             truncation_degree=self.truncation_degree,
             _meta={"kind": "omega", "base": self},
         )
-
-    def h_series(self, degree: int) -> GradedScalar:
-        """H(rho; t) = sum h_n t^n = exp(sum p_k t^k / k), truncated."""
-        return GradedScalar([self.h(n) for n in range(degree + 1)])
 
     # -- serialization ----------------------------------------------------------
 

@@ -1,10 +1,10 @@
 """Toeplitz+Hankel determinants: Gessel identities, Szego limits, and the
 Borodin-Okounkov bridge to Fredholm determinants.
 
-A symbol is a pair of specializations through f(z) = exp(R_+(z) + R_-(z)),
-R_±(z) = sum_k rho_k^± z^{±k} with rho_k^± = p_k(rho^±)/k, together with
-f~(z) := 1/f(-z).  Four determinant families are built from the Fourier
-coefficients (all size x size, 0-indexed; the patterns of
+A symbol is a pair of specializations through the `kernels.SymbolF.product`
+f(z) = H(rho+; z) H(rho-; 1/z), together with f~(z) := 1/f(-z) =
+E(rho+; z) E(rho-; 1/z).  Four determinant families are built from the
+Fourier coefficients (all size x size, 0-indexed; the patterns of
 `characters.TH_PATTERNS` with zero shifts):
 
     D1[i,j] = f_{-i+j} + f_{-i-j}         D2[i,j] = f~_{-i+j} - f~_{-i-j-2}
@@ -13,6 +13,8 @@ coefficients (all size x size, 0-indexed; the patterns of
 Exactly (graded): (1/2) D1_n and D2_m are the sp-character sums restricted to
 length <= n and width <= m; D3_n and (1/2) D4_m the o-character analogues
 (the 1/2 factors apply for positive sizes; at size 0 both sides are 1).
+The float coefficients are modes on |z| = 1, inside the annulus of f unless
+a BC alphabet rho+ bounds it by min|x^(+-1)| <= 1 (ContourViolation).
 In the limit both sp-side quantities converge to Z_sp and both o-side ones to
 Z_o, and for finite m the deficit is itself a Fredholm determinant:
 
@@ -35,7 +37,7 @@ import numpy as np
 from .characters import th_determinant, th_pattern, th_rows
 from .errors import TruncationInsufficient
 from .identities import character_sum_series
-from .kernels import SymbolF, lattice_kernel, powersum_table
+from .kernels import SymbolF, lattice_kernel
 from .measures import MeasureSpec
 from .series import GradedScalar
 from .specializations import Specialization
@@ -58,25 +60,19 @@ class FredholmConfig:
 class Symbol:
     """Wiener-Hopf symbol attached to a pair of specializations.
 
-    `f` and `f_tilde` are the SymbolF functions f(z) = exp(R_+(z) + R_-(z))
-    and f~(z) = 1/f(-z).  `plancherel_theta` is theta for the symbols built by
-    `Symbol.plancherel(theta)`, whose kernels have the Bessel form, and None
-    otherwise.
+    `f` and `f_tilde` are the SymbolF functions f(z) = H(rho+; z) H(rho-; 1/z)
+    and f~(z) = 1/f(-z), of power sums or alphabets.  `plancherel_theta` is
+    theta for the symbols built by `Symbol.plancherel(theta)`, whose kernels
+    have the Bessel form, and None otherwise.
     """
 
     def __init__(self, rho_plus: Specialization, rho_minus: Specialization):
-        if rho_plus.max_support is None or rho_minus.max_support is None:
-            raise ValueError("symbols need finitely supported power sums")
         self.rho_plus = rho_plus
         self.rho_minus = rho_minus
         self.plancherel_theta: float | None = None
         # graded Fourier coefficients by (series, index, degree), filled by th_det_series
         self.series_coeffs: dict[tuple[str, int, int], GradedScalar] = {}
-        f = SymbolF.exp_laurent(
-            [(pv, k, False) for k, pv in powersum_table(rho_plus)]
-            + [(pv, -k, False) for k, pv in powersum_table(rho_minus)],
-            label="f",
-        )
+        f = SymbolF.product([(rho_plus, "h", "z", 1), (rho_minus, "h", "1/z", 1)], "f")
         self.f = f
         self.f_tilde = SymbolF(
             lambda z: 1.0 / f(-z), f.annulus_z, f.annulus_w, label="f_tilde"
@@ -97,9 +93,6 @@ class Symbol:
         F = self.f if which == "f" else self.f_tilde
         w, coeffs, _ = F.modes(False, min_order=max(abs(lo), abs(hi)))
         return coeffs[w + lo : w + hi + 1]
-
-    def fourier_coeff(self, which: str, k: int) -> float:
-        return float(self.fourier_coeffs(which, k, k)[0])
 
     # -- exact graded coefficients -----------------------------------------------
 

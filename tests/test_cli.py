@@ -101,6 +101,22 @@ def test_fredholm_golden(tmp_path, golden, argv):
     assert text == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize("command", ["th-dets", "bo-check"])
+def test_alphabet_symbol_documents(command, capsys):
+    # a BC alphabet rho+ puts |z| = 1 outside the annulus of f: the float
+    # coefficients would belong to another symbol, so no row is printed
+    bc = {"rho_plus": {"x": ["1/2"]}, "rho_minus": {"y": ["1/3", "-1/4"]}}
+    assert main([command, "--symbol", json.dumps(bc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unit circle lies outside the annulus" in err
+    plain = {"rho_plus": {"y": ["1/3", "1/7"]}, "rho_minus": {"y": ["1/4"]}}
+    assert main([command, "--symbol", json.dumps(plain)]) == 0
+    out, _ = capsys.readouterr()
+    assert out.splitlines()[1] == "family,n_or_m,lhs,rhs,gap,tail_bound"
+    assert len(out.splitlines()) > 2
+
+
 def _readme_commands() -> list[str]:
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]

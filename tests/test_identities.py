@@ -283,7 +283,7 @@ def test_gessel_sweep_walks_the_partitions_once_per_family(monkeypatch):
     for which in ("D1", "D2", "D3", "D4"):
         for size in range(1, 5):
             assert gessel_check(sym, which, size, 8)
-    assert walks == {8: 2}  # D1/D2 share the sp cells, D3/D4 the o cells
+    assert walks == {8: 1}  # the sp and o sums share one grouping of rho+
 
 
 def test_a_length_bound_evaluates_no_longer_character(monkeypatch):

@@ -79,12 +79,11 @@ def test_cross_representation_spot_checks():
 def test_fourier_modes_are_bessel_coefficients():
     theta = 0.7
     F = SymbolF.plancherel(theta)
+    (wc, c, _), (wd, d, _) = F.modes(False), F.modes(True)
     for n in (-4, -1, 0, 2, 5):
-        assert F.mode(n) == pytest.approx(bessel_j(n, 2 * theta), abs=1e-13)
+        assert c[wc + n] == pytest.approx(bessel_j(n, 2 * theta), abs=1e-13)
         # modes of 1/F: J_{-n}(2 theta)
-        assert F.mode(n, inverse=True) == pytest.approx(
-            bessel_j(-n, 2 * theta), abs=1e-13
-        )
+        assert d[wd + n] == pytest.approx(bessel_j(-n, 2 * theta), abs=1e-13)
 
 
 def test_kernel_asymmetry_witness():
@@ -569,6 +568,54 @@ def test_alphabet_symbols_are_the_product_form():
                 minus = math.prod((1 - float(v) * z) * (1 - float(v) / z) for v in ys)
                 expected = minus * plus if sign > 0 else minus / plus
                 assert complex(F(z)) == pytest.approx(expected, rel=1e-14), (family, z)
+
+
+def test_bc_alphabet_annuli_take_the_float_letters():
+    # min(|x|, 1/|x|) on the float x = 0.9 is 0.9 itself; 1/max(x, 1/x)
+    # would be 1/(1/0.9), one ulp away, and move the annulus and radii
+    assert 1.0 / (1.0 / 0.9) != 0.9
+    y = Specialization.from_alphabet([Fraction(3, 10)])
+    for include_one in (False, True):
+        x = Specialization.from_bc_alphabet([Fraction(9, 10)], include_one=include_one)
+        F = SymbolF.from_measure(MeasureSpec("sp", x, y))
+        assert F.annulus_z == F.annulus_w == (0.3, 0.9)
+        assert F.default_config() == KernelConfig(
+            r_z=0.3 + 0.65 * (0.9 - 0.3), r_w=0.3 + 0.35 * (0.9 - 0.3)
+        )
+        # E(x; z) is entire, so only the w-contour, where it is inverted, is bounded
+        G = dual_base_symbol(MeasureSpec("sp-dual", x, y))
+        assert G.annulus_z == (0.3, 1.0 / 0.3) and G.annulus_w == (0.3, 0.9)
+
+
+def test_mixed_kind_symbols_match_the_brute_force_oracle():
+    # power sums and alphabets mix in one symbol: Plancherel against a plain
+    # alphabet, a plain alphabet against power sums, and the dual base of the
+    # latter; their annuli contain |z| = 1, so the Fourier route applies too
+    plancherel = Specialization.plancherel(Fraction(2, 5))
+    y = Specialization.from_alphabet([Fraction(1, 4)])
+    plain = Specialization.from_alphabet([Fraction(1, 3), Fraction(1, 7)])
+    rho = Specialization.from_powersums({1: Fraction(1, 4), 2: Fraction(-1, 10)})
+    sites = np.arange(-5, 4)
+    for family in ("sp", "o"):
+        for spec in (MeasureSpec(family, plancherel, y), MeasureSpec(family, plain, rho)):
+            F = SymbolF.from_measure(spec)
+            contour = lattice_kernel(family, symbol=F, representation="contour")
+            fourier = lattice_kernel(family, symbol=F, representation="fourier")
+            assert np.abs(contour(sites, sites) - fourier(sites, sites)).max() < 1e-12, family
+            for pts in ([0], [-1, 1]):
+                res = correlation_bruteforce(spec, pts, tol=1e-9)
+                for kernel in (contour, fourier):
+                    assert correlation_det(kernel, pts) == pytest.approx(
+                        res.value, abs=res.tail_estimate + 1e-12
+                    ), (family, pts)
+    for family in ("sp-dual", "o-dual"):
+        spec = MeasureSpec(family, plain, rho)
+        k = dual_lattice_kernel(spec)
+        for pts in ([0], [-1, 0], [-3, 1]):
+            res = correlation_bruteforce(spec, pts, tol=1e-9)
+            assert correlation_det(k, pts) == pytest.approx(
+                res.value, abs=res.tail_estimate + 1e-12
+            ), (family, pts)
 
 
 def test_quadrature_not_converged_raises():

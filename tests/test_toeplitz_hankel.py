@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sposchur.characters import TH_PATTERNS
-from sposchur.errors import TruncationInsufficient
+from sposchur.characters import TH_PATTERNS, th_pattern
+from sposchur.errors import ContourViolation, TruncationInsufficient
+from sposchur.identities import character_sum_series
 from sposchur.kernels import lattice_kernel
 from sposchur.series import GradedScalar
 from sposchur.specializations import Specialization
@@ -61,7 +62,7 @@ def test_plancherel_symbol_modified_bessel_coefficients():
             expected = (math.sqrt(2.0)) ** n * modified_bessel_i(abs(n), 2 * math.sqrt(2) * theta)
             if n < 0:
                 expected = math.sqrt(2.0) ** n * modified_bessel_i(-n, 2 * math.sqrt(2) * theta)
-            assert sym.fourier_coeff("f", n) == pytest.approx(expected, **tol), (theta, n)
+            assert sym.fourier_coeffs("f", n, n)[0] == pytest.approx(expected, **tol), (theta, n)
 
 
 def test_plancherel_f_tilde_equals_f():
@@ -79,10 +80,10 @@ def test_f_tilde_pure_plus_symbol():
         Specialization.from_powersums({1: r}), Specialization.zero()
     )
     for k in range(0, 5):
-        assert sym.fourier_coeff("f_tilde", k) == pytest.approx(
+        assert sym.fourier_coeffs("f_tilde", k, k)[0] == pytest.approx(
             r**k / math.factorial(k), abs=1e-13
         )
-    assert sym.fourier_coeff("f_tilde", -1) == pytest.approx(0.0, abs=1e-13)
+    assert sym.fourier_coeffs("f_tilde", -1, -1)[0] == pytest.approx(0.0, abs=1e-13)
 
 
 def test_size_one_determinants():
@@ -131,6 +132,71 @@ def test_gessel_identities_past_size_four():
         for which in ("D1", "D2", "D3", "D4"):
             for size in (5, 6):
                 assert gessel_check(sym, which, size, degree=10), (which, size)
+
+
+def test_gessel_identities_on_alphabet_symbols():
+    # a BC alphabet, with and without the letter 1, against a plain one
+    y = Specialization.from_alphabet([Fraction(1, 3), Fraction(-1, 4)])
+    for include_one in (False, True):
+        x = Specialization.from_bc_alphabet([Fraction(1, 2)], include_one=include_one)
+        sym = Symbol(x, y)
+        # the same letters with the sign of one linear factor flipped,
+        # (1 + z/2) for (1 - z/2): a valid symbol, but not the one whose
+        # character sums the determinants must equal
+        flipped = Symbol(
+            Specialization.from_alphabet([Fraction(-1, 2), 2] + [1] * include_one), y
+        )
+        for which in ("D1", "D2", "D3", "D4"):
+            pattern = th_pattern(which)
+            for size in (1, 2, 3):
+                assert gessel_check(sym, which, size, 8), (include_one, which, size)
+                assert gessel_check(flipped, which, size, 8), (include_one, which, size)
+                rhs = character_sum_series(pattern.family, x, y, 8, **{pattern.bound: size})
+                lhs = pattern.halve(th_det_series(flipped, which, size, 8), size)
+                assert lhs != rhs, (include_one, which, size)
+
+
+def test_symbol_f_is_the_product_form():
+    # f = H(rho+; z) H(rho-; 1/z) and f~ = 1/f(-z) = E(rho+; z) E(rho-; 1/z),
+    # analytic for max|y| < |z| < 1/max|x|
+    xs, ys = [Fraction(1, 3), Fraction(1, 7)], [Fraction(1, 4)]
+    sym = Symbol(Specialization.from_alphabet(xs), Specialization.from_alphabet(ys))
+    assert sym.f.annulus_z == sym.f_tilde.annulus_z == (0.25, 3.0)
+    for z in (0.5j, 1.0 + 0.5j, -2.0, 2.5 * np.exp(1j)):
+        plus = math.prod(1 - float(x) * z for x in xs)
+        minus = math.prod(1 - float(y) / z for y in ys)
+        assert complex(sym.f(z)) == pytest.approx(1 / (plus * minus), rel=1e-14), z
+        plus = math.prod(1 + float(x) * z for x in xs)
+        minus = math.prod(1 + float(y) / z for y in ys)
+        assert complex(sym.f_tilde(z)) == pytest.approx(plus * minus, rel=1e-14), z
+
+
+def test_bo_and_szego_on_a_plain_alphabet_symbol():
+    sym = Symbol(
+        Specialization.from_alphabet([Fraction(1, 3), Fraction(1, 7)]),
+        Specialization.from_alphabet([Fraction(1, 4)]),
+    )
+    for family in ("sp", "o"):
+        for m in (2, 3, 4):
+            res = bo_check(sym, family, m)
+            assert abs(res.gap) < 1e-11, (family, m, res)
+    for which in ("D1", "D2", "D3", "D4"):
+        val, target = szego_normalized_det(sym, which, 12)
+        assert val == pytest.approx(target, abs=1e-11), which
+
+
+def test_bc_alphabet_symbols_raise_for_float_coefficients():
+    # f of a BC alphabet rho+ converges only inside |z| < min|x^(+-1)| <= 1,
+    # so its unit-circle coefficients would belong to another symbol
+    y = Specialization.from_alphabet([Fraction(1, 3), Fraction(-1, 4)])
+    for include_one in (False, True):
+        sym = Symbol(Specialization.from_bc_alphabet([Fraction(1, 2)], include_one=include_one), y)
+        assert sym.f.annulus_z == (1 / 3, 0.5)
+        for which in ("D1", "D2"):
+            with pytest.raises(ContourViolation, match="unit circle"):
+                th_det(sym, which, 2)
+        with pytest.raises(ContourViolation, match="unit circle"):
+            bo_check(sym, "sp", 2)
 
 
 def test_th_det_series_computes_each_coefficient_once(monkeypatch):
