@@ -18,11 +18,9 @@ in place of h or e, the same patterns are the Gessel matrices of
 skew-Schur expansions over self-conjugate-adjacent Frobenius shapes, which we
 expose as an independent second route for testing.
 
-Exact characters are integer on arrival: the specialization keeps its h and
-e images as integer numerators num[k] over nested denominators den[k]
-(`Specialization.h_table`, `e_table`), so a row whose largest index is m
-holds the integers num[k] * (den[m] // den[k]), its entries times den[m],
-sliced from the specialization's list of them (`scaled_table`).  One
+Exact characters are integer on arrival: a row whose largest index is m
+holds its entries times den[m], the lcm of the denominators of the images
+0..m, sliced from row m of the specialization's `scaled_table`.  One
 fraction-free Bareiss elimination of those rows over the product of the row
 scales gives the value.  `schur`, `sp_char` and `o_char` take the h-form and
 their `_via_e` twins the e-form; the dispatchers `character` and
@@ -35,11 +33,11 @@ their denominators hold integer polynomials, t -> 2^B packs each into one
 integer, and the balanced base-2^B digits of the packed determinant are its
 coefficients.  B is one bit (the sign) above a bound on those coefficients,
 the product of the rows' summed absolute coefficients.  There is no size cap.
-Graded characters (h_n entering as h_n t^n) pack the same table integers
-directly: row d holds num[k] * (den[m] // den[k]) * 2^(B k) for k <= D, and
-since a row uses each image at most twice (once in its Toeplitz part, once in
-its Hankel part), twice its summed |num[k] * (den[m] // den[k])| bounds the
-row's absolute coefficients before any row is built.
+Graded characters (h_n entering as h_n t^n) pack the same integers
+directly: row d holds image k times den[m] times 2^(B k) for k <= D, and
+since a row uses each image at most twice (once in its Toeplitz part, once
+in its Hankel part), twice the summed |row m entries| bounds the row's
+absolute coefficients before any row is built.
 """
 
 from __future__ import annotations
@@ -362,7 +360,7 @@ def _e_form_is_smaller(lam: Partition, rho: Specialization) -> bool:
     parts = lam.parts
     if not parts or parts[0] >= len(parts):
         return False
-    return rho.h_table(parts[0] + len(parts) - 1) is not None
+    return rho.scaled_table("e", parts[0] + len(parts) - 1) is not None
 
 
 def character(family: str, lam: Partition, rho: Specialization):

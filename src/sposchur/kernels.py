@@ -183,20 +183,11 @@ class SymbolF:
         return cls(ev, (z_lo, z_hi), (w_lo, w_hi), label=label)
 
     @classmethod
-    def exp_laurent(
-        cls, terms: Sequence[tuple[float, int, bool]], label: str = "powersum"
-    ) -> "SymbolF":
-        """F = exp(sum of terms), analytic on the punctured plane.
-
-        A term (c, k, False) is c z^k / |k|; a term (c, k, True) is
-        c (z^k + z^-k) / k.  Terms are summed in the order given.
-        """
-        return cls(_evaluator(list(terms), []), (0.0, math.inf), (0.0, math.inf), label=label)
-
-    @classmethod
     def plancherel(cls, theta: float) -> "SymbolF":
+        """F = exp(theta (z - 1/z)) = H(pl_theta; z) / E(pl_theta; 1/z)."""
         t = float(theta)
-        return cls.exp_laurent([(t, 1, False), (-t, -1, False)], label=f"plancherel({t})")
+        pl = Specialization.plancherel(t)
+        return cls.product([(pl, "h", "z", 1), (pl, "e", "1/z", -1)], f"plancherel({t})")
 
     @classmethod
     def from_measure(cls, spec: MeasureSpec) -> "SymbolF":

@@ -14,11 +14,13 @@ elementary e_n images are derived through Newton's recurrences
 
     n h_n = sum_{k=1..n} p_k h_{n-k},      n e_n = sum_{k=1..n} (-1)^(k-1) p_k e_{n-k},
 
-which preserve exactness.  Exact images are also kept as integer tables:
-h_k = num[k] / den[k], where den[k] is the lcm of the denominators of h_0..h_k,
-so den[k] divides den[k+1] (likewise for e).  A float p_k makes every image
-from index k on a float, and the tables stop below it.  Caches and tables are
-grown under a lock so specializations can be shared across threads.
+which preserve exactness.  `scaled_table` is the one integer form of the
+exact images, which the exact characters and the graded Toeplitz+Hankel
+coefficients read: den[j] is the lcm of the denominators of h_0..h_j, so
+den[j] divides den[j+1], and row j holds h_0..h_j times den[j] (likewise for
+e).  A float p_k makes every image from index k on a float, and the rows stop
+below it.  Caches and rows are grown under a lock so specializations can be
+shared across threads.
 
 `Specialization.memo` holds the characters and Schur factors that
 `identities.character_sum_series` has evaluated at this specialization and,
@@ -62,15 +64,12 @@ class Specialization:
         self.max_support = max_support  # p_k = 0 for k > max_support, if not None
         self.truncation_degree = truncation_degree
         self._meta = _meta or {}
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()  # _extend calls p under it
         self._p_cache: dict[int, object] = {}
         self._h_cache: list = [Fraction(1)]
         self._e_cache: list = [Fraction(1)]
-        # integer tables (numerators, nested denominators) of the exact images
-        self._h_table: tuple[list[int], list[int]] = ([1], [1])
-        self._e_table: tuple[list[int], list[int]] = ([1], [1])
-        # per form, row m = [num[k] * (den[m] // den[k]) for k <= m] of its table
-        self._scaled: dict[str, list[list[int]]] = {"h": [], "e": []}
+        # per form, the (rows, den) of `scaled_table`
+        self._scaled = {form: ([[1]], [1]) for form in ("h", "e")}
         # per-partition factors and cell sums of the identity sums evaluated
         # at this specialization, filled by `identities.character_sum_series` only
         self.memo: dict[tuple, object] = {}
@@ -160,51 +159,37 @@ class Specialization:
         self._extend(n)
         return self._e_cache[n]
 
-    def h_table(self, n: int) -> tuple[list[int], list[int]] | None:
-        """Integer tables (num, den) with h_k = num[k] / den[k] for 0 <= k <= n,
-        den[k] | den[k+1]; None when h_n is a float.
-
-        The lists are shared and only ever appended to (den after num); read
-        indices <= n.
-        """
-        return self._table(self._h_table, self.h, n)
-
-    def e_table(self, n: int) -> tuple[list[int], list[int]] | None:
-        """Integer tables of e_0..e_n, as `h_table`."""
-        return self._table(self._e_table, self.e, n)
-
-    @staticmethod
-    def _table(table, image, n):
-        # an index the table already holds is exact; past it, the image decides
-        if len(table[1]) > n:
-            return table
-        return None if isinstance(image(n), float) else table
-
     def scaled_table(self, form: str, m: int) -> tuple[list[list[int]], list[int]] | None:
-        """(rows, den) for the h images (form "h") or the e images (form "e"):
-        rows[j] = [num[k] * (den[j] // den[k]) for k <= j], the exact images
-        0..j times den[j], for 0 <= j <= m; None when the image at m is a float.
+        """(rows, den) for the h images (form "h") or the e images (form "e"),
+        for 0 <= j <= m: den[j] is the lcm of the denominators of images
+        0..j, so den[j] | den[j+1], and rows[j] holds the images 0..j times
+        den[j], as integers.  None when the image at m is a float.
 
-        The rows are built on first request and shared; read indices <= m.
+        The lists are shared and only ever appended to (den after rows); read
+        indices <= m.
         """
-        rows = self._scaled[form]
-        table, image = (self._h_table, self.h) if form == "h" else (self._e_table, self.e)
-        if len(rows) <= m:
-            if self._table(table, image, m) is None:
-                return None
-            num, den = table
-            with self._lock:
-                while len(rows) <= m:
-                    j = len(rows)
-                    rows.append([a * (den[j] // b) for a, b in zip(num[: j + 1], den)])
-        return rows, table[1]
+        rows, den = self._scaled[form]
+        if len(den) > m:
+            return rows, den
+        image, cache = (self.h, self._h_cache) if form == "h" else (self.e, self._e_cache)
+        if isinstance(image(m), float):
+            return None
+        with self._lock:
+            while len(den) <= m:
+                j = len(den)
+                value = cache[j]
+                d = math.lcm(den[-1], value.denominator)
+                up = d // den[-1]
+                rows.append([a * up for a in rows[-1]] + [value.numerator * (d // value.denominator)])
+                den.append(d)
+        return rows, den
 
     def _extend(self, n: int) -> None:
         with self._lock:
             h, e = self._h_cache, self._e_cache
             while len(h) <= n:
                 m = len(h)
-                ps = [self.__p_nolock(k) for k in range(1, m + 1)]
+                ps = [self.p(k) for k in range(1, m + 1)]
                 h.append(
                     sum((ps[k - 1] * h[m - k] for k in range(1, m + 1)), Fraction(0))
                     / m
@@ -216,18 +201,6 @@ class Specialization:
                     )
                     / m
                 )
-                for value, (num, den) in ((h[m], self._h_table), (e[m], self._e_table)):
-                    if isinstance(value, Fraction) and len(num) == m:
-                        d = math.lcm(den[-1], value.denominator)
-                        num.append(value.numerator * (d // value.denominator))
-                        den.append(d)
-
-    def __p_nolock(self, k: int):
-        if self.max_support is not None and k > self.max_support:
-            return Fraction(0)
-        if k not in self._p_cache:
-            self._p_cache[k] = _coerce(self._pfun(k))
-        return self._p_cache[k]
 
     # -- derived objects ------------------------------------------------------
 

@@ -12,9 +12,12 @@ Fourier coefficients (all size x size, 0-indexed; the patterns of
 
 Exactly (graded): (1/2) D1_n and D2_m are the sp-character sums restricted to
 length <= n and width <= m; D3_n and (1/2) D4_m the o-character analogues
-(the 1/2 factors apply for positive sizes; at size 0 both sides are 1).
-The float coefficients are modes on |z| = 1, inside the annulus of f unless
-a BC alphabet rho+ bounds it by min|x^(+-1)| <= 1 (ContourViolation).
+(the 1/2 factors apply for positive sizes; at size 0 both sides are 1).  The
+graded coefficients (`Symbol.graded_coeffs`) are convolutions of the integer
+rows of `Specialization.scaled_table`.  The float coefficients are modes on
+|z| = 1.  f~ has no pole off 0 and infinity, but the annulus of f excludes
+|z| = 1 when a BC alphabet rho+ bounds it by min|x^(+-1)| <= 1, and then the
+f-coefficients raise ContourViolation.
 In the limit both sp-side quantities converge to Z_sp and both o-side ones to
 Z_o, and for finite m the deficit is itself a Fredholm determinant:
 
@@ -29,6 +32,7 @@ an estimate of the truncation error, not a bound on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -61,21 +65,20 @@ class Symbol:
     """Wiener-Hopf symbol attached to a pair of specializations.
 
     `f` and `f_tilde` are the SymbolF functions f(z) = H(rho+; z) H(rho-; 1/z)
-    and f~(z) = 1/f(-z), of power sums or alphabets.  `plancherel_theta` is
-    theta for the symbols built by `Symbol.plancherel(theta)`, whose kernels
-    have the Bessel form, and None otherwise.
+    and f~(z) = 1/f(-z), of power sums or alphabets; f~ has the annuli
+    (0, inf).  `plancherel_theta` is theta for the symbols built by
+    `Symbol.plancherel(theta)`, whose kernels have the Bessel form, and None
+    otherwise.
     """
 
     def __init__(self, rho_plus: Specialization, rho_minus: Specialization):
         self.rho_plus = rho_plus
         self.rho_minus = rho_minus
         self.plancherel_theta: float | None = None
-        # graded Fourier coefficients by (series, index, degree), filled by th_det_series
-        self.series_coeffs: dict[tuple[str, int, int], GradedScalar] = {}
         f = SymbolF.product([(rho_plus, "h", "z", 1), (rho_minus, "h", "1/z", 1)], "f")
         self.f = f
         self.f_tilde = SymbolF(
-            lambda z: 1.0 / f(-z), f.annulus_z, f.annulus_w, label="f_tilde"
+            lambda z: 1.0 / f(-z), (0.0, math.inf), (0.0, math.inf), label="f_tilde"
         )
 
     @classmethod
@@ -94,21 +97,33 @@ class Symbol:
         w, coeffs, _ = F.modes(False, min_order=max(abs(lo), abs(hi)))
         return coeffs[w + lo : w + hi + 1]
 
-    # -- exact graded coefficients -----------------------------------------------
+    def graded_coeffs(self, which: str, lo: int, hi: int, degree: int) -> list[GradedScalar]:
+        """Graded Fourier coefficients of f or f~ on the index window [lo, hi],
+        truncated at t^degree: f_s = sum_k g_k(rho-) g_{k+s}(rho+) t^(2k+s),
+        with g = h for f and e for f~.
 
-    def fourier_series_coeff(self, which: str, s: int, degree: int) -> GradedScalar:
-        """Graded coefficient: f_s = sum_k h_k(rho-) h_{k+s}(rho+) t^(2k+s)
-        (e's in place of h's for f~), truncated at the given degree."""
-        if which == "f":
-            gm, gp = self.rho_minus.h, self.rho_plus.h
-        elif which == "f_tilde":
-            gm, gp = self.rho_minus.e, self.rho_plus.e
-        else:
+        Each is a convolution of row `degree` of the two specializations'
+        `scaled_table`, over the product of their den[degree].  Float images
+        raise TypeError.
+        """
+        if which not in ("f", "f_tilde"):
             raise ValueError("which must be 'f' or 'f_tilde'")
-        coeffs = [0] * (degree + 1)
-        for k in range(max(0, -s), (degree - s) // 2 + 1):
-            coeffs[2 * k + s] = gm(k) * gp(k + s)
-        return GradedScalar(coeffs)
+        if degree < 0:
+            raise ValueError("degree must be >= 0")
+        form = "h" if which == "f" else "e"
+        tables = [rho.scaled_table(form, degree) for rho in (self.rho_minus, self.rho_plus)]
+        if None in tables:
+            raise TypeError("exact coefficient expected, got float")
+        (minus, den_minus), (plus, den_plus) = tables
+        minus, plus = minus[degree], plus[degree]
+        scale = den_minus[degree] * den_plus[degree]
+        out = []
+        for s in range(lo, hi + 1):
+            numerators = [0] * (degree + 1)
+            for k in range(max(0, -s), (degree - s) // 2 + 1):
+                numerators[2 * k + s] = minus[k] * plus[k + s]
+            out.append(GradedScalar.from_numerators(numerators, scale))
+        return out
 
 
 def th_det(sym: Symbol, which: str, size: int):
@@ -123,25 +138,13 @@ def th_det(sym: Symbol, which: str, size: int):
 
 
 def th_det_series(sym: Symbol, which: str, size: int, degree: int) -> GradedScalar:
-    """Exact graded Toeplitz+Hankel determinant, modulo t^(degree+1).
-
-    The matrix reads each of its ~3 size distinct indices up to 2 size times,
-    and D1/D3 share f, D2/D4 share f~ across sizes; each coefficient is
-    computed once per symbol and kept in `sym.series_coeffs`.
-    """
-    series = th_pattern(which).symbol
+    """Exact graded Toeplitz+Hankel determinant, modulo t^(degree+1)."""
+    pattern = th_pattern(which)
     if size < 0:
         raise ValueError("size must be >= 0")
-    coeffs = sym.series_coeffs
-
-    def coeff(k: int) -> GradedScalar:
-        key = (series, k, degree)
-        value = coeffs.get(key)
-        if value is None:
-            value = coeffs[key] = sym.fourier_series_coeff(series, k, degree)
-        return value
-
-    return th_determinant(th_rows(which, [0] * size, coeff), degree)
+    lo = 2 - 2 * size - pattern.offset  # the lowest (Hankel) index
+    coeffs = sym.graded_coeffs(pattern.symbol, lo, size - 1, degree)
+    return th_determinant(th_rows(which, [0] * size, lambda k: coeffs[k - lo]), degree)
 
 
 def gessel_check(sym: Symbol, which: str, size: int, degree: int) -> bool:

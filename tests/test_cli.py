@@ -117,6 +117,18 @@ def test_alphabet_symbol_documents(command, capsys):
     assert len(out.splitlines()) > 2
 
 
+def test_bc_symbol_documents_have_d2_d4_rows(capsys):
+    # f~ = E(rho+; z) E(rho-; 1/z) has no pole off 0 and infinity, so the
+    # width-bounded rows of a BC alphabet rho+ are printed
+    bc = {"rho_plus": {"x": ["1/2"]}, "rho_minus": {"y": ["1/3", "-1/4"]}}
+    assert main(["th-dets", "--which", "D2,D4", "--symbol", json.dumps(bc)]) == 0
+    out, _ = capsys.readouterr()
+    rows = out.splitlines()[2:]
+    assert [row.split(",")[:2] for row in rows] == [
+        [which, str(n)] for which in ("D2", "D4") for n in range(2, 13)
+    ]
+
+
 def _readme_commands() -> list[str]:
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]

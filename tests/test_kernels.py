@@ -273,7 +273,7 @@ def test_plancherel_grids_converge_within_256_nodes(monkeypatch, theta):
 
 def test_contour_grid_checks_every_imaginary_residue():
     # a complex symbol has complex kernel entries, which no grid may return
-    F = SymbolF.exp_laurent([(0.3j, 1, False), (-0.5, -1, False)], label="complex")
+    F = SymbolF(lambda z: np.exp(0.3j * z - 0.5 / z), (0.0, math.inf), (0.0, math.inf), "complex")
     with pytest.raises(QuadratureNotConverged, match="imaginary residue"):
         kernel_contour(CFG, F, "sp", range(-3, 4), range(-3, 4))
 

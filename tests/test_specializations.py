@@ -120,15 +120,15 @@ def test_integer_tables_have_nested_denominators():
     ]
     rhos.append(rhos[0].omega())
     for rho in rhos:
-        for value, table in ((rho.h, rho.h_table), (rho.e, rho.e_table)):
-            num, den = table(9)
-            assert num[0] == den[0] == 1
-            for k in range(10):
-                assert Fraction(num[k], den[k]) == value(k), k
-                assert den[k] == math.lcm(*(value(i).denominator for i in range(k + 1)))
-    # a float p_2 makes h_2, h_3, ... floats: the table stops at index 1
+        for form, value in (("h", rho.h), ("e", rho.e)):
+            rows, den = rho.scaled_table(form, 9)
+            for j in range(10):
+                assert den[j] == math.lcm(*(value(i).denominator for i in range(j + 1))), j
+                assert rows[j] == [value(k) * den[j] for k in range(j + 1)], j
+    # a float p_2 makes h_2, h_3, ... floats: the rows stop at index 1
     mixed = Specialization.from_powersums({1: Fraction(1, 2), 2: 0.25})
-    assert mixed.h_table(1) == ([1, 1], [1, 2])
-    assert mixed.h_table(2) is None and mixed.e_table(5) is None
-    assert mixed.h_table(1) == ([1, 1], [1, 2])  # growing past the float leaves it as it was
-    assert Specialization.plancherel(0.5).h_table(1) is None
+    assert mixed.scaled_table("h", 1) == ([[1], [2, 1]], [1, 2])
+    assert mixed.scaled_table("h", 2) is None and mixed.scaled_table("e", 5) is None
+    # growing past the float leaves them as they were
+    assert mixed.scaled_table("h", 1) == ([[1], [2, 1]], [1, 2])
+    assert Specialization.plancherel(0.5).scaled_table("h", 1) is None

@@ -1,4 +1,3 @@
-import collections
 import math
 import random
 from fractions import Fraction
@@ -157,11 +156,12 @@ def test_gessel_identities_on_alphabet_symbols():
 
 
 def test_symbol_f_is_the_product_form():
-    # f = H(rho+; z) H(rho-; 1/z) and f~ = 1/f(-z) = E(rho+; z) E(rho-; 1/z),
-    # analytic for max|y| < |z| < 1/max|x|
+    # f = H(rho+; z) H(rho-; 1/z), analytic for max|y| < |z| < 1/max|x|, and
+    # f~ = 1/f(-z) = E(rho+; z) E(rho-; 1/z), a Laurent polynomial
     xs, ys = [Fraction(1, 3), Fraction(1, 7)], [Fraction(1, 4)]
     sym = Symbol(Specialization.from_alphabet(xs), Specialization.from_alphabet(ys))
-    assert sym.f.annulus_z == sym.f_tilde.annulus_z == (0.25, 3.0)
+    assert sym.f.annulus_z == (0.25, 3.0)
+    assert sym.f_tilde.annulus_z == sym.f_tilde.annulus_w == (0.0, math.inf)
     for z in (0.5j, 1.0 + 0.5j, -2.0, 2.5 * np.exp(1j)):
         plus = math.prod(1 - float(x) * z for x in xs)
         minus = math.prod(1 - float(y) / z for y in ys)
@@ -185,41 +185,101 @@ def test_bo_and_szego_on_a_plain_alphabet_symbol():
         assert val == pytest.approx(target, abs=1e-11), which
 
 
+def _bc_symbols():
+    """BC alphabet (1/2), without and with the letter 1, against (1/3, -1/4)."""
+    y = Specialization.from_alphabet([Fraction(1, 3), Fraction(-1, 4)])
+    return [
+        Symbol(Specialization.from_bc_alphabet([Fraction(1, 2)], include_one=one), y)
+        for one in (False, True)
+    ]
+
+
 def test_bc_alphabet_symbols_raise_for_float_coefficients():
     # f of a BC alphabet rho+ converges only inside |z| < min|x^(+-1)| <= 1,
-    # so its unit-circle coefficients would belong to another symbol
-    y = Specialization.from_alphabet([Fraction(1, 3), Fraction(-1, 4)])
-    for include_one in (False, True):
-        sym = Symbol(Specialization.from_bc_alphabet([Fraction(1, 2)], include_one=include_one), y)
+    # so its unit-circle coefficients would belong to another symbol; f~ has
+    # no pole off 0 and infinity, so D2 has its float determinant
+    for sym in _bc_symbols():
         assert sym.f.annulus_z == (1 / 3, 0.5)
-        for which in ("D1", "D2"):
-            with pytest.raises(ContourViolation, match="unit circle"):
-                th_det(sym, which, 2)
+        with pytest.raises(ContourViolation, match="unit circle"):
+            th_det(sym, "D1", 2)
+        assert math.isfinite(th_det(sym, "D2", 2))
         with pytest.raises(ContourViolation, match="unit circle"):
             bo_check(sym, "sp", 2)
 
 
-def test_th_det_series_computes_each_coefficient_once(monkeypatch):
-    calls = collections.Counter()
-    original = Symbol.fourier_series_coeff
+def test_bc_alphabet_f_tilde_modes_are_the_finite_sums():
+    # f~ = E(rho+; z) E(rho-; 1/z): its mode s is sum_k e_k(rho-) e_{k+s}(rho+),
+    # a finite sum for alphabets
+    for sym in _bc_symbols():
+        modes = sym.fourier_coeffs("f_tilde", -6, 6)
+        for s in range(-6, 7):
+            exact = sum(sym.rho_minus.e(k) * sym.rho_plus.e(k + s) for k in range(max(0, -s), 12))
+            assert modes[s + 6] == pytest.approx(float(exact), abs=1e-14), s
 
-    def counting(sym, which, s, degree):
-        calls[which, s, degree] += 1
-        return original(sym, which, s, degree)
 
-    monkeypatch.setattr(Symbol, "fourier_series_coeff", counting)
+def test_bc_alphabet_szego_limits_of_d2_d4():
+    # D2_m and (1/2) D4_m are the width-bounded sp/o sums, rising to Z_sp / Z_o
+    for sym in _bc_symbols():
+        for which in ("D2", "D4"):
+            vals = [szego_normalized_det(sym, which, m) for m in (12, 16, 24, 32)]
+            target = vals[0][1]
+            dets = [val for val, _ in vals]
+            assert dets == sorted(dets) and dets[-1] < target, (which, dets, target)
+            assert target - dets[-1] < 1e-5, (which, dets, target)
+
+
+def _convolution(sym: Symbol, form: str, s: int, degree: int) -> GradedScalar:
+    """Oracle: sum_k g_k(rho-) g_{k+s}(rho+) t^(2k+s) mod t^(degree+1), g = rho.h
+    or rho.e by form, one Fraction per power of t."""
+    gm, gp = (sym.rho_minus.h, sym.rho_plus.h) if form == "h" else (sym.rho_minus.e, sym.rho_plus.e)
+    coeffs = [Fraction(0)] * (degree + 1)
+    for n in range(degree + 1):
+        k, odd = divmod(n - s, 2)
+        if not odd and k >= 0 and k + s >= 0:
+            coeffs[n] = gm(k) * gp(k + s)
+    return GradedScalar(coeffs)
+
+
+def test_graded_coeffs_are_the_convolutions_of_the_images():
+    y = Specialization.from_alphabet([Fraction(1, 4)])
+    symbols = {
+        "plancherel": Symbol.plancherel(Fraction(1, 2)),
+        "power sums": random_symbol(11),
+        "plain alphabets": Symbol(
+            Specialization.from_alphabet([Fraction(1, 3), Fraction(-1, 7)]), y
+        ),
+        "BC": _bc_symbols()[0],
+        "BC with 1": _bc_symbols()[1],
+    }
+    for label, sym in symbols.items():
+        for degree in (0, 1, 6):
+            # the window reaches below -degree and above degree, where f_s = 0
+            lo, hi = -degree - 3, degree + 2
+            for which, form in (("f", "h"), ("f_tilde", "e")):
+                got = sym.graded_coeffs(which, lo, hi, degree)
+                assert got == [_convolution(sym, form, s, degree) for s in range(lo, hi + 1)], (
+                    label, which, degree,
+                )
+                assert not any(got[: -degree - lo]) and not any(got[degree - lo + 1 :])
+            # a routine reading h for f~ fails the comparison above, except
+            # for Plancherel, whose e and h images coincide, and below degree
+            # 2 (h_1 = e_1)
+            mutant = [_convolution(sym, "h", s, degree) for s in range(lo, hi + 1)]
+            if label != "plancherel" and degree > 1:
+                assert sym.graded_coeffs("f_tilde", lo, hi, degree) != mutant, (label, degree)
+    with pytest.raises(TypeError):
+        Symbol.plancherel(0.5).graded_coeffs("f", -2, 2, 4)
+    with pytest.raises(ValueError):
+        symbols["power sums"].graded_coeffs("g", -2, 2, 4)
+
+
+def test_negative_degrees_raise():
     sym = Symbol.plancherel(Fraction(1, 2))
-    # D1/D3 read f and D2/D4 read f~, at overlapping indices across sizes
     for which in TH_PATTERNS:
-        for size in range(1, 5):
-            th_det_series(sym, which, size, 6)
-    assert calls and max(calls.values()) <= 1
-    assert {which for which, _s, _d in calls} == {"f", "f_tilde"}
-    # the kept coefficients are truncated at their degree: another degree
-    # on the same symbol computes its own
-    fresh = Symbol.plancherel(Fraction(1, 2))
-    for which in TH_PATTERNS:
-        assert th_det_series(sym, which, 3, 8) == th_det_series(fresh, which, 3, 8)
+        for size in (0, 2):
+            for check in (th_det_series, gessel_check):
+                with pytest.raises(ValueError, match="degree must be >= 0"):
+                    check(sym, which, size, -1)
 
 
 def test_negative_sizes_raise():
