@@ -17,8 +17,10 @@ Gauss-Legendre template over [0, 80], cut per call where every y has
 y + s > 16, and per row inside that prefix: Ai(y_j + s) and Ai(x_i + s) are
 evaluated only where their argument is <= 16 and are exact zeros past it.
 Each dropped integrand is at most 0.536 Ai(u) with u > 16, so each term
-loses at most 2 x 0.536 int_16^inf Ai ~ 2 x 5.5e-21.  The template end puts
-y >= -64; below that `airy_2to1` raises DomainTooLarge.
+loses at most 2 x 0.536 int_16^inf Ai ~ 2 x 5.5e-21.  The template is
+32 panels of 24-node Gauss-Legendre; its end puts y >= -64, and its
+resolution of the oscillating cross factor Ai(x - s) puts x >= -64; below
+either bound `airy_2to1` raises DomainTooLarge.
 
 Scan helpers compare lattice kernels with their limits; because lattice
 sites are integers, the limit is evaluated at the exactly-scaled coordinate
@@ -68,10 +70,12 @@ def sine_kernel(phi: float, d: int) -> float:
 
 # Ai(u) < 5e-20 for u > _AI_CUT; airy_2to1 drops every node s with y + s > _AI_CUT.
 _AI_CUT = 16.0
-# The s-node template; a call uses a prefix of it.  Its first 960 nodes are the
-# composite panels on [0, 40] bit for bit, so cuts within 40 keep those bits.
+# The s-node template; a call uses a prefix of it.  32 panels of 24-node
+# Gauss-Legendre: on [-64, 12]^2 A± lies within 2e-12 of 640 16-node panels
+# (80 or 96 panels of 10 nodes miss by 2e-9 near -64).  Its first 384 nodes are
+# the composite panels on [0, 40] bit for bit, so cuts within 40 keep those bits.
 _S_END = 80.0
-_S_TEMPLATE = gauss_legendre_panels(0.0, _S_END, 192, 10)
+_S_TEMPLATE = gauss_legendre_panels(0.0, _S_END, 32, 24)
 
 
 def _ai_rows(z: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -88,8 +92,8 @@ def airy_2to1(sign: str, x, y):
 
     Scalars give a float; 1-D arrays give the matrix [A±(x_i, y_j)].  Both
     integrands carry the factor Ai(y + s), which decays superexponentially, so
-    each call sums only the prefix of the s-template (composite 10-node
-    Gauss-Legendre on 192 panels of [0, 80]) with s <= 16 - min(y), and
+    each call sums only the prefix of the s-template (composite 24-node
+    Gauss-Legendre on 32 panels of [0, 80]) with s <= 16 - min(y), and
     within it evaluates Ai(y_j + s) only where y_j + s <= 16, with exact
     zeros past that per-row cut; so does Ai(x_i + s) when `x is not y`.  The
     cross factor Ai(x - s) is evaluated on the whole prefix.  Each dropped
@@ -98,10 +102,13 @@ def airy_2to1(sign: str, x, y):
     loses at most 2 x 0.536 int_16^inf Ai(u) du ~ 2 x 5.5e-21, the infinite
     tail past s = 80 included.  When min(y) >= 16 the prefix is empty and
     the matrix is exactly 0.  The template ends at 80, so y below -64 raises
-    DomainTooLarge; non-finite x or y raise ValueError.  The second
-    integrand oscillates in Ai(x - s); with C = (A+ - A-)/2 the full-line
-    identity C + C^T = 2^(-1/3) Ai(2^(-1/3)(x + y)) holds to ~1e-12 over
-    [-64, 12]^2.  When `x is y` the Ai(y + s) grid also serves as Ai(x + s).
+    DomainTooLarge.  The template is validated on [-64, inf)^2: on
+    [-64, 12]^2 A± lies within 2e-12 of 640 16-node panels.  Below -64 the
+    oscillating cross factor Ai(x - s) is under-resolved (6.7e-10 at
+    x = -200), so x below -64 raises DomainTooLarge as well; non-finite x or
+    y raise ValueError.  With C = (A+ - A-)/2 the full-line identity
+    C + C^T = 2^(-1/3) Ai(2^(-1/3)(x + y)) holds to ~2e-12 over [-64, 12]^2.
+    When `x is y` the Ai(y + s) grid also serves as Ai(x + s).
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
@@ -110,11 +117,13 @@ def airy_2to1(sign: str, x, y):
     both = np.concatenate([xs, ys])
     if not np.isfinite(both).all():  # the u <= 16 masks would zero a NaN
         raise ValueError(f"airy_2to1 needs finite x and y, got {both[~np.isfinite(both)][0]}")
+    for name, zs in (("y", ys), ("x", xs)):
+        low = np.min(zs, initial=np.inf)
+        if low < _AI_CUT - _S_END:
+            raise DomainTooLarge(
+                f"airy_2to1 needs {name} >= {_AI_CUT - _S_END:g}, got min({name}) = {low:g}"
+            )
     reach = _AI_CUT - np.min(ys, initial=np.inf)
-    if reach > _S_END:
-        raise DomainTooLarge(
-            f"airy_2to1 needs y >= {_AI_CUT - _S_END:g}, got min(y) = {_AI_CUT - reach:g}"
-        )
     nodes, weights = _S_TEMPLATE
     keep = np.searchsorted(nodes, reach, side="right")
     s, w = nodes[:keep], weights[:keep]

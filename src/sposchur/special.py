@@ -182,28 +182,32 @@ def _airy_u_coeffs(count: int) -> tuple[float, ...]:
 # Forward-recurrence terms of the Maclaurin series; at |x| = 6.8 the 32nd
 # term of f and of g is below 1e-20.
 _SERIES_TERMS = 32
+# Divisors of the k-th recurrence step: (3k+2)(3k+3) for f, (3k+3)(3k+4) for g.
+_SERIES_DEN = np.array(
+    [[[(3 * k + 2) * (3 * k + 3)], [(3 * k + 3) * (3 * k + 4)]] for k in range(_SERIES_TERMS)],
+    dtype=float,
+)
 
 
 def _ai_series(x: np.ndarray) -> np.ndarray:
     """Maclaurin series Ai(0) f + Ai'(0) g for |x| <= 6.8.
 
-    Each of f and g sums 1 + 32 forward-recurrence terms.  The fixed count
+    Each of f and g sums 1 + 32 forward-recurrence terms, carried together
+    as the rows of one (2, n) array and updated in place.  The fixed count
     needs no per-term convergence test and makes every element's bits
-    independent of the rest of the batch.  Against mpmath the error is at
-    most 9.8e-12 absolute on [-6.8, 6.8] (step 0.01), largest at the seam,
-    from the cancellation between f and g.
+    independent of the rest of the batch.  Each step divides by the exact
+    integer divisor (a reciprocal would round differently).  Against mpmath
+    the error is at most 9.8e-12 absolute on [-6.8, 6.8] (step 0.01),
+    largest at the seam, from the cancellation between f and g.
     """
     x3 = x * x * x
-    f_term = np.ones_like(x)
-    g_term = x.copy()
-    f_sum = f_term.copy()
-    g_sum = g_term.copy()
-    for k in range(_SERIES_TERMS):
-        f_term = f_term * x3 / ((3 * k + 2) * (3 * k + 3))
-        g_term = g_term * x3 / ((3 * k + 3) * (3 * k + 4))
-        f_sum += f_term
-        g_sum += g_term
-    return _AI_ZERO * f_sum + _AIP_ZERO * g_sum
+    term = np.stack([np.ones_like(x), x])
+    acc = term.copy()
+    for den in _SERIES_DEN:
+        np.multiply(term, x3, out=term)
+        np.divide(term, den, out=term)
+        acc += term
+    return _AI_ZERO * acc[0] + _AIP_ZERO * acc[1]
 
 
 def _ai_asym_right(x: np.ndarray) -> np.ndarray:
@@ -230,15 +234,18 @@ def _ai_asym_left(x: np.ndarray) -> np.ndarray:
     """Oscillatory expansion for large negative x."""
     t = -x
     xi = (2.0 / 3.0) * t**1.5
+    xi2 = xi * xi
     us = _airy_u_coeffs(26)
     p = np.zeros_like(t)
     q = np.zeros_like(t)
     pow_xi = np.ones_like(t)
+    term = np.empty_like(t)
     for k in range(13):
         sgn = (-1) ** k
-        p += sgn * us[2 * k] * pow_xi
-        q += sgn * us[2 * k + 1] * pow_xi / xi
-        pow_xi = pow_xi / (xi * xi)
+        p += np.multiply(sgn * us[2 * k], pow_xi, out=term)
+        np.multiply(sgn * us[2 * k + 1], pow_xi, out=term)
+        q += np.divide(term, xi, out=term)
+        np.divide(pow_xi, xi2, out=pow_xi)
     phase = xi - math.pi / 4.0
     return (np.cos(phase) * p + np.sin(phase) * q) / (math.sqrt(math.pi) * t**0.25)
 

@@ -165,24 +165,28 @@ class Specialization:
         0..j, so den[j] | den[j+1], and rows[j] holds the images 0..j times
         den[j], as integers.  None when the image at m is a float.
 
-        The lists are shared and only ever appended to (den after rows); read
-        indices <= m.
+        The pair is published as one tuple, never mutated: growth builds
+        longer lists and replaces the tuple under the lock, so a reader holds
+        one consistent pair (possibly longer than m + 1; read indices <= m).
         """
-        rows, den = self._scaled[form]
-        if len(den) > m:
-            return rows, den
+        table = self._scaled[form]
+        if len(table[1]) > m:
+            return table
         image, cache = (self.h, self._h_cache) if form == "h" else (self.e, self._e_cache)
         if isinstance(image(m), float):
             return None
         with self._lock:
-            while len(den) <= m:
-                j = len(den)
-                value = cache[j]
-                d = math.lcm(den[-1], value.denominator)
-                up = d // den[-1]
-                rows.append([a * up for a in rows[-1]] + [value.numerator * (d // value.denominator)])
-                den.append(d)
-        return rows, den
+            table = self._scaled[form]
+            if len(table[1]) <= m:
+                rows, den = list(table[0]), list(table[1])
+                while len(den) <= m:
+                    value = cache[len(den)]
+                    d = math.lcm(den[-1], value.denominator)
+                    up = d // den[-1]
+                    rows.append([a * up for a in rows[-1]] + [value.numerator * (d // value.denominator)])
+                    den.append(d)
+                self._scaled[form] = table = (rows, den)
+        return table
 
     def _extend(self, n: int) -> None:
         with self._lock:

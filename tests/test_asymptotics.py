@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sposchur import asymptotics
 from sposchur.asymptotics import (
     airy_2to1,
     airy_2to1_contour,
@@ -107,10 +108,11 @@ def test_airy_2to1_cross_term_identity():
 
 
 def test_airy_2to1_cut_matches_the_full_template():
-    # every node of 96 panels on [0, 40], no cut; the cut drops < 2 x 5.5e-21
+    # every node of the template on [0, 40], no cut; the cut drops < 2 x 5.5e-21
     # per term, and BLAS sums the shorter products in another order (~5 ulp
     # at s = -8).  x != y runs the per-row cut on Ai(x + s) as well.
-    s, w = gauss_legendre_panels(0.0, 40.0, 96, 10)
+    nodes, weights = asymptotics._S_TEMPLATE
+    s, w = nodes[nodes <= 40.0], weights[nodes <= 40.0]
     for start in (-8.0, -6.0, 0.0, 4.0):
         ys, _ = gauss_legendre_panels(start, start + 16.0, 24, 6)
         for xs in (ys, np.linspace(start - 3.0, start + 19.0, 37)):
@@ -155,11 +157,36 @@ def test_airy_2to1_domain_ends():
     # y >= 16 leaves no node before the cut: exactly zero
     assert airy_2to1("+", -3.0, 16.0) == 0.0
     assert not np.any(airy_2to1("-", np.array([-3.0, 20.0]), np.array([16.0, 18.0])))
-    # the s-template ends at 80, so y may go down to 16 - 80 = -64
+    # the s-template ends at 80, so y may go down to 16 - 80 = -64; the
+    # template resolves the cross factor Ai(x - s) down to x = -64 as well
     airy_2to1("+", 0.0, -64.0)
+    airy_2to1("-", -64.0, 0.0)
     for y in (-70.0, np.array([0.0, -70.0])):
-        with pytest.raises(DomainTooLarge):
+        with pytest.raises(DomainTooLarge, match="y >= -64"):
             airy_2to1("+", 0.0, y)
+    for x in (-70.0, np.array([0.0, -70.0])):
+        with pytest.raises(DomainTooLarge, match="x >= -64"):
+            airy_2to1("-", x, 0.0)
+
+
+def test_airy_2to1_matches_a_fine_template_on_its_domain(monkeypatch):
+    # reference: 640 panels of 16-node Gauss-Legendre on the same [0, 80]
+    grid = np.linspace(-64.0, 12.0, 39)
+    svals = (-6.0, -2.0, 0.0, 2.0)
+    signs = ("+", "-")
+
+    def evaluate():
+        mats = {sign: airy_2to1(sign, grid, grid) for sign in signs}
+        cdfs = {(sign, s): tw_2to1_cdf(sign, s) for sign in signs for s in svals}
+        return mats, cdfs
+
+    mats, cdfs = evaluate()
+    monkeypatch.setattr(asymptotics, "_S_TEMPLATE", gauss_legendre_panels(0.0, 80.0, 640, 16))
+    ref_mats, ref_cdfs = evaluate()
+    for sign in signs:
+        assert np.max(np.abs(mats[sign] - ref_mats[sign])) < 2e-12, sign
+    for key, value in cdfs.items():
+        assert abs(value - ref_cdfs[key]) < 1e-12, key
 
 
 def test_edge_scan_rows_hold_python_floats():

@@ -122,6 +122,42 @@ def test_airy_bits_do_not_depend_on_the_batch():
     assert np.array_equal(airy_ai_vec(xs.reshape(49, 41)), batch.reshape(49, 41))
 
 
+# Ai bits pinned as float.hex strings: left expansion, both seams (and their
+# neighbours), the Maclaurin series, the right expansion on both sides of its
+# truncation switch at 6.869.  A reordered or reciprocal-based recurrence
+# rounds differently and fails here.
+_AIRY_BITS = [
+    (-40.0, "-0x1.784a6b5e2d050p-5"),
+    (-25.3, "-0x1.715d5ba4fcca1p-3"),
+    (-12.5, "-0x1.1ae7b7f765332p-2"),
+    (-7.0, "0x1.79683b0570e8ap-3"),
+    (-6.800000000000001, "0x1.8ca41bf36762dp-7"),
+    (-6.8, "0x1.8ca41bf3e89c0p-7"),
+    (-6.5, "-0x1.e7773026e69bep-3"),
+    (-3.3, "-0x1.ab317aca273c6p-2"),
+    (-1.0, "0x1.1235093d83da6p-1"),
+    (-1e-08, "0x1.6b8c798ee85b0p-2"),
+    (0.0, "0x1.6b8c7962715b9p-2"),
+    (1e-08, "0x1.6b8c7935fa5c2p-2"),
+    (0.7, "0x1.8367939abe48ap-3"),
+    (2.5, "0x1.01a74da795e00p-6"),
+    (5.9, "0x1.abb8b60000000p-17"),
+    (6.8, "0x1.567e000000000p-20"),
+    (6.800000000000001, "0x1.567dc4126d982p-20"),
+    (6.8693, "0x1.1d09a5b09d367p-20"),
+    (6.8694, "0x1.1cf64490b3ab2p-20"),
+    (9.3, "0x1.0fed97e5dc818p-30"),
+    (17.0, "0x1.aa2884dd9fb66p-71"),
+    (33.3, "0x1.1041e789eba79p-188"),
+]
+
+
+def test_airy_bits_are_pinned():
+    xs = np.array([x for x, _ in _AIRY_BITS])
+    got = [float(v).hex() for v in airy_ai_vec(xs)]
+    assert got == [bits for _, bits in _AIRY_BITS]
+
+
 def test_airy_right_tail_keeps_optimal_truncation():
     # reference: add (-1)^k u_k xi^-k term by term while the terms shrink;
     # Horner with the last term masked below x = 6.869 sums the same terms

@@ -132,3 +132,15 @@ def test_integer_tables_have_nested_denominators():
     # growing past the float leaves them as they were
     assert mixed.scaled_table("h", 1) == ([[1], [2, 1]], [1, 2])
     assert Specialization.plancherel(0.5).scaled_table("h", 1) is None
+
+
+def test_scaled_table_growth_publishes_a_new_pair():
+    # a reader keeps one (rows, den) pair; growth replaces it and never
+    # appends to the lists already handed out
+    rho = Specialization.from_powersums({1: Fraction(3, 7), 2: Fraction(-5, 6)})
+    small = rho.scaled_table("h", 2)
+    frozen = ([list(row) for row in small[0]], list(small[1]))
+    large = rho.scaled_table("h", 6)
+    assert small == frozen and len(small[0]) == len(small[1]) == 3
+    assert len(large[0]) == len(large[1]) == 7 and large[0][:3] == small[0]
+    assert rho.scaled_table("h", 2) is large
