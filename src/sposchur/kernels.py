@@ -20,6 +20,9 @@ consumed by correlation determinants and Fredholm sections.  Every route
 forms) takes sites the same way: integers give a float, 1-D integer arrays
 give the matrix [K(a_i, b_j)].  Dual-family kernels are contour-only.
 
+The Bessel route sums each entry as two tail sums, along a diagonal and an
+anti-diagonal of the products J_k J_l, one running sum per diagonal.
+
 Contour quadrature is the trapezoidal rule on circles (spectrally accurate
 for these analytic integrands), node count doubling from the configured start
 until two successive grids agree entry by entry.  The double trapezoid sum is
@@ -41,7 +44,7 @@ import numpy as np
 
 from .errors import ContourViolation, QuadratureNotConverged
 from .measures import MeasureSpec
-from .special import _j_cache, bessel_j_ranges
+from .special import _j_cache, bessel_j_values
 from .specializations import Specialization
 
 _MODE_TOL = 1e-15  # boundary modes relative to the largest mode
@@ -427,20 +430,7 @@ kernel_contour_grid = kernel_contour
 # ---------------------------------------------------------------------------
 
 
-_PRODUCT_CHUNK = 1 << 18  # elements of the (rows, columns, terms) product per pass
-
-
-def _row_sums(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """[sum_k A[i, k] B[j, k]], each entry summed as np.sum sums a vector.
-
-    The pairwise order of np.sum keeps a 1x1 result bit-identical to the
-    scalar sum; a BLAS product would move last bits.  Rows go in chunks so
-    that the product temporary stays near _PRODUCT_CHUNK elements.
-    """
-    step = max(1, _PRODUCT_CHUNK // B.size)
-    return np.concatenate(
-        [(A[i : i + step, None, :] * B[None, :, :]).sum(axis=-1) for i in range(0, len(A), step)]
-    )
+_SUM_BLOCK = 1 << 18  # elements of the running-sum buffer per block of diagonals
 
 
 def _site_arrays(a, b) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -456,10 +446,19 @@ def kernel_bessel_with_error(theta: float, family: str, a, b):
     """Kernel of the Plancherel-type measure, by truncated Bessel sums.
 
     Integer sites give a float; 1-D site arrays give the matrix [K(a_i, b_j)].
-    The sums over i run to the truncation orders upper - min(a, b) and
-    upper - b, taken over the whole window for a matrix (the extra terms are
-    below 1e-27).  The J_{a+i}, J_{b+i} and J_{a-i} blocks are rows of one
-    `bessel_j_ranges` lookup, so a 1x1 matrix has the bits of the scalar sums.
+    With d = b - a and s = a + b, K_sp = T1 + T2 and K_o = J_a J_b + T1 - T2
+    for the tail sums over the orders in [-N, N], N the truncation order,
+
+        T1(a, b) = sum_{k > a} J_k J_{k+d},   T2(a, b) = sum_{k >= b} J_{s-k} J_k.
+
+    Each is one running sum from order N down along the diagonal d or the
+    anti-diagonal s, shared by every entry on it, so a W x W window costs
+    O(W (W + N)) products instead of O(W^2 N).  Only the diagonals the sites
+    use are formed, about _SUM_BLOCK elements at a time.  An entry adds its
+    terms in the same order whatever else is asked for, and for sites within
+    [-N, N] the J lookup's cache bucket depends on theta alone, so matrix
+    entries then have the bits of the scalar values.  `est_error` is
+    1e-15 sqrt(n1 + n2), n1 = max(1, N - min(a, b)), n2 = max(1, N - min(b) + 1).
     """
     _check_family(family)
     if theta < 0:
@@ -467,28 +466,51 @@ def kernel_bessel_with_error(theta: float, family: str, a, b):
     a, b, scalar = _site_arrays(a, b)
     x = 2.0 * float(theta)
     upper = int(math.ceil(x + 16.0 * max(x, 1.0) ** (1.0 / 3.0) + 60))
-    a_lo, a_hi, b_lo, b_hi = int(a.min()), int(a.max()), int(b.min()), int(b.max())
-    n1 = max(2, upper - min(a_lo, b_lo) + 1) - 1  # s1 sums i = 1..n1
-    n2 = max(1, upper - b_lo + 1)  # s2 sums i = 0..n2-1
-    # orders of J_{a+i}, J_{b+i} (i >= 1), J_{a-i} and J_{b+i} (i >= 0)
-    ranges = [
-        (a_lo + 1, a_hi + n1),
-        (b_lo + 1, b_hi + n1),
-        (a_lo - n2 + 1, a_hi),
-        (b_lo, b_hi + n2 - 1),
-    ]
-    if family == "o":
-        ranges += [(a_lo, a_hi), (b_lo, b_hi)]
-    J = bessel_j_ranges(ranges, x)
-    i1, i2 = np.arange(n1), np.arange(n2)
-    s1 = _row_sums(J[0][(a - a_lo)[:, None] + i1], J[1][(b - b_lo)[:, None] + i1])
-    # row r of the J_{a-i} block runs J_{a_r}, J_{a_r - 1}, ..., J_{a_r - n2 + 1}
-    s2 = _row_sums(J[2][(a - a_lo + n2 - 1)[:, None] - i2], J[3][(b - b_lo)[:, None] + i2])
+    a_lo, b_lo, a_hi, b_hi = int(a.min()), int(b.min()), int(a.max()), int(b.max())
+    n1 = max(1, upper - min(a_lo, b_lo))
+    n2 = max(1, upper - b_lo + 1)
+    # every term has its orders in [lo, N]: T1 above min(a, b), T2 from a + b - N
+    lo = max(-upper, min(a_lo, b_lo, a_lo + b_lo - upper, upper))
+    m = upper - lo + 1
+    j_lo = min(lo, a_lo, b_lo)
+    J = bessel_j_values(np.arange(j_lo, max(upper, a_hi, b_hi) + 1), x)
+    # Z = m + 1 zeros, J_N .. J_lo, m + 1 zeros, J_lo .. J_N, m + 1 zeros.  Column
+    # c of a row is the term of order k = N + 1 - c: Z[m + c] = J_k times
+    # Z[m - d + c] = J_{k+d} (T1) or Z[3m + 1 + s - lo - N + c] = J_{s-k} (T2).
+    # Rows past +-m from those offsets hold no nonzero term and are clipped.
+    Z = np.zeros(5 * m + 3)
+    Z[3 * m + 2 : 4 * m + 2] = J[lo - j_lo : upper - j_lo + 1]
+    Z[m + 1 : 2 * m + 1] = Z[3 * m + 2 : 4 * m + 2][::-1]
+    keys = np.empty((2, len(a), len(b)), dtype=np.int64)  # row starts
+    np.subtract.outer(a, b, out=keys[0])
+    np.add.outer(a - lo - upper, b, out=keys[1])
+    np.minimum(np.maximum(keys, -m, out=keys), m, out=keys)
+    keys[0] += m
+    keys[1] += 3 * m + 1
+    used = np.zeros(4 * m + 2, dtype=bool)
+    used[keys.ravel()] = True
+    starts = np.flatnonzero(used)  # the rows in use, and each entry's row
+    rows = np.searchsorted(starts, keys)
+    cols = np.empty((2, len(a), len(b)), dtype=np.int64)  # T1 sums orders > a, T2 >= b
+    cols[0] = (upper - a)[:, None]
+    cols[1] = upper + 1 - b
+    np.minimum(np.maximum(cols, 0, out=cols), m, out=cols)
+    width = min(m, max(0, upper - a_lo, upper + 1 - b_lo)) + 1  # cols.max() + 1
+    # windows[i] = Z[i : i + width], a strided view
+    windows = np.ndarray((len(Z) - width + 1, width), Z.dtype, Z, strides=Z.strides * 2)
+    t = np.empty(keys.shape)
+    step = max(1, _SUM_BLOCK // width)
+    for r0 in range(0, len(starts), step):
+        sums = windows[starts[r0 : r0 + step]]
+        sums *= windows[m]
+        np.add.accumulate(sums, axis=1, out=sums)
+        here = slice(None) if step >= len(starts) else (rows >= r0) & (rows < r0 + step)
+        t[here] = sums[rows[here] - r0, cols[here]]
+    t1, t2 = t
     if family == "sp":
-        value = s1 + s2
+        value = t1 + t2
     else:
-        # sum_{i>=0} J_{a+i} J_{b+i} = J_a J_b + s1-with-i>=1
-        value = np.outer(J[4][a - a_lo], J[5][b - b_lo]) + s1 - s2
+        value = J[a - j_lo][:, None] * J[b - j_lo] + t1 - t2
     err = 1e-15 * (n1 + n2) ** 0.5
     return (float(value[0, 0]) if scalar else value), err
 

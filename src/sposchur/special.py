@@ -123,30 +123,6 @@ def bessel_j_values(indices: np.ndarray, x: float) -> np.ndarray:
     return np.where(odd_neg, -vals, vals)
 
 
-def bessel_j_ranges(ranges: list[tuple[int, int]], x: float) -> list[np.ndarray]:
-    """J_n(x) over each inclusive order range (lo, hi), one array per range.
-
-    Every range gets the values `bessel_j_values(np.arange(lo, hi + 1), x)`
-    gives, bit for bit; ranges served by the same cached array share one
-    lookup over their union.
-    """
-    x = float(x)
-    buckets = [_bucket(max(abs(lo), abs(hi)), x) for lo, hi in ranges]
-    spans: dict[int, tuple[int, int]] = {}  # bucket -> union of its ranges
-    for bucket, (lo, hi) in zip(buckets, ranges):
-        span = spans.get(bucket, (lo, hi))
-        spans[bucket] = (min(span[0], lo), max(span[1], hi))
-    values = {
-        bucket: (lo, bessel_j_values(np.arange(lo, hi + 1), x))
-        for bucket, (lo, hi) in spans.items()
-    }
-    out = []
-    for bucket, (lo, hi) in zip(buckets, ranges):
-        start, vals = values[bucket]
-        out.append(vals[lo - start : hi - start + 1])
-    return out
-
-
 def bessel_j(n: int, x: float) -> float:
     """J_n(x) for integer n (any sign) and x >= 0."""
     return float(bessel_j_values(np.array([n]), x)[0])

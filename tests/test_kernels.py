@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sposchur.asymptotics import edge_site
 from sposchur.errors import ContourViolation, QuadratureNotConverged
 from sposchur.kernels import (
     dual_base_symbol,
@@ -365,6 +366,61 @@ def test_scalar_bessel_call_is_the_one_by_one_matrix():
                 value = kernel_bessel(theta, family, a, b)
                 assert isinstance(value, float)
                 assert value == kernel_bessel(theta, family, [a], [b])[0, 0]
+
+
+def test_bessel_kernel_on_sparse_sites_forms_only_their_diagonals():
+    # far-apart sites use few diagonals; a box over every diagonal of the
+    # span (12001 of them at theta = 1) would take ~15 MB
+    import tracemalloc
+
+    edge = np.array([edge_site(20000.0, x) for x in (-2.0, -1.0, 0.0, 1.0, 2.0)])
+    for theta, sites in [(1.0, np.array([-3000, 0, 3000])), (20000.0, edge)]:
+        for family in ("sp", "o"):
+            tracemalloc.start()
+            try:
+                mat = kernel_bessel(theta, family, sites, sites)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20, (theta, family, peak)
+            entries = np.array([[kernel_bessel(theta, family, a, b) for b in sites] for a in sites])
+            assert np.abs(mat - entries).max() <= 1e-15, (theta, family)
+
+
+def test_bessel_kernel_matches_mpmath_sums():
+    # the kernel's defining sums in 25-digit arithmetic, with J from mpmath and
+    # 20 orders past the package's truncation, on entries of edge_cdf_discrete
+    # windows, bulk sites and negative sites
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(0)
+    for theta in (0.5, 50.0, 200.0):
+        x = 2.0 * theta
+        top = int(math.ceil(x + 16.0 * max(x, 1.0) ** (1.0 / 3.0) + 60)) + 20
+        with mpmath.workdps(25):
+            jm = [mpmath.besselj(k, mpmath.mpf(x)) for k in range(top + 1)]
+
+        def J(k):
+            if abs(k) > top:
+                return mpmath.mpf(0)
+            return -jm[-k] if k < 0 and k % 2 else jm[abs(k)]
+
+        def K(family, a, b):
+            s1 = mpmath.fsum(J(a + i) * J(b + i) for i in range(1, top - min(a, b) + 1))
+            s2 = mpmath.fsum(J(a - i) * J(b + i) for i in range(top - b + 1))
+            return s1 + s2 if family == "sp" else J(a) * J(b) + s1 - s2
+
+        edge = np.arange(edge_site(theta, -6.0), edge_site(theta, 4.0) + 8)
+        bulk = round(0.5 * theta) + np.arange(-3, 4)
+        negative = -round(0.5 * theta) - 2 + np.arange(-3, 4)
+        pool = np.concatenate([edge, bulk, negative])
+        pairs = rng.choice(pool, size=(20, 2))
+        index = {int(site): i for i, site in enumerate(pool)}
+        for family in ("sp", "o"):
+            mat = kernel_bessel(theta, family, pool, pool)
+            for a, b in pairs.tolist():
+                with mpmath.workdps(25):
+                    exact = K(family, a, b)
+                assert abs(mat[index[a], index[b]] - float(exact)) <= 1e-15, (theta, family, a, b)
 
 
 def test_fourier_matrix_matches_entries():
