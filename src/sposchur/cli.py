@@ -3,10 +3,7 @@
 One executable, subcommand style.  Every report starts with a ``# config:``
 line echoing the resolved options as sorted JSON, so identical invocations
 produce byte-identical output.  Exit codes: 0 success, 1 identity or
-tolerance failure, 2 configuration error.  The rows of kernel-eval,
-correlations, th-dets, bo-check and tw-cdf may be computed on a thread pool
-(SPOSCHUR_THREADS); bulk-scan and edge-scan run serially.  Rows are written
-in a fixed order, so the output does not depend on scheduling.
+tolerance failure, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -17,7 +14,6 @@ import math
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import asymptotics, toeplitz_hankel
@@ -43,13 +39,6 @@ from .toeplitz_hankel import FredholmConfig, Symbol, bo_check, szego_normalized_
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("SPOSCHUR_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _parse_int_range(text: str) -> list[int]:
@@ -114,14 +103,6 @@ def _emit(args, header: list[str], rows: list[tuple]) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _map(fn, items):
-    n = _threads()
-    if n == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -192,34 +173,34 @@ def cmd_verify_identities(args) -> int:
 
 def cmd_kernel(args) -> int:
     reps = args.rep.split(",")
+    for rep in reps:
+        if rep not in ("bessel", "contour", "fourier"):
+            raise ValueError(f"unknown representation {rep!r}")
+    if len(set(reps)) < len(reps):
+        raise ValueError(f"--rep {args.rep!r} names a representation twice")
     bounds = args.range.split(":")
     if len(bounds) != 2 or int(bounds[0]) > int(bounds[1]):
         raise ValueError(f"--range {args.range!r}: need lo:hi with lo <= hi")
-    lo, hi = int(bounds[0]), int(bounds[1])
+    sites = range(int(bounds[0]), int(bounds[1]) + 1)
     try:
         r_z, r_w = (float(t) for t in args.radii.split(","))
     except ValueError:
         raise ValueError(f"--radii {args.radii!r}: need r_z,r_w, two numbers") from None
     cfg = KernelConfig(r_z=r_z, r_w=r_w)
     F = SymbolF.plancherel(args.theta)
-    sites = range(lo, hi + 1)
-    tasks = [(rep, a, b) for rep in reps for a in sites for b in sites]
-    if "contour" in reps:  # one node doubling for the whole range
-        contour, contour_err = kernel_contour_with_error(cfg, F, args.family, sites, sites)
-
-    def run(task):
-        rep, a, b = task
+    rows = []
+    for rep in sorted(reps):  # one evaluation over the whole range per route
         if rep == "contour":
-            val, err = float(contour[a - lo, b - lo]), float(contour_err[a - lo, b - lo])
+            values, errors = kernel_contour_with_error(cfg, F, args.family, sites, sites)
         elif rep == "bessel":
-            val, err = kernel_bessel_with_error(args.theta, args.family, a, b)
-        elif rep == "fourier":
-            val, err = kernel_fourier_with_error(F, args.family, a, b)
+            values, errors = kernel_bessel_with_error(args.theta, args.family, sites, sites)
         else:
-            raise ValueError(f"unknown representation {rep!r}")
-        return (args.family, rep, a, b, val, err)
-
-    rows = sorted(_map(run, tasks), key=lambda r: (r[1], r[2], r[3]))
+            values, errors = kernel_fourier_with_error(F, args.family, sites, sites)
+        rows += [
+            (args.family, rep, a, b, float(values[i, j]), float(errors[i, j]))
+            for i, a in enumerate(sites)
+            for j, b in enumerate(sites)
+        ]
     _emit(args, ["family", "representation", "a", "b", "value", "est_error"], rows)
     return EXIT_OK
 
@@ -227,13 +208,10 @@ def cmd_kernel(args) -> int:
 def cmd_correlations(args) -> int:
     spec = _load_measure(args)
     args.family = spec.family  # a --measure document names its own family
-    point_sets = _parse_point_sets(args.points)
-
-    def run(pts):
+    rows = []
+    for pts in _parse_point_sets(args.points):
         res = correlation_bruteforce(spec, pts, tol=args.tol)
-        return (";".join(str(p) for p in pts), res.cutoff, res.value, res.tail_estimate)
-
-    rows = _map(run, point_sets)
+        rows.append((";".join(str(p) for p in pts), res.cutoff, res.value, res.tail_estimate))
     _emit(args, ["points", "cutoff", "value", "est_tail"], rows)
     return EXIT_OK
 
@@ -253,14 +231,11 @@ def _load_symbol(args) -> Symbol:
 def cmd_th_dets(args) -> int:
     sym = _load_symbol(args)
     sizes = _parse_int_range(args.sizes)
-    whichs = args.which.split(",")
-
-    def run(task):
-        which, n = task
-        val, target = szego_normalized_det(sym, which, n)
-        return (which, n, val, target, val - target, 0.0)
-
-    rows = _map(run, [(w, n) for w in whichs for n in sizes])
+    rows = []
+    for which in args.which.split(","):
+        for n in sizes:
+            val, target = szego_normalized_det(sym, which, n)
+            rows.append((which, n, val, target, val - target, 0.0))
     _emit(args, ["family", "n_or_m", "lhs", "rhs", "gap", "tail_bound"], rows)
     return EXIT_OK
 
@@ -268,15 +243,12 @@ def cmd_th_dets(args) -> int:
 def cmd_bo(args) -> int:
     sym = _load_symbol(args)
     ms = _parse_int_range(args.m)
-    families = args.family.split(",")
     fred = FredholmConfig(tail_tol=min(1e-10, args.tol / 10))
-
-    def run(task):
-        family, m = task
-        res = bo_check(sym, family, m, fred)
-        return (family, m, res.lhs, res.rhs, res.gap, res.tail_bound)
-
-    rows = _map(run, [(f, m) for f in families for m in ms])
+    rows = []
+    for family in args.family.split(","):
+        for m in ms:
+            res = bo_check(sym, family, m, fred)
+            rows.append((family, m, res.lhs, res.rhs, res.gap, res.tail_bound))
     _emit(args, ["family", "n_or_m", "lhs", "rhs", "gap", "tail_bound"], rows)
     worst = max(abs(r[4]) for r in rows) if rows else 0.0
     return EXIT_OK if worst <= args.tol else EXIT_CHECK_FAILED
@@ -295,20 +267,18 @@ def cmd_scan(args) -> int:
 
 
 def cmd_tw(args) -> int:
-    svals = _parse_grid(args.s)
     family = "sp" if args.sign == "+" else "o"
-
-    def run(s):
+    rows = []
+    for s in _parse_grid(args.s):
         lim = asymptotics.tw_2to1_cdf(args.sign, s)
-        if args.theta is not None:
-            disc = asymptotics.edge_cdf_discrete(family, args.theta, s)
-            lim_eff = asymptotics.tw_2to1_cdf(
-                args.sign, asymptotics.edge_cdf_effective_s(family, args.theta, s)
-            )
-            return (s, 0.0, 0.0, disc, lim, abs(disc - lim_eff))
-        return (s, 0.0, 0.0, "", lim, "")
-
-    rows = _map(run, svals)
+        if args.theta is None:
+            rows.append((s, 0.0, 0.0, "", lim, ""))
+            continue
+        disc = asymptotics.edge_cdf_discrete(family, args.theta, s)
+        lim_eff = asymptotics.tw_2to1_cdf(
+            args.sign, asymptotics.edge_cdf_effective_s(family, args.theta, s)
+        )
+        rows.append((s, 0.0, 0.0, disc, lim, abs(disc - lim_eff)))
     _emit(args, ["s", "x", "y", "discrete", "limit", "abs_error"], rows)
     return EXIT_OK
 

@@ -18,7 +18,12 @@ both re-indexed to the common configuration {lambda_i - i}, which is the form
 consumed by correlation determinants and Fredholm sections.  Every route
 (`kernel_contour`, `kernel_bessel`, `kernel_fourier` and their `_with_error`
 forms) takes sites the same way: integers give a float, 1-D integer arrays
-give the matrix [K(a_i, b_j)].  Dual-family kernels are contour-only.
+give the matrix [K(a_i, b_j)].  The `_with_error` forms pair a value with an
+error of its form: a float for integer sites, an array of the matrix's shape
+for site arrays.  The contour and Bessel errors are per entry (the measured
+move under node doubling; 1e-15 sqrt(n1 + n2) for the entry's term counts
+n1 = max(1, N - min(a, b)) and n2 = max(1, N - b + 1)); the Fourier error is
+one mode-window estimate in every entry.  Dual-family kernels are contour-only.
 
 The Bessel route sums each entry as two tail sums, along a diagonal and an
 anti-diagonal of the products J_k J_l, one running sum per diagonal.
@@ -49,6 +54,11 @@ from .specializations import Specialization
 
 _MODE_TOL = 1e-15  # boundary modes relative to the largest mode
 _MAX_FFT = 1 << 20
+# contour quadrature: node count doubling from _MIN_NODES up to _MAX_NODES until
+# every entry moves by at most _CONTOUR_TOL * max(1, |K|)
+_MIN_NODES = 64
+_MAX_NODES = 1 << 14
+_CONTOUR_TOL = 1e-12
 
 
 def _check_family(family: str) -> None:
@@ -58,17 +68,10 @@ def _check_family(family: str) -> None:
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Contour radii and quadrature policy for kernel evaluation."""
+    """Contour radii for kernel evaluation."""
 
     r_z: float = 1.2
     r_w: float = 0.8
-    nodes: int = 64
-    tol: float = 1e-12
-    max_nodes: int = 1 << 14
-
-    def __post_init__(self):
-        if self.nodes < 4 or self.nodes & (self.nodes - 1):
-            raise ValueError("node count must be a power of two >= 4")
 
 
 def _letters(rho: Specialization) -> list[tuple[float, float]]:
@@ -383,24 +386,25 @@ def kernel_contour_with_error(cfg: KernelConfig, F: SymbolF, family: str, a, b):
     """Kernel by double trapezoidal contour quadrature, with an error estimate.
 
     Integer sites give (value, error) as floats; 1-D site arrays give the grid
-    [K(a_i, b_j)] and the per-entry errors.  The node count doubles from
-    cfg.nodes until every entry moves by at most tol * max(1, |K|); the error
-    is that last move |K_n - K_{n/2}|, a measured estimate, not a bound.  An
-    entry whose imaginary residue exceeds 1e-12 times the larger of
-    max(1, |K|) and the largest term of its trapezoid sum raises
-    QuadratureNotConverged, as does a grid not converged by cfg.max_nodes.
+    [K(a_i, b_j)] and an error array of its shape, entry by entry.  The node
+    count doubles from 64 until every entry moves by at most
+    1e-12 * max(1, |K|); an entry's error is its last move |K_n - K_{n/2}|, a
+    measured estimate, not a bound.  An entry whose imaginary residue exceeds
+    1e-12 times the larger of max(1, |K|) and the largest term of its
+    trapezoid sum raises QuadratureNotConverged, as does a grid not converged
+    by 2^14 nodes.
     """
     _check_family(family)
     F.check_contours(cfg.r_z, cfg.r_w)
     a, b, scalar = _site_arrays(a, b)
-    n = cfg.nodes
+    n = _MIN_NODES
     prev, _ = _contour_matrix(F, family, a, b, cfg.r_z, cfg.r_w, n)
-    while n < cfg.max_nodes:
+    while n < _MAX_NODES:
         n *= 2
         cur, terms = _contour_matrix(F, family, a, b, cfg.r_z, cfg.r_w, n)
         delta = np.abs(cur - prev)
         scale = np.maximum(1.0, np.abs(cur))
-        if np.all(delta <= cfg.tol * scale):
+        if np.all(delta <= _CONTOUR_TOL * scale):
             bad = np.argwhere(np.abs(cur.imag) > 1e-12 * np.maximum(scale, terms))
             if bad.size:
                 i, j = bad[0]
@@ -411,9 +415,7 @@ def kernel_contour_with_error(cfg: KernelConfig, F: SymbolF, family: str, a, b):
                 return float(cur[0, 0].real), float(delta[0, 0])
             return cur.real, delta
         prev = cur
-    raise QuadratureNotConverged(
-        f"no convergence to {cfg.tol} within {cfg.max_nodes} nodes"
-    )
+    raise QuadratureNotConverged(f"no convergence to {_CONTOUR_TOL} within {_MAX_NODES} nodes")
 
 
 def kernel_contour(cfg: KernelConfig, F: SymbolF, family: str, a, b):
@@ -442,12 +444,12 @@ def _site_arrays(a, b) -> tuple[np.ndarray, np.ndarray, bool]:
     return a, b, scalar
 
 
-def kernel_bessel_with_error(theta: float, family: str, a, b):
-    """Kernel of the Plancherel-type measure, by truncated Bessel sums.
+def _bessel_sums(theta: float, family: str, a: np.ndarray, b: np.ndarray):
+    """The matrix [K(a_i, b_j)] by truncated Bessel sums, and the truncation order N.
 
-    Integer sites give a float; 1-D site arrays give the matrix [K(a_i, b_j)].
     With d = b - a and s = a + b, K_sp = T1 + T2 and K_o = J_a J_b + T1 - T2
-    for the tail sums over the orders in [-N, N], N the truncation order,
+    for the tail sums over the orders in [-N, N], with the truncation order
+    N = ceil(2 theta + 16 max(2 theta, 1)^(1/3) + 60),
 
         T1(a, b) = sum_{k > a} J_k J_{k+d},   T2(a, b) = sum_{k >= b} J_{s-k} J_k.
 
@@ -457,18 +459,14 @@ def kernel_bessel_with_error(theta: float, family: str, a, b):
     use are formed, about _SUM_BLOCK elements at a time.  An entry adds its
     terms in the same order whatever else is asked for, and for sites within
     [-N, N] the J lookup's cache bucket depends on theta alone, so matrix
-    entries then have the bits of the scalar values.  `est_error` is
-    1e-15 sqrt(n1 + n2), n1 = max(1, N - min(a, b)), n2 = max(1, N - min(b) + 1).
+    entries then have the bits of the scalar values.
     """
     _check_family(family)
     if theta < 0:
         raise ValueError("theta must be >= 0")
-    a, b, scalar = _site_arrays(a, b)
     x = 2.0 * float(theta)
     upper = int(math.ceil(x + 16.0 * max(x, 1.0) ** (1.0 / 3.0) + 60))
     a_lo, b_lo, a_hi, b_hi = int(a.min()), int(b.min()), int(a.max()), int(b.max())
-    n1 = max(1, upper - min(a_lo, b_lo))
-    n2 = max(1, upper - b_lo + 1)
     # every term has its orders in [lo, N]: T1 above min(a, b), T2 from a + b - N
     lo = max(-upper, min(a_lo, b_lo, a_lo + b_lo - upper, upper))
     m = upper - lo + 1
@@ -511,12 +509,33 @@ def kernel_bessel_with_error(theta: float, family: str, a, b):
         value = t1 + t2
     else:
         value = J[a - j_lo][:, None] * J[b - j_lo] + t1 - t2
-    err = 1e-15 * (n1 + n2) ** 0.5
-    return (float(value[0, 0]) if scalar else value), err
+    return value, upper
+
+
+def kernel_bessel_with_error(theta: float, family: str, a, b):
+    """Kernel of the Plancherel-type measure, by truncated Bessel sums
+    (`_bessel_sums`), with a rounding estimate.
+
+    Integer sites give (value, error) as floats; 1-D site arrays give the
+    matrix [K(a_i, b_j)] and an error array of its shape.  The error of an
+    entry is 1e-15 sqrt(n1 + n2), n1 = max(1, N - min(a, b)) and
+    n2 = max(1, N - b + 1) the term counts of its two sums, N the truncation
+    order; it does not cover the terms past N.
+    """
+    a, b, scalar = _site_arrays(a, b)
+    value, upper = _bessel_sums(theta, family, a, b)
+    n1 = np.maximum(1, upper - np.minimum.outer(a, b))
+    err = 1e-15 * np.sqrt(n1 + np.maximum(1, upper + 1 - b))
+    if scalar:
+        return float(value[0, 0]), float(err[0, 0])
+    return value, err
 
 
 def kernel_bessel(theta: float, family: str, a, b):
-    return kernel_bessel_with_error(theta, family, a, b)[0]
+    """`kernel_bessel_with_error` without the error, which it does not form."""
+    a, b, scalar = _site_arrays(a, b)
+    value = _bessel_sums(theta, family, a, b)[0]
+    return float(value[0, 0]) if scalar else value
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +549,11 @@ def kernel_fourier_with_error(F: SymbolF, family: str, a, b):
     sp: c_a d_{-b} + sum_{j>=1} d_{-b-j} (c_{a+j} + c_{a-j})
     o : sum_{j>=0} d_{-b-j} (c_{a+j} - c_{a-j})
 
-    Integer sites give a float; 1-D site arrays give the matrix [K(a_i, b_j)],
-    with the sums over j cut where the mode windows end for the outermost sites.
+    Integer sites give (value, error) as floats; 1-D site arrays give the
+    matrix [K(a_i, b_j)], with the sums over j cut where the mode windows end
+    for the outermost sites, and an error array of its shape.  The error is
+    one estimate for the whole call, 4 times the largest boundary mode of the
+    two windows (see `SymbolF.modes`), in every entry.
     """
     _check_family(family)
     a, b, scalar = _site_arrays(a, b)
@@ -548,10 +570,13 @@ def kernel_fourier_with_error(F: SymbolF, family: str, a, b):
     else:
         value = (c_up - c_down) @ d_tail.T
     err = max(err_c, err_d) * 4.0
-    return (float(value[0, 0]) if scalar else value), err
+    if scalar:
+        return float(value[0, 0]), err
+    return value, np.full(value.shape, err)
 
 
 def kernel_fourier(F: SymbolF, family: str, a, b):
+    """`kernel_fourier_with_error` without the error."""
     return kernel_fourier_with_error(F, family, a, b)[0]
 
 

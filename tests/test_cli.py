@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from sposchur import cli
 from sposchur.cli import main
+from sposchur.kernels import kernel_bessel_with_error
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -165,24 +167,37 @@ def test_byte_identical_reruns(tmp_path):
     assert first == second
 
 
-def test_threaded_output_is_identical(tmp_path, monkeypatch):
-    args = ("kernel-eval", "--family", "sp", "--rep", "bessel", "--theta", "0.4",
-            "--range=-2:2")
-    _, single = run_cli(tmp_path, *args)
-    monkeypatch.setenv("SPOSCHUR_THREADS", "4")
-    _, threaded = run_cli(tmp_path, *args)
-    assert single == threaded
+def test_kernel_eval_routes_agree_entry_by_entry(tmp_path):
+    code, text = run_cli(
+        tmp_path, "kernel-eval", "--family", "sp", "--rep", "contour,bessel,fourier",
+        "--theta", "1", "--range=-5:5",
+    )
+    assert code == 0
+    rows = {}
+    for line in text.strip().split("\n")[2:]:
+        _, rep, a, b, value, err = line.split(",")
+        rows[rep, int(a), int(b)] = (value, err)
+    assert len(rows) == 3 * 11 * 11
+    for a in range(-5, 6):
+        for b in range(-5, 6):
+            value, err = rows["bessel", a, b]
+            assert (value, err) == tuple(map(str, kernel_bessel_with_error(1.0, "sp", a, b)))
+            assert abs(float(rows["fourier", a, b][0]) - float(value)) <= 1e-15
+            contour, contour_err = map(float, rows["contour", a, b])
+            assert abs(contour - float(value)) <= contour_err + 1e-12
 
 
-def test_threaded_exact_correlations_are_identical(tmp_path, monkeypatch):
-    # the workers share the measure's specializations and grow their tables together
-    args = ("correlations", *_powersum_measure_argv("o-dual"))
-    monkeypatch.setenv("SPOSCHUR_THREADS", "1")
-    _, single = run_cli(tmp_path, *args)
-    monkeypatch.setenv("SPOSCHUR_THREADS", "2")
-    _, threaded = run_cli(tmp_path, *args)
-    assert single == threaded
-    assert single.count("\n") == 5  # the config line, the header and three rows
+def test_kernel_eval_rejects_bad_rep_lists_before_evaluating(tmp_path, capsys, monkeypatch):
+    def evaluated(*args):
+        raise AssertionError("a kernel was evaluated")
+
+    for name in ("kernel_bessel_with_error", "kernel_contour_with_error",
+                 "kernel_fourier_with_error"):
+        monkeypatch.setattr(cli, name, evaluated)
+    for rep, message in (("bessel,bessel", "twice"), ("contour,foo", "'foo'")):
+        code, text = run_cli(tmp_path, "kernel-eval", "--rep", rep, "--theta", "1")
+        assert code == 2 and text == "", rep
+        assert message in capsys.readouterr().err, rep
 
 
 def test_csv_schema_and_config_echo(tmp_path):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sposchur import kernels
 from sposchur.asymptotics import edge_site
 from sposchur.errors import ContourViolation, QuadratureNotConverged
 from sposchur.kernels import (
@@ -13,9 +14,11 @@ from sposchur.kernels import (
     SymbolF,
     correlation_det,
     kernel_bessel,
+    kernel_bessel_with_error,
     kernel_contour,
     kernel_contour_with_error,
     kernel_fourier,
+    kernel_fourier_with_error,
     lattice_kernel,
 )
 from sposchur.measures import MeasureSpec, correlation_bruteforce, plancherel_measure
@@ -139,7 +142,7 @@ def test_spectral_convergence_of_quadrature():
     """
     theta = 1.0
     F = SymbolF.plancherel(theta)
-    ref = kernel_contour(KernelConfig(nodes=1024), F, "sp", 0, 0)
+    ref = kernel_bessel(theta, "sp", 0, 0)
     from sposchur.kernels import _contour_matrix
 
     errs = [
@@ -232,8 +235,6 @@ def test_contour_near_the_unit_circle(r_z):
 
 def _count_node_counts(monkeypatch) -> list:
     """Record the node count of every `_contour_data` call."""
-    from sposchur import kernels
-
     seen = []
     original = kernels._contour_data
 
@@ -250,12 +251,12 @@ def test_contour_grid_evaluates_each_node_count_once(monkeypatch):
     F = SymbolF.plancherel(0.5)
     value, err = kernel_contour_with_error(CFG, F, "o", 1, -2)
     assert seen == [64 << i for i in range(len(seen))] and len(seen) >= 2
-    assert 0.0 <= err <= CFG.tol * max(1.0, abs(value))
+    assert 0.0 <= err <= kernels._CONTOUR_TOL * max(1.0, abs(value))
     seen.clear()
     grid, errs = kernel_contour_with_error(CFG, F, "o", range(-4, 5), range(-3, 3))
     assert grid.shape == errs.shape == (9, 6)
     assert seen == [64 << i for i in range(len(seen))]
-    assert np.all(errs <= CFG.tol * np.maximum(1.0, np.abs(grid)))
+    assert np.all(errs <= kernels._CONTOUR_TOL * np.maximum(1.0, np.abs(grid)))
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
@@ -293,7 +294,7 @@ def test_contour_residue_is_measured_against_the_largest_term():
     cfg = G.default_config()
     grid, errs = kernel_contour_with_error(cfg, G, "o", range(-5, 4), range(-5, 4))
     assert grid.shape == (9, 9) and np.all(np.isfinite(grid))
-    assert np.all(errs <= cfg.tol * np.maximum(1.0, np.abs(grid)))
+    assert np.all(errs <= kernels._CONTOUR_TOL * np.maximum(1.0, np.abs(grid)))
 
 
 def test_contour_grid_memory_stays_linear_in_nodes(monkeypatch):
@@ -366,6 +367,23 @@ def test_scalar_bessel_call_is_the_one_by_one_matrix():
                 value = kernel_bessel(theta, family, a, b)
                 assert isinstance(value, float)
                 assert value == kernel_bessel(theta, family, [a], [b])[0, 0]
+
+
+@pytest.mark.parametrize("theta", [0.5, 2.0])
+@pytest.mark.parametrize("family", ["sp", "o"])
+def test_error_arrays_have_one_entry_per_site_pair(theta, family):
+    sites = np.arange(-5, 6)
+    values, errs = kernel_bessel_with_error(theta, family, sites, sites)
+    assert errs.shape == values.shape
+    for i, a in enumerate(sites):
+        for j, b in enumerate(sites):
+            assert errs[i, j] == kernel_bessel_with_error(theta, family, int(a), int(b))[1]
+    F = SymbolF.plancherel(theta)
+    for values, errs in (
+        kernel_contour_with_error(CFG, F, family, sites, sites),
+        kernel_fourier_with_error(F, family, sites, sites),
+    ):
+        assert errs.shape == values.shape == (11, 11)
 
 
 def test_bessel_kernel_on_sparse_sites_forms_only_their_diagonals():
@@ -674,11 +692,12 @@ def test_mixed_kind_symbols_match_the_brute_force_oracle():
             ), (family, pts)
 
 
-def test_quadrature_not_converged_raises():
+def test_quadrature_not_converged_raises(monkeypatch):
     # theta = 8 needs 256 nodes
+    monkeypatch.setattr(kernels, "_MAX_NODES", 128)
     F = SymbolF.plancherel(8.0)
     with pytest.raises(QuadratureNotConverged):
-        kernel_contour(KernelConfig(max_nodes=128), F, "sp", 0, 0)
+        kernel_contour(CFG, F, "sp", 0, 0)
 
 
 def test_unconverged_modes_raise():
