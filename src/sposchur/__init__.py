@@ -33,7 +33,7 @@ from .measures import (
 from .partitions import Partition, enumerate_partitions
 from .series import GradedScalar
 from .special import airy_ai, bessel_j
-from .specializations import Specialization, e_values, h_values
+from .specializations import Specialization
 from .toeplitz_hankel import FredholmConfig, Symbol, bo_check, gessel_check, szego_limits, th_det
 from .asymptotics import (
     airy_2to1,
@@ -62,11 +62,9 @@ __all__ = [
     "correlation_bruteforce",
     "correlation_det",
     "dual_lattice_kernel",
-    "e_values",
     "edge_scan",
     "enumerate_partitions",
     "gessel_check",
-    "h_values",
     "kernel_bessel",
     "kernel_contour",
     "kernel_fourier",

@@ -46,7 +46,10 @@ def _parse_int_range(text: str) -> list[int]:
     if "," in text:
         return [int(t) for t in text.split(",")]
     if ":" in text:
-        lo, hi = (int(t) for t in text.split(":"))
+        bounds = [int(t) for t in text.split(":")]
+        if len(bounds) != 2:
+            raise ValueError(f"{text!r}: expected lo:hi, a comma list, or one integer")
+        lo, hi = bounds
         if lo > hi:
             raise ValueError(f"empty range {text!r}: need lo <= hi")
         return list(range(lo, hi + 1))
@@ -257,8 +260,10 @@ def cmd_bo(args) -> int:
 def cmd_scan(args) -> int:
     thetas = _parse_float_list(args.theta)
     if args.command == "bulk-scan":
-        offsets = [int(v) for v in _parse_grid(args.offsets)]
-        scan = asymptotics.bulk_scan(args.family, thetas, args.alpha, offsets)
+        grid = _parse_grid(args.offsets)
+        if not all(v.is_integer() for v in grid):
+            raise ValueError(f"--offsets {args.offsets!r}: offsets must be integers")
+        scan = asymptotics.bulk_scan(args.family, thetas, args.alpha, [int(v) for v in grid])
     else:
         scan = asymptotics.edge_scan(args.family, thetas, _parse_grid(args.grid))
     rows = [(r.theta, r.x, r.y, r.discrete, r.limit, r.abs_error) for r in scan]

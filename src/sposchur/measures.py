@@ -185,7 +185,6 @@ def _sum_weights(
     keeps: list[Callable[[set[int]], bool]],
     sites: list[int],
     tol: float,
-    max_cutoff: int | None = None,
 ) -> list[BruteForceResult]:
     """Sum the weights of the partitions passing each predicate in one pass.
 
@@ -249,7 +248,7 @@ def _sum_weights(
                 for t, inc in zip(totals, increments)
             ]
         first_checkpoint = False
-        if seen > _PARTITION_BUDGET or (max_cutoff and cutoff >= max_cutoff):
+        if seen > _PARTITION_BUDGET:
             raise CutoffTooSmall(
                 f"no stabilization below tol={tol} within cutoff {cutoff}"
             )
@@ -257,19 +256,16 @@ def _sum_weights(
 
 
 def correlation_bruteforce(
-    spec: MeasureSpec,
-    points: set[int] | list[int],
-    tol: float = 1e-9,
-    max_cutoff: int | None = None,
+    spec: MeasureSpec, points: set[int] | list[int], tol: float = 1e-9
 ) -> BruteForceResult:
     """Probability that all `points` are occupied, by summing partition weights.
 
     The cutoff starts at max(8, 2 max|point|) and grows until the last block
     of sizes contributes less than tol/10.  Raises CutoffTooSmall when the
-    partition budget or max_cutoff is exhausted before stabilization.
+    partition budget is exhausted before stabilization.
     """
     pts = frozenset(int(p) for p in points)
-    return _sum_weights(spec, [pts.issubset], list(pts), tol, max_cutoff)[0]
+    return _sum_weights(spec, [pts.issubset], list(pts), tol)[0]
 
 
 def hole_probability_bruteforce(

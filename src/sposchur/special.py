@@ -1,4 +1,4 @@
-"""Bessel J and Airy Ai evaluators with independent quadrature oracles.
+"""Bessel J and Airy Ai evaluators.
 
 Bessel functions of the first kind are generated by Miller's backward
 recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, started far enough beyond the
@@ -9,22 +9,25 @@ sweep yields the whole array J_0..J_n, which is what the kernel sums consume.
 The Airy function uses the Maclaurin series Ai(0) f(x) + Ai'(0) g(x) on a
 central interval and the standard asymptotic expansions outside it; the
 switch point 6.8 keeps the series' cancellation error and the expansions'
-truncation error both below 1e-10 absolute.  Both run a fixed number of
-terms (the right expansion by Horner), so each value is computed
-elementwise and its bits do not depend on the batch.  A rotated-ray contour
-quadrature of the defining integral serves as the cross-validation oracle
-for both evaluators.
+truncation error both below 1e-10 absolute.  On the positive axis, where Ai
+decays, that cancellation costs relative digits: against 30-digit mpmath
+(step 0.001) the worst relative error is 1.7e-14 on [0, 2], 2.0e-11 on
+[3, 4], 1.5e-9 on [4, 5], 1.4e-7 on [5, 6] and 9.7e-6 on [6, 6.8], then
+2.2e-12 on (6.8, 16] past the switch to the expansion.  Both run a fixed
+number of terms (the right expansion by Horner), so each value is computed
+elementwise and its bits do not depend on the batch.  The tests check both
+evaluators against quadrature oracles: a rotated-ray contour integral for
+Ai and a Laurent coefficient for J_n.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainTooLarge, QuadratureNotConverged
+from .errors import DomainTooLarge
 
 # ---------------------------------------------------------------------------
 # Gauss-Legendre panel quadrature (shared helper)
@@ -126,14 +129,6 @@ def bessel_j_values(indices: np.ndarray, x: float) -> np.ndarray:
 def bessel_j(n: int, x: float) -> float:
     """J_n(x) for integer n (any sign) and x >= 0."""
     return float(bessel_j_values(np.array([n]), x)[0])
-
-
-def bessel_j_quadrature(n: int, x: float, nodes: int = 512) -> float:
-    """Oracle: J_n(x) as the n-th Laurent coefficient of exp((x/2)(z - 1/z))."""
-    k = np.arange(nodes)
-    z = np.exp(2j * np.pi * k / nodes)
-    vals = np.exp((x / 2.0) * (z - 1.0 / z)) * z ** (-n)
-    return float(np.mean(vals).real)
 
 
 # ---------------------------------------------------------------------------
@@ -247,35 +242,13 @@ def airy_ai_vec(x: np.ndarray) -> np.ndarray:
 
 
 def airy_ai(x: float) -> float:
-    """Ai(x) for |x| <= 40, to ~1e-10 absolute accuracy."""
+    """Ai(x) for |x| <= 40, to ~1e-10 absolute accuracy.
+
+    On (0, 6.8] the relative error grows with x, to 9.7e-6 near 6.8 (see the
+    module docstring); beyond 6.8 it is 2.2e-12 or better.
+    """
     if math.isnan(x):
         raise ValueError("airy_ai needs a finite x, got nan")
     if abs(x) > _PUBLIC_DOMAIN:
         raise DomainTooLarge(f"|x| = {abs(x)} exceeds the validated domain 40")
     return float(airy_ai_vec(np.array([float(x)]))[0])
-
-
-def airy_ai_quadrature(x: float, tol: float = 1e-12) -> float:
-    """Oracle: Ai(x) by quadrature of the contour integral along rotated rays.
-
-    The defining contour runs from exp(-i pi/3) infinity to exp(+i pi/3)
-    infinity; by conjugate symmetry Ai(x) = Im(integral over the upper ray)/pi
-    with the ray shifted to pass through a convenient real vertex.
-    """
-    v = 0.5 if x < 1.0 else math.sqrt(x)
-    direction = cmath.exp(1j * math.pi / 3.0)
-    t_max = 8.0 + 2.0 * math.sqrt(abs(x))
-
-    def integrate(n_panels: int) -> float:
-        ts, ws = gauss_legendre_panels(0.0, t_max, n_panels, 12)
-        zeta = v + ts * direction
-        vals = np.exp(zeta**3 / 3.0 - x * zeta) * direction
-        return float(np.sum(ws * vals.imag)) / math.pi
-
-    prev = integrate(24)
-    for n_panels in (48, 96, 192):
-        cur = integrate(n_panels)
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-    raise QuadratureNotConverged(f"Airy contour quadrature at x={x}")

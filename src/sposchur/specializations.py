@@ -37,8 +37,6 @@ import threading
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import TruncationOverflow
-
 
 def _coerce(value):
     """ints and strings become Fractions; Fractions and floats pass through."""
@@ -57,12 +55,10 @@ class Specialization:
         powersum_fn: Callable[[int], object],
         *,
         max_support: int | None = None,
-        truncation_degree: int | None = None,
         _meta: dict | None = None,
     ):
         self._pfun = powersum_fn
         self.max_support = max_support  # p_k = 0 for k > max_support, if not None
-        self.truncation_degree = truncation_degree
         self._meta = _meta or {}
         self._lock = threading.RLock()  # _extend calls p under it
         self._p_cache: dict[int, object] = {}
@@ -77,11 +73,11 @@ class Specialization:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, truncation_degree: int | None = None) -> "Specialization":
-        return cls.from_powersums({}, truncation_degree=truncation_degree)
+    def zero(cls) -> "Specialization":
+        return cls.from_powersums({})
 
     @classmethod
-    def from_powersums(cls, powersums: dict, truncation_degree: int | None = None):
+    def from_powersums(cls, powersums: dict):
         table = {int(k): _coerce(v) for k, v in powersums.items() if _coerce(v) != 0}
         if any(k < 1 for k in table):
             raise ValueError("power sums are indexed by k >= 1")
@@ -89,33 +85,26 @@ class Specialization:
         return cls(
             lambda k: table.get(k, Fraction(0)),
             max_support=mx,
-            truncation_degree=truncation_degree,
             _meta={"kind": "powersums", "table": table},
         )
 
     @classmethod
-    def plancherel(cls, theta, truncation_degree: int | None = None):
+    def plancherel(cls, theta):
         """p_1 = theta and p_k = 0 for k >= 2, so h_n = theta^n / n!."""
-        return cls.from_powersums({1: theta}, truncation_degree=truncation_degree)
+        return cls.from_powersums({1: theta})
 
     @classmethod
-    def from_alphabet(cls, variables: Sequence, truncation_degree: int | None = None):
+    def from_alphabet(cls, variables: Sequence):
         """Plain alphabet y_1..y_N: p_k = sum_i y_i^k."""
         ys = [_coerce(v) for v in variables]
         return cls(
             lambda k: sum((y**k for y in ys), start=Fraction(0)),
             max_support=None if ys else 0,
-            truncation_degree=truncation_degree,
             _meta={"kind": "alphabet", "y": ys},
         )
 
     @classmethod
-    def from_bc_alphabet(
-        cls,
-        variables: Sequence,
-        include_one: bool = False,
-        truncation_degree: int | None = None,
-    ):
+    def from_bc_alphabet(cls, variables: Sequence, include_one: bool = False):
         """BC alphabet (x_1, 1/x_1, ..., x_N, 1/x_N) and optionally the letter 1."""
         xs = [_coerce(v) for v in variables]
         if any(x == 0 for x in xs):
@@ -128,7 +117,6 @@ class Specialization:
         return cls(
             p,
             max_support=None if (xs or include_one) else 0,
-            truncation_degree=truncation_degree,
             _meta={"kind": "bc_alphabet", "x": xs, "include_one": include_one},
         )
 
@@ -235,7 +223,6 @@ class Specialization:
         return Specialization(
             lambda k: (-1) ** (k - 1) * self.p(k),
             max_support=self.max_support,
-            truncation_degree=self.truncation_degree,
             _meta={"kind": "omega", "base": self},
         )
 
@@ -244,10 +231,7 @@ class Specialization:
     def to_json(self) -> dict:
         kind = self.kind
         if kind == "powersums":
-            return {
-                "powersums": {str(k): str(v) for k, v in self._meta["table"].items()},
-                "truncation_degree": self.truncation_degree,
-            }
+            return {"powersums": {str(k): str(v) for k, v in self._meta["table"].items()}}
         if kind == "alphabet":
             return {"y": [str(v) for v in self._meta["y"]]}
         if kind == "bc_alphabet":
@@ -264,9 +248,7 @@ class Specialization:
         if not isinstance(doc, dict):
             raise ValueError("specialization document must be a JSON object")
         if "powersums" in doc:
-            return cls.from_powersums(
-                doc["powersums"], truncation_degree=doc.get("truncation_degree")
-            )
+            return cls.from_powersums(doc["powersums"])
         if "x" in doc:
             return cls.from_bc_alphabet(doc["x"], bool(doc.get("include_one", False)))
         if "y" in doc:
@@ -275,21 +257,3 @@ class Specialization:
 
     def __repr__(self) -> str:
         return f"Specialization(kind={self.kind!r})"
-
-
-def h_values(rho: Specialization, n_max: int) -> list:
-    """[h_0(rho), ..., h_{n_max}(rho)], respecting a declared truncation degree."""
-    if rho.truncation_degree is not None and n_max > rho.truncation_degree:
-        raise TruncationOverflow(
-            f"n_max={n_max} beyond truncation degree {rho.truncation_degree}"
-        )
-    return [rho.h(n) for n in range(n_max + 1)]
-
-
-def e_values(rho: Specialization, n_max: int) -> list:
-    """[e_0(rho), ..., e_{n_max}(rho)], respecting a declared truncation degree."""
-    if rho.truncation_degree is not None and n_max > rho.truncation_degree:
-        raise TruncationOverflow(
-            f"n_max={n_max} beyond truncation degree {rho.truncation_degree}"
-        )
-    return [rho.e(n) for n in range(n_max + 1)]

@@ -269,9 +269,15 @@ def test_tw_cdf_matches_the_contour_kernel():
 
 
 def test_tw_cdf_discretization_stability():
+    # the floor is the ~1e-13 accuracy of A± itself, not the Nystrom rule
     for sign in ("+", "-"):
-        assert tw_2to1_stability(sign, -2.0) < 1e-7
-        assert tw_2to1_stability(sign, 1.0) < 1e-7
+        for s in (-6.0, -2.0, 1.0, 4.0):
+            assert tw_2to1_stability(sign, s) < 2e-12, (sign, s)
+            xs, ws = gauss_legendre_panels(s, s + 16.0, 1, 48)
+            root = np.sqrt(ws)
+            kmat = root[:, None] * airy_2to1(sign, xs, xs) * root[None, :]
+            single = np.linalg.det(np.eye(len(xs)) - kmat)
+            assert abs(tw_2to1_cdf(sign, s) - single) < 2e-12, (sign, s)
 
 
 def test_edge_cdf_discrete_tracks_tw():

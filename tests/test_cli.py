@@ -287,6 +287,22 @@ def test_empty_ranges_and_zero_steps_are_config_errors(tmp_path, capsys):
     assert [line.split(",")[0] for line in text.strip().split("\n")[2:]] == ["1.0", "0.0"]
 
 
+def test_bulk_scan_rejects_non_integer_offsets(tmp_path, capsys):
+    code, text = run_cli(tmp_path, "bulk-scan", "--theta", "50", "--offsets=-1:1:0.5")
+    assert code == 2 and text == ""
+    assert "--offsets" in capsys.readouterr().err
+
+
+def test_stepped_integer_ranges_name_the_accepted_forms(tmp_path, capsys):
+    for argv in (
+        ("th-dets", "--theta", "0.25", "--sizes", "2:8:2"),
+        ("bo-check", "--theta", "0.5", "--m", "2:8:2"),
+    ):
+        code, text = run_cli(tmp_path, *argv)
+        assert code == 2 and text == "", argv
+        assert "expected lo:hi, a comma list, or one integer" in capsys.readouterr().err
+
+
 def test_edge_scaling_rejects_nonpositive_theta(tmp_path, capsys):
     for argv in (
         ("edge-scan", "--theta", "-5"),

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from sposchur import measures
 from sposchur.characters import o_char, schur, sp_char
 from sposchur.errors import CutoffTooSmall, DivergentNormalization
 from sposchur.identities import FAMILIES, log_normalization_series
@@ -254,10 +255,11 @@ def test_divergent_normalization_detected():
         spec.log_z()
 
 
-def test_cutoff_budget_error():
+def test_cutoff_budget_error(monkeypatch):
+    monkeypatch.setattr(measures, "_PARTITION_BUDGET", 10)
     m = plancherel_measure("sp", 0.4)
     with pytest.raises(CutoffTooSmall):
-        correlation_bruteforce(m, [0], tol=1e-9, max_cutoff=8)
+        correlation_bruteforce(m, [0], tol=1e-9)
 
 
 def test_measure_spec_json_roundtrip():

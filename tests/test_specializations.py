@@ -86,22 +86,10 @@ def test_float_mode():
     assert rho.h(3) == pytest.approx(0.5**3 / 6)
 
 
-def test_h_e_values_lists_and_truncation_guard():
-    from sposchur.errors import TruncationOverflow
-    from sposchur.specializations import e_values, h_values
-
-    theta = Fraction(1, 3)
-    rho = Specialization.plancherel(theta, truncation_degree=6)
-    assert h_values(rho, 4) == [theta**n / math.factorial(n) for n in range(5)]
-    assert e_values(rho, 3)[0] == 1
-    with pytest.raises(TruncationOverflow):
-        h_values(rho, 7)
-
-
 def test_json_roundtrip():
-    rho = Specialization.from_powersums({1: "3/2", 2: 0}, truncation_degree=12)
+    rho = Specialization.from_powersums({1: "3/2", 2: 0})
     doc = rho.to_json()
-    assert doc == {"powersums": {"1": "3/2"}, "truncation_degree": 12}
+    assert doc == {"powersums": {"1": "3/2"}}
     back = Specialization.from_json(json.dumps(doc))
     assert back.p(1) == Fraction(3, 2) and back.p(2) == 0
     bc = Specialization.from_bc_alphabet(["1/2", "1/3"], include_one=False)
