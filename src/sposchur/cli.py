@@ -41,39 +41,54 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 
 
-def _parse_int_range(text: str) -> list[int]:
-    """'2:8' -> [2..8]; '3' -> [3]; '1,4,9' -> [1, 4, 9]."""
-    if "," in text:
-        return [int(t) for t in text.split(",")]
-    if ":" in text:
-        bounds = [int(t) for t in text.split(":")]
-        if len(bounds) != 2:
-            raise ValueError(f"{text!r}: expected lo:hi, a comma list, or one integer")
-        lo, hi = bounds
-        if lo > hi:
-            raise ValueError(f"empty range {text!r}: need lo <= hi")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+def _parse_int_range(text: str, flag: str) -> list[int]:
+    """'2:8' -> [2..8]; '3' -> [3]; '1,4,9' -> [1, 4, 9]; errors name the option --flag."""
+    try:
+        if "," in text:
+            return [int(t) for t in text.split(",")]
+        lo, hi = map(int, text.split(":")) if ":" in text else (int(text),) * 2
+    except ValueError:
+        raise ValueError(
+            f"--{flag} {text!r}: expected lo:hi, a comma list, or one integer"
+        ) from None
+    if lo > hi:
+        raise ValueError(f"--{flag} {text!r}: empty range, need lo <= hi")
+    return list(range(lo, hi + 1))
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(t) for t in text.split(",")]
+def _parse_float_list(text: str, flag: str) -> list[float]:
+    try:
+        return [float(t) for t in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--{flag} {text!r}: expected a comma list of numbers") from None
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str, flag: str) -> list[float]:
     """'-2:2:1' -> [-2, -1, 0, 1, 2]; '2:-2:-1' descends; or a comma list."""
-    if ":" in text:
+    try:
+        if ":" not in text:
+            return [float(t) for t in text.split(",")]
         lo, hi, step = (float(t) for t in text.split(":"))
-        steps = (hi - lo) / step if step else -1.0
-        if not 0 <= steps < math.inf:
-            raise ValueError(f"grid {text!r}: the step must be nonzero and point from lo to hi")
-        return [lo + i * step for i in range(int(round(steps)) + 1)]
-    return _parse_float_list(text)
+    except ValueError:
+        raise ValueError(
+            f"--{flag} {text!r}: expected lo:hi:step or a comma list of numbers"
+        ) from None
+    steps = (hi - lo) / step if step else -1.0
+    if not 0 <= steps < math.inf:
+        raise ValueError(
+            f"--{flag} {text!r}: the step must be nonzero and point from lo to hi"
+        )
+    return [lo + i * step for i in range(int(round(steps)) + 1)]
 
 
 def _parse_point_sets(text: str) -> list[list[int]]:
     """'0;0,1;-2,2' -> [[0], [0, 1], [-2, 2]]."""
-    return [[int(t) for t in part.split(",")] for part in text.split(";") if part]
+    try:
+        return [[int(t) for t in part.split(",")] for part in text.split(";") if part]
+    except ValueError:
+        raise ValueError(
+            f"--points {text!r}: expected ';'-separated sets of ','-separated integers"
+        ) from None
 
 
 def _read_json(doc: str):
@@ -181,10 +196,13 @@ def cmd_kernel(args) -> int:
             raise ValueError(f"unknown representation {rep!r}")
     if len(set(reps)) < len(reps):
         raise ValueError(f"--rep {args.rep!r} names a representation twice")
-    bounds = args.range.split(":")
-    if len(bounds) != 2 or int(bounds[0]) > int(bounds[1]):
-        raise ValueError(f"--range {args.range!r}: need lo:hi with lo <= hi")
-    sites = range(int(bounds[0]), int(bounds[1]) + 1)
+    try:
+        lo, hi = map(int, args.range.split(":"))
+    except ValueError:
+        raise ValueError(f"--range {args.range!r}: need lo:hi, two integers") from None
+    if lo > hi:
+        raise ValueError(f"--range {args.range!r}: empty range, need lo <= hi")
+    sites = range(lo, hi + 1)
     try:
         r_z, r_w = (float(t) for t in args.radii.split(","))
     except ValueError:
@@ -233,7 +251,7 @@ def _load_symbol(args) -> Symbol:
 
 def cmd_th_dets(args) -> int:
     sym = _load_symbol(args)
-    sizes = _parse_int_range(args.sizes)
+    sizes = _parse_int_range(args.sizes, "sizes")
     rows = []
     for which in args.which.split(","):
         for n in sizes:
@@ -245,7 +263,7 @@ def cmd_th_dets(args) -> int:
 
 def cmd_bo(args) -> int:
     sym = _load_symbol(args)
-    ms = _parse_int_range(args.m)
+    ms = _parse_int_range(args.m, "m")
     fred = FredholmConfig(tail_tol=min(1e-10, args.tol / 10))
     rows = []
     for family in args.family.split(","):
@@ -258,14 +276,14 @@ def cmd_bo(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    thetas = _parse_float_list(args.theta)
+    thetas = _parse_float_list(args.theta, "theta")
     if args.command == "bulk-scan":
-        grid = _parse_grid(args.offsets)
+        grid = _parse_grid(args.offsets, "offsets")
         if not all(v.is_integer() for v in grid):
             raise ValueError(f"--offsets {args.offsets!r}: offsets must be integers")
         scan = asymptotics.bulk_scan(args.family, thetas, args.alpha, [int(v) for v in grid])
     else:
-        scan = asymptotics.edge_scan(args.family, thetas, _parse_grid(args.grid))
+        scan = asymptotics.edge_scan(args.family, thetas, _parse_grid(args.grid, "grid"))
     rows = [(r.theta, r.x, r.y, r.discrete, r.limit, r.abs_error) for r in scan]
     _emit(args, ["theta", "x", "y", "discrete", "limit", "abs_error"], rows)
     return EXIT_OK
@@ -274,7 +292,7 @@ def cmd_scan(args) -> int:
 def cmd_tw(args) -> int:
     family = "sp" if args.sign == "+" else "o"
     rows = []
-    for s in _parse_grid(args.s):
+    for s in _parse_grid(args.s, "s"):
         lim = asymptotics.tw_2to1_cdf(args.sign, s)
         if args.theta is None:
             rows.append((s, 0.0, 0.0, "", lim, ""))

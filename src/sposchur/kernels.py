@@ -29,14 +29,17 @@ The Bessel route sums each entry as two tail sums, along a diagonal and an
 anti-diagonal of the products J_k J_l, one running sum per diagonal.
 
 Contour quadrature is the trapezoidal rule on circles (spectrally accurate
-for these analytic integrands), node count doubling from the configured start
+for these analytic integrands), the node count doubling from 64 (`_MIN_NODES`)
 until two successive grids agree entry by entry.  The double trapezoid sum is
 never formed against the n x n coupling 1/((1-wz)(1-w/z)): partial fractions
 split it into a part depending on j+k and a part depending on j-k mod n, each
 diagonal in Fourier space, so every node count costs O(n log n) time and O(n)
-memory per site (`_contour_matrix`).  Both parts keep the coupling's geometric
-series to its first n/2 terms, so the rule converges at the rate the symbol
-allows, not at the (r_w r_z)^n of the full series aliased onto n nodes.
+memory per site (`_contour_matrix`).  The z-circle is turned by half a node,
+so the partial fractions' 1/(z - 1/z) is finite at every node for every
+radius, r_z = 1 included (`_contour_data`).  Both parts keep the coupling's
+geometric series to its first n/2 terms, so the rule converges at the rate
+the symbol allows, not at the (r_w r_z)^n of the full series aliased onto n
+nodes.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import numpy as np
 
 from .errors import ContourViolation, QuadratureNotConverged
 from .measures import MeasureSpec
-from .special import _j_cache, bessel_j_values
+from .special import _j_cache, _turning_margin, bessel_j_values
 from .specializations import Specialization
 
 _MODE_TOL = 1e-15  # boundary modes relative to the largest mode
@@ -290,55 +293,37 @@ class SymbolF:
 # contour representation
 # ---------------------------------------------------------------------------
 
-_Z_GUARD = 1e-3  # z-nodes with |z^2 - 1| below this bypass the partial fractions
-
 
 def _contour_data(F: SymbolF, r_z: float, r_w: float, n: int):
     """Nodes and O(n) quadrature vectors for n-point trapezoid rules on two circles.
 
-    Returns z, w, F(z), F(w), g z and g / z with g = 1 / (z - 1/z), the
-    coupling's truncated geometric coefficients c_r = rho1^r and
-    d_r = rho2^r (rho1 = r_w r_z, rho2 = r_w / r_z) for r < n/2 and 0 for
-    r >= n/2, the indices of the guarded nodes, |z^2 - 1| < _Z_GUARD, where
-    g z and g / z are set to 0, and their coupling columns.  Cached per
-    symbol, keyed by (r_z, r_w, n).
+    The w-nodes are w_j = r_w omega^j, omega = exp(2 pi i / n), and the z-nodes
+    are turned by half a node, z_k = r_z phi omega^k with phi = exp(i pi / n).
+    As n is even, no z-node has z^2 = 1 at any radius (at r_z = 1,
+    |z^2 - 1| >= 2 sin(pi / n)), and the grid stays closed under conjugation:
+    node k pairs with node n - 1 - k.  Returns z, w, F(z), F(w), g z and g / z
+    with g = 1 / (z - 1/z), and the coupling's truncated geometric coefficients
+    c_r = (r_w r_z phi)^r and d_r = (r_w / (r_z phi))^r for r < n/2 and 0 for
+    r >= n/2.  Cached per symbol, keyed by (r_z, r_w, n).
     """
     key = (r_z, r_w, n)
     cache = F._fz_cache
     data = cache.get(key)
     if data is None:
         k = np.arange(n)
-        omega = np.exp(2j * np.pi * k / n)
-        z, w = r_z * omega, r_w * omega
+        z = r_z * np.exp(1j * np.pi * (2 * k + 1) / n)
+        w = r_w * np.exp(2j * np.pi * k / n)
         zz1 = z * z - 1.0
-        far = np.abs(zz1) >= _Z_GUARD
-        gz = np.divide(z * z, zz1, out=np.zeros(n, complex), where=far)
-        g_over_z = np.divide(1.0, zz1, out=np.zeros(n, complex), where=far)
         r = k[: n // 2]
-        c = np.zeros(n)
-        d = np.zeros(n)
-        c[r] = (r_w * r_z) ** r
-        d[r] = (r_w / r_z) ** r
-        near = np.flatnonzero(~far)
+        phase = np.exp(1j * np.pi * r / n)  # phi^r
+        c = np.zeros(n, complex)
+        d = np.zeros(n, complex)
+        c[r] = (r_w * r_z) ** r * phase
+        d[r] = (r_w / r_z) ** r / phase
         if len(cache) > 8:
             cache.clear()
-        data = cache[key] = (
-            z, w, F(z), F(w), gz, g_over_z, c, d, near, _guarded_columns(z[near], r_w, n)
-        )
+        data = cache[key] = (z, w, F(z), F(w), z * z / zz1, 1.0 / zz1, c, d)
     return data
-
-
-def _guarded_columns(zs: np.ndarray, r_w: float, n: int) -> np.ndarray:
-    """The truncated coupling sum_{r < n/2} w_j^r U_r(z) at the guarded nodes zs,
-    one column per node, with U_r(z) = (z^(r+1) - z^(-r-1)) / (z - 1/z).
-
-    U_r is summed as z^-r sum_{k <= r} z^(2k), which stays accurate at
-    z = +-1, where the quotient is 0/0; sum_r x_r w_j^r on w_j = r_w omega^j
-    is n ifft(x).
-    """
-    r = np.arange(n // 2)[:, None]
-    u = np.cumsum((zs * zs) ** r, axis=0) * zs ** (-r)
-    return n * np.fft.ifft(r_w**r * u, n, axis=0)
 
 
 def _contour_matrix(
@@ -351,19 +336,18 @@ def _contour_matrix(
     without the n x n coupling C.  The coupling 1 / ((1 - w z)(1 - w / z)) is
     g(z) (z p - q / z) by partial fractions, with p = 1 / (1 - w z) =
     sum_r (w z)^r and q = 1 / (1 - w / z) = sum_r (w / z)^r, and C keeps the
-    modes r < n/2 of both series: p = sum_r c_r omega^((j+k) r) depends on
-    j + k mod n and q = sum_r d_r omega^((j-k) r) on j - k mod n.  Those are
-    the modes that B's n-node trigonometric interpolant pairs with, so the
-    w-sum is that interpolant's exact w-integral against the coupling (the
-    Nyquist mode aside) and the rule converges at the rate the symbol
-    allows; the full series aliased onto n nodes would add an error of order
-    (r_w r_z)^n.  So the sum is sum_r B~[b, r] (c_r A1~[a, r] - d_r A2^[a, r]) with
+    modes r < n/2 of both series: on the nodes of `_contour_data`,
+    p = sum_r c_r omega^((j+k) r) depends on j + k mod n and
+    q = sum_r d_r omega^((j-k) r) on j - k mod n.  Those are the modes that
+    B's n-node trigonometric interpolant pairs with, so the w-sum is that
+    interpolant's exact w-integral against the coupling (the Nyquist mode
+    aside) and the rule converges at the rate the symbol allows; the full
+    series aliased onto n nodes would add an error of order (r_w r_z)^n.  So
+    the sum is sum_r B~[b, r] (c_r A1~[a, r] - d_r A2^[a, r]) with
     B~ = n ifft(B), A1~ = n ifft(A g z), A2^ = fft(A g / z), all along the
-    node axis: O(n log n) per site.  Guarded nodes near z = +-1, where g
-    blows up, add their truncated coupling columns (`_guarded_columns`)
-    instead.
+    node axis: O(n log n) per site.
     """
-    z, w, fz, fw, gz, g_over_z, c, d, near, cols = _contour_data(F, r_z, r_w, n)
+    z, w, fz, fw, gz, g_over_z, c, d = _contour_data(F, r_z, r_w, n)
     a = np.asarray(a)[:, None]
     b = np.asarray(b)[:, None]
     # A[a, k] = a_fac[k] z_k^a_pow and B[b, j] = b_fac[j] w_j^b_pow
@@ -375,8 +359,6 @@ def _contour_matrix(
     bmat = b_fac * w**b_pow
     left = n * np.fft.ifft(amat * gz) * c - np.fft.fft(amat * g_over_z) * d
     value = left @ (n * np.fft.ifft(bmat)).T
-    if near.size:
-        value += amat[:, near] @ (bmat @ cols).T
     # max |A[a, .]| max |B[b, .]| max |coupling|, the coupling largest at z = w = r
     terms = (np.abs(a_fac).max() * r_z**a_pow) @ (np.abs(b_fac).max() * r_w**b_pow).T
     return value / n**2, terms / ((1.0 - r_w * r_z) * (1.0 - r_w / r_z))
@@ -458,14 +440,15 @@ def _bessel_sums(theta: float, family: str, a: np.ndarray, b: np.ndarray):
     O(W (W + N)) products instead of O(W^2 N).  Only the diagonals the sites
     use are formed, about _SUM_BLOCK elements at a time.  An entry adds its
     terms in the same order whatever else is asked for, and for sites within
-    [-N, N] the J lookup's cache bucket depends on theta alone, so matrix
-    entries then have the bits of the scalar values.
+    [-N, N] the J lookup's cache bucket depends on theta alone (N and the
+    bucket add the same `_turning_margin`), so matrix entries then have the
+    bits of the scalar values.
     """
     _check_family(family)
     if theta < 0:
         raise ValueError("theta must be >= 0")
     x = 2.0 * float(theta)
-    upper = int(math.ceil(x + 16.0 * max(x, 1.0) ** (1.0 / 3.0) + 60))
+    upper = int(math.ceil(x + _turning_margin(x) + 60))
     a_lo, b_lo, a_hi, b_hi = int(a.min()), int(b.min()), int(a.max()), int(b.max())
     # every term has its orders in [lo, N]: T1 above min(a, b), T2 from a + b - N
     lo = max(-upper, min(a_lo, b_lo, a_lo + b_lo - upper, upper))

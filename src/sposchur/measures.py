@@ -203,7 +203,11 @@ def _sum_weights(
     one % and one //, then added to every predicate it passes.  Each block
     becomes one Fraction per predicate at its checkpoint.  Weights are exact
     when every power sum of finite support (the first 8 of an infinite one) is.
+    A tol that is not a positive finite number raises ValueError before any
+    partition is visited: no block could meet 0, a negative tol or nan.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
     exact_in = all(r.is_exact(r.max_support or 8) for r in (spec.rho_plus, spec.rho_minus))
     totals = [Fraction(0) if exact_in else 0.0] * len(keeps)
     nums = [0 if exact_in else 0.0] * len(keeps)  # the open block
@@ -262,7 +266,8 @@ def correlation_bruteforce(
 
     The cutoff starts at max(8, 2 max|point|) and grows until the last block
     of sizes contributes less than tol/10.  Raises CutoffTooSmall when the
-    partition budget is exhausted before stabilization.
+    partition budget is exhausted before stabilization, and ValueError when
+    tol is not a positive finite number.
     """
     pts = frozenset(int(p) for p in points)
     return _sum_weights(spec, [pts.issubset], list(pts), tol)[0]

@@ -59,6 +59,14 @@ _MAX_ORDER = 10**6
 _RESCALE = 1e280
 
 
+def _turning_margin(x: float) -> float:
+    """16 max(x, 1)^(1/3): how far past the turning point n ~ x the Miller
+    sweep starts (plus 60 orders).  The sweep's start, the cache length of
+    `_bucket` and the kernels' Bessel truncation order all add it, so they
+    agree on which orders an array at x holds."""
+    return 16.0 * max(x, 1.0) ** (1.0 / 3.0)
+
+
 def bessel_j_array(n_max: int, x: float) -> np.ndarray:
     """J_0(x), ..., J_{n_max}(x) in one backward sweep."""
     if n_max < 0:
@@ -72,7 +80,7 @@ def bessel_j_array(n_max: int, x: float) -> np.ndarray:
     if x == 0.0:
         out[0] = 1.0
         return out
-    start = int(max(n_max, math.ceil(x)) + 16.0 * max(x, 1.0) ** (1.0 / 3.0) + 60)
+    start = int(max(n_max, math.ceil(x)) + _turning_margin(x) + 60)
     jp = 0.0  # J_{k+1}, unnormalized
     jc = 1e-30  # J_k at k = start
     ssum = 0.0
@@ -97,7 +105,7 @@ _j_cache: dict[tuple[float, int], np.ndarray] = {}
 
 def _bucket(need: int, x: float) -> int:
     """Length of the cached array that serves orders up to `need` at x."""
-    margin = int(16.0 * max(x, 1.0) ** (1.0 / 3.0) + 60)
+    margin = int(_turning_margin(x) + 60)
     return 256 * (1 + max(need, int(math.ceil(x)) + margin) // 256)
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from sposchur import cli
+from sposchur import cli, measures
 from sposchur.cli import main
 from sposchur.kernels import kernel_bessel_with_error
 
@@ -303,6 +303,74 @@ def test_stepped_integer_ranges_name_the_accepted_forms(tmp_path, capsys):
         assert "expected lo:hi, a comma list, or one integer" in capsys.readouterr().err
 
 
+def _config_error(tmp_path, capsys, *argv) -> str:
+    code, text = run_cli(tmp_path, *argv)
+    assert code == 2 and text == "", argv
+    return capsys.readouterr().err
+
+
+def test_malformed_grids_name_the_flag_and_forms(tmp_path, capsys):
+    for argv in (
+        ("edge-scan", "--theta", "50", "--grid=-2:2"),
+        ("tw-cdf", "--s=-1:1"),
+        ("bulk-scan", "--theta", "50", "--offsets=-1:1"),
+        ("edge-scan", "--theta", "50", "--grid=a,b"),
+    ):
+        err = _config_error(tmp_path, capsys, *argv)
+        flag, value = argv[-1].split("=")
+        assert f"{flag} {value!r}: expected lo:hi:step or a comma list" in err, argv
+
+
+def test_malformed_kernel_range_names_the_flag(tmp_path, capsys):
+    err = _config_error(tmp_path, capsys, "kernel-eval", "--theta", "1", "--range=a:b")
+    assert "--range 'a:b': need lo:hi, two integers" in err
+
+
+def test_malformed_integer_ranges_name_the_flag(tmp_path, capsys):
+    for argv in (
+        ("th-dets", "--theta", "0.25", "--sizes", "a"),
+        ("bo-check", "--theta", "0.5", "--m", "2,x"),
+    ):
+        err = _config_error(tmp_path, capsys, *argv)
+        assert f"{argv[-2]} {argv[-1]!r}: expected lo:hi, a comma list" in err, argv
+
+
+def test_malformed_number_lists_name_the_flag(tmp_path, capsys):
+    for command in ("bulk-scan", "edge-scan"):
+        err = _config_error(tmp_path, capsys, command, "--theta", "50,abc")
+        assert "--theta '50,abc': expected a comma list of numbers" in err, command
+
+
+def test_malformed_point_sets_name_the_flag(tmp_path, capsys):
+    err = _config_error(tmp_path, capsys, "correlations", "--theta", "0.3", "--points", "0;a")
+    assert "--points '0;a'" in err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-8", "nan"])
+def test_correlations_tol_that_cannot_be_met_exits_2(tmp_path, capsys, monkeypatch, tol):
+    # a small budget makes an enumeration that never stops fail fast instead
+    monkeypatch.setattr(measures, "_PARTITION_BUDGET", 10)
+    err = _config_error(
+        tmp_path, capsys, "correlations", "--theta", "0.3", "--points", "0", f"--tol={tol}"
+    )
+    assert "tol must be a positive finite number" in err
+
+
+def test_single_integer_and_comma_list_ranges(tmp_path):
+    code, text = run_cli(tmp_path, "th-dets", "--theta", "0.25", "--which", "D1", "--sizes", "3")
+    assert code == 0
+    assert [row.split(",")[:2] for row in text.splitlines()[2:]] == [["D1", "3"]]
+    code, text = run_cli(tmp_path, "bo-check", "--family", "sp", "--theta", "0.5", "--m", "2,4")
+    assert code == 0
+    assert [row.split(",")[:2] for row in text.splitlines()[2:]] == [["sp", "2"], ["sp", "4"]]
+
+
+@pytest.mark.parametrize("command", ["th-dets", "bo-check"])
+def test_symbol_commands_need_a_symbol_or_theta(tmp_path, capsys, command):
+    err = _config_error(tmp_path, capsys, command)
+    assert "either --symbol or --theta is required" in err
+
+
 def test_edge_scaling_rejects_nonpositive_theta(tmp_path, capsys):
     for argv in (
         ("edge-scan", "--theta", "-5"),
@@ -374,3 +442,22 @@ def test_config_file_values_parse_like_flags(tmp_path, capsys):
     cfg.write_text(json.dumps({"degree": "x"}))
     assert main(["verify-identities", "--config", str(cfg)]) == 2
     assert "--degree" in capsys.readouterr().err
+
+
+def test_config_file_shapes(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for doc, message in (
+        (["theta", 0.5], "config file must hold a JSON object"),
+        ({"theta": 0.5, "colour": "red"}, "config key 'colour' unknown for this command"),
+    ):
+        cfg.write_text(json.dumps(doc))
+        assert message in _config_error(tmp_path, capsys, "th-dets", "--config", str(cfg))
+    # `output` and `config` keys are ignored: the report goes to stdout
+    ignored = tmp_path / "ignored.csv"
+    doc = {"theta": 0.25, "sizes": "1:2", "output": str(ignored), "config": "other.json"}
+    cfg.write_text(json.dumps(doc))
+    assert main(["th-dets", "--config", str(cfg)]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["th-dets", "--theta", "0.25", "--sizes", "1:2"]) == 0
+    assert from_file == capsys.readouterr().out
+    assert not ignored.exists()

@@ -170,10 +170,13 @@ def test_grid_matches_scalar_contour():
 def _dense_trapezoid(F, family, a, b, r_z, r_w, n):
     """The n-node double trapezoid sum against the explicit n x n truncated
     coupling sum_{r < n/2} w^r U_r(z), U_r(z) = (z^(r+1) - z^(-r-1)) / (z - 1/z),
-    with U_r by its recurrence U_{r+1} = (z + 1/z) U_r - U_{r-1}, which also
-    holds at z = +-1."""
-    omega = np.exp(2j * np.pi * np.arange(n) / n)
-    z, w = r_z * omega, r_w * omega
+    with U_r by its recurrence U_{r+1} = (z + 1/z) U_r - U_{r-1}, which needs
+    no division by z - 1/z.  The nodes are those of `_contour_data`: the
+    z-circle turned by half a node, z_k = r_z exp(i pi (2k+1) / n), and
+    w_j = r_w exp(2 pi i j / n)."""
+    k = np.arange(n)
+    z = r_z * np.exp(1j * np.pi * (2 * k + 1) / n)
+    w = r_w * np.exp(2j * np.pi * k / n)
     u = np.empty((n // 2, n), complex)
     u[0], u[1] = 1.0, z + 1.0 / z
     for r in range(2, n // 2):
@@ -206,16 +209,17 @@ def test_fft_application_matches_dense_coupling():
                     ), (family, F.label, n, r_z, r_w)
 
 
-def test_guarded_nodes_take_the_truncated_coupling():
-    # at r_z = 1 the nodes z = +-1 are guarded; their columns must be the same
-    # truncated coupling as every other node's
+def test_turned_z_nodes_stay_off_z_squared_one():
+    # at r_z = 1 the half-node turn keeps every z-node off z = +-1, where the
+    # partial fraction 1/(z - 1/z) is singular, and the FFT application there
+    # is the same truncated coupling as the dense sum
     from sposchur.kernels import _contour_data, _contour_matrix
 
     sites = np.arange(-3, 4)
     F = SymbolF.plancherel(1.0)
     for n in (16, 64):
-        *_, near, _ = _contour_data(F, 1.0, 0.5, n)
-        assert near.tolist() == [0, n // 2]
+        z = _contour_data(F, 1.0, 0.5, n)[0]
+        assert np.abs(z * z - 1.0).min() >= 2 * math.sin(math.pi / n) * (1 - 1e-13), n
         for family in ("sp", "o"):
             ref = _dense_trapezoid(F, family, sites, sites, 1.0, 0.5, n)
             got, _ = _contour_matrix(F, family, sites, sites, 1.0, 0.5, n)
@@ -224,8 +228,8 @@ def test_guarded_nodes_take_the_truncated_coupling():
 
 @pytest.mark.parametrize("r_z", [1.0, 1.0 + 1e-9, 1.001])
 def test_contour_near_the_unit_circle(r_z):
-    # with r_z = 1 the nodes z = +-1 make the partial fraction 1/(z - 1/z)
-    # singular; the guarded nodes take their truncated coupling columns
+    # radii at and near 1, where unturned nodes z = +-1 would make the partial
+    # fraction 1/(z - 1/z) singular
     F = SymbolF.plancherel(1.0)
     cfg = KernelConfig(r_z=r_z, r_w=0.5)
     for a in (-2, 0, 2):
@@ -488,6 +492,14 @@ def test_correlation_det_basics():
     assert correlation_det(k, [0]) == pytest.approx(k(0, 0))
     with pytest.raises(ValueError):
         correlation_det(k, [1, 1])
+
+
+def test_correlation_det_of_no_points_is_one():
+    # the empty determinant, without a kernel evaluation
+    def kernel(a, b):
+        raise AssertionError("kernel called for an empty point set")
+
+    assert correlation_det(kernel, []) == 1.0
 
 
 def test_single_point_correlation_vs_bruteforce():

@@ -262,6 +262,15 @@ def test_cutoff_budget_error(monkeypatch):
         correlation_bruteforce(m, [0], tol=1e-9)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf")])
+def test_tol_that_cannot_be_met_is_rejected(monkeypatch, tol):
+    # a small budget makes an enumeration that never stops fail fast instead
+    monkeypatch.setattr(measures, "_PARTITION_BUDGET", 10)
+    m = plancherel_measure("sp", 0.3)
+    with pytest.raises(ValueError, match="positive finite"):
+        correlation_bruteforce(m, [0], tol=tol)
+
+
 def test_measure_spec_json_roundtrip():
     m = plancherel_measure("sp", Fraction(1, 2))
     doc = m.to_json()
