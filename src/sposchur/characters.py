@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -330,7 +330,7 @@ def o_char_via_e(lam: Partition, rho: Specialization):
     return _character("D4", lam.conjugate().parts, rho)
 
 
-def _signed_skew_expansion(lam: Partition, shapes: list[Partition], rho: Specialization):
+def _signed_skew_expansion(lam: Partition, shapes: Sequence[Partition], rho: Specialization):
     """sum over mu in shapes of (-1)^(|mu|/2) s_{lambda/mu}(rho)."""
     total = Fraction(0)
     for mu in shapes:
@@ -348,11 +348,6 @@ def sp_via_expansion(lam: Partition, rho: Specialization):
 def o_via_expansion(lam: Partition, rho: Specialization):
     """o_lambda as the signed sum of s_{lambda/beta} over Frobenius shapes (b+1 | b)."""
     return _signed_skew_expansion(lam, orthogonal_expansion_shapes(lam.size()), rho)
-
-
-def omega_dual_check(lam: Partition, rho: Specialization) -> bool:
-    """Verify sp_lambda(rho) = o_{lambda'}(omega(rho)) for this lambda and rho."""
-    return sp_char(lam, rho) == o_char(lam.conjugate(), rho.omega())
 
 
 def _e_form_is_smaller(lam: Partition, rho: Specialization) -> bool:

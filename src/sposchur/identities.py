@@ -253,6 +253,7 @@ def expansion_cross_check(rho: Specialization, max_size: int) -> bool:
 
 def omega_duality_check(rho: Specialization, max_size: int) -> bool:
     """sp_lambda(rho) = o_{lambda'}(omega(rho)) for all |lambda| <= max_size."""
-    from .characters import omega_dual_check
-
-    return all(omega_dual_check(lam, rho) for lam in enumerate_partitions(max_size))
+    dual = rho.omega()
+    return all(
+        sp_char(lam, rho) == o_char(lam.conjugate(), dual) for lam in enumerate_partitions(max_size)
+    )

@@ -51,7 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ContourViolation, QuadratureNotConverged
-from .measures import MeasureSpec
+from .measures import MeasureSpec, _site
 from .special import _j_cache, _turning_margin, bessel_j_values
 from .specializations import Specialization
 
@@ -75,19 +75,6 @@ class KernelConfig:
 
     r_z: float = 1.2
     r_w: float = 0.8
-
-
-def _letters(rho: Specialization) -> list[tuple[float, float]]:
-    """The letters a/d of an alphabet as pairs (a, d), H(rho; u) =
-    prod 1 / (1 - a u / d): (y, 1) for each y of a plain alphabet, (x, 1) and
-    (1, x) for each x of a BC alphabet, and (1, 1) for its letter 1; none
-    for other specializations."""
-    if rho.kind == "alphabet":
-        return [(float(y), 1.0) for y in rho.variables]
-    if rho.kind == "bc_alphabet":
-        pairs = [pair for x in map(float, rho.variables) for pair in ((x, 1.0), (1.0, x))]
-        return pairs + [(1.0, 1.0)] * rho.include_one
-    return []
 
 
 def _evaluator(terms: list, linear: list) -> Callable[[np.ndarray], np.ndarray]:
@@ -143,26 +130,24 @@ class SymbolF:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def product(
-        cls, factors: Sequence[tuple], label: str, powersum_label: str | None = None
-    ) -> "SymbolF":
+    def product(cls, factors: Sequence[tuple], label: str) -> "SymbolF":
         """The product of the factors (rho, form, side, power): H(rho; u)^power
         for form "h", E(rho; u)^power for form "e", power +-1, with u = z,
         1/z or both of them for side "z", "1/z" or "both".
 
-        Finitely supported power sums go into one exp of a Laurent
-        polynomial, their terms in factor order; alphabets into products of
-        their linear factors, those of H factors first.  An H factor of an
-        alphabet bounds both contours to the annulus where its series
-        converges; an E factor bounds only the contour on which it is
-        inverted, z for power -1 and w for power +1.  `powersum_label`, if
-        given, labels a symbol without alphabet factors.
+        An alphabet enters as its linear factors, read from its
+        `Specialization.letters` (a, d), those of H factors first; power sums
+        (no letters) as one exp of a Laurent polynomial, terms in factor
+        order.  An H factor of an alphabet bounds both contours to where it
+        converges, |z| < min |d/a| over a != 0 (infinity if none) for u = z
+        and |z| > max |a/d| for u = 1/z; an E factor bounds only the contour
+        on which it is inverted, z for power -1 and w for power +1.
         """
         terms, linear_h, linear_e = [], [], []
         z_lo = w_lo = 0.0
         z_hi = w_hi = math.inf
         for rho, form, side, power in factors:
-            pairs = _letters(rho)
+            pairs = [(float(a), float(d)) for a, d in rho.letters]
             if not pairs:
                 if rho.max_support is None:
                     raise ValueError("a power-sum symbol needs finitely supported power sums")
@@ -171,12 +156,9 @@ class SymbolF:
                         c = power * float(p) * (-1 if form == "e" and k % 2 == 0 else 1)
                         terms.append((c, -k if side == "1/z" else k, side == "both"))
                 continue
-            # H(rho; 1/z) converges for |z| > inner and H(rho; z) for |z| <
-            # 1/inner; a BC alphabet, closed under x -> 1/x, takes min |a/d|
-            # for that, since 1/(1/x) can miss the float x by an ulp
-            moduli = [abs(a) / abs(d) for a, d in pairs]
-            inner = max(moduli)
-            outer = min(moduli) if rho.kind == "bc_alphabet" else (1.0 / inner if inner else math.inf)
+            # H(rho; 1/z) converges for |z| > inner and H(rho; z) for |z| < outer
+            inner = max(abs(a / d) for a, d in pairs)
+            outer = min((abs(d / a) for a, d in pairs if a), default=math.inf)
             lo, hi = (0.0 if side == "z" else inner), (math.inf if side == "1/z" else outer)
             if form == "h" or power < 0:
                 z_lo, z_hi = max(z_lo, lo), min(z_hi, hi)
@@ -186,8 +168,6 @@ class SymbolF:
             (linear_h if form == "h" else linear_e).append(
                 ([(sign * a, d) for a, d in pairs], side, (form == "h") == (power > 0))
             )
-        if not (linear_h or linear_e) and powersum_label is not None:
-            label = powersum_label
         ev = _evaluator(terms, linear_h + linear_e)
         return cls(ev, (z_lo, z_hi), (w_lo, w_hi), label=label)
 
@@ -210,7 +190,7 @@ class SymbolF:
                 f"from_measure takes sp/o measures; use dual_lattice_kernel for {spec.family!r}"
             )
         factors = [(spec.rho_plus, "h", "z", 1), (spec.rho_minus, "h", "both", -1)]
-        return cls.product(factors, "alphabet", powersum_label="powersum")
+        return cls.product(factors, "F")
 
     # -- evaluation and contours ------------------------------------------------
 
@@ -377,13 +357,14 @@ def kernel_contour_with_error(cfg: KernelConfig, F: SymbolF, family: str, a, b):
     by 2^14 nodes.
     """
     _check_family(family)
-    F.check_contours(cfg.r_z, cfg.r_w)
+    r_z, r_w = float(cfg.r_z), float(cfg.r_w)  # int radii would keep r_z**a_pow in ints
+    F.check_contours(r_z, r_w)
     a, b, scalar = _site_arrays(a, b)
     n = _MIN_NODES
-    prev, _ = _contour_matrix(F, family, a, b, cfg.r_z, cfg.r_w, n)
+    prev, _ = _contour_matrix(F, family, a, b, r_z, r_w, n)
     while n < _MAX_NODES:
         n *= 2
-        cur, terms = _contour_matrix(F, family, a, b, cfg.r_z, cfg.r_w, n)
+        cur, terms = _contour_matrix(F, family, a, b, r_z, r_w, n)
         delta = np.abs(cur - prev)
         scale = np.maximum(1.0, np.abs(cur))
         if np.all(delta <= _CONTOUR_TOL * scale):
@@ -418,12 +399,16 @@ _SUM_BLOCK = 1 << 18  # elements of the running-sum buffer per block of diagonal
 
 
 def _site_arrays(a, b) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Sites as 1-D integer arrays, and whether both were given as scalars."""
+    """Sites as 1-D integer arrays, and whether both were given as scalars;
+    a site that is not integer-valued raises ValueError."""
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    a, b = np.atleast_1d(a).astype(np.int64), np.atleast_1d(b).astype(np.int64)
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
     if a.ndim != 1 or b.ndim != 1 or not (a.size and b.size):
         raise ValueError("kernel sites must be integers or non-empty 1-D integer arrays")
-    return a, b, scalar
+    for given in (a, b):
+        if (bad := given[given.astype(np.int64) != given]).size:
+            raise ValueError(f"kernel sites must be integers, got {bad[0]!r}")
+    return a.astype(np.int64), b.astype(np.int64), scalar
 
 
 def _bessel_sums(theta: float, family: str, a: np.ndarray, b: np.ndarray):
@@ -580,7 +565,7 @@ def dual_base_symbol(spec: MeasureSpec) -> SymbolF:
     if not spec.dual:
         raise ValueError("dual_base_symbol needs a dual-family measure")
     factors = [(spec.rho_plus, "e", "z", 1), (spec.rho_minus, "h", "both", -1)]
-    return SymbolF.product(factors, "dual-base", powersum_label="powersum")
+    return SymbolF.product(factors, "dual base F")
 
 
 def dual_lattice_kernel(spec: MeasureSpec) -> Callable:
@@ -638,7 +623,7 @@ def lattice_kernel(
 
 def correlation_det(kernel: Callable, points: Sequence[int]) -> float:
     """det[K(p_i, p_j)] over a finite set of distinct integer points."""
-    pts = [int(p) for p in points]
+    pts = [_site(p) for p in points]
     if len(set(pts)) != len(pts):
         raise ValueError(f"points must be distinct, got {pts}")
     if not pts:

@@ -259,6 +259,14 @@ def _sum_weights(
         cutoff += _BLOCK
 
 
+def _site(point) -> int:
+    """A lattice point as an int; ValueError when it is not integer-valued."""
+    site = int(point)
+    if site != point:
+        raise ValueError(f"lattice points must be integers, got {point!r}")
+    return site
+
+
 def correlation_bruteforce(
     spec: MeasureSpec, points: set[int] | list[int], tol: float = 1e-9
 ) -> BruteForceResult:
@@ -269,7 +277,7 @@ def correlation_bruteforce(
     partition budget is exhausted before stabilization, and ValueError when
     tol is not a positive finite number.
     """
-    pts = frozenset(int(p) for p in points)
+    pts = frozenset(map(_site, points))
     return _sum_weights(spec, [pts.issubset], list(pts), tol)[0]
 
 
@@ -277,7 +285,7 @@ def hole_probability_bruteforce(
     spec: MeasureSpec, point: int, tol: float = 1e-9
 ) -> BruteForceResult:
     """Probability that `point` is NOT occupied (independently accumulated)."""
-    p = int(point)
+    p = _site(point)
     return _sum_weights(spec, [lambda conf: p not in conf], [p], tol)[0]
 
 
@@ -290,7 +298,7 @@ def correlation_bruteforce_batch(
 
     The cutoff policy is shared, driven by the slowest-stabilizing set.
     """
-    sets = [frozenset(int(p) for p in pts) for pts in point_sets]
+    sets = [frozenset(map(_site, pts)) for pts in point_sets]
     sites = [p for pts in sets for p in pts]
     return _sum_weights(spec, [pts.issubset for pts in sets], sites, tol)
 

@@ -9,6 +9,7 @@ by size, and within a size in reverse-lexicographic order of parts.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Iterator, Sequence
 
 
@@ -167,34 +168,25 @@ def partitions_of_size(n: int) -> Iterator[Partition]:
         yield Partition._trusted(parts)
 
 
-def symplectic_expansion_shapes(max_size: int) -> list[Partition]:
-    """Partitions with Frobenius coordinates (a_1, a_2, ... | a_1+1, a_2+1, ...).
+@functools.cache
+def symplectic_expansion_shapes(max_size: int) -> tuple[Partition, ...]:
+    """Partitions of size <= max_size with Frobenius coordinates
+    (a_1, a_2, ... | a_1+1, a_2+1, ...), in the order of `enumerate_partitions`.
 
     These index the signed skew-Schur expansion of the symplectic characters;
     the empty partition is included.  Each shape has even size 2*(sum a_i + d).
     """
-    shapes = [Partition()]
-    for arms in _strict_arm_lists(max_size):
-        shapes.append(from_frobenius(arms, [a + 1 for a in arms]))
-    return shapes
+    return tuple(
+        lam
+        for lam in enumerate_partitions(max_size)
+        if all(b == a + 1 for a, b in lam.frobenius())
+    )
 
 
-def orthogonal_expansion_shapes(max_size: int) -> list[Partition]:
+@functools.cache
+def orthogonal_expansion_shapes(max_size: int) -> tuple[Partition, ...]:
     """Partitions with Frobenius coordinates (b_1+1, b_2+1, ... | b_1, b_2, ...).
 
     These are the conjugates of the symplectic shapes, in the same order.
     """
-    return [alpha.conjugate() for alpha in symplectic_expansion_shapes(max_size)]
-
-
-def _strict_arm_lists(max_size: int) -> Iterator[list[int]]:
-    """Nonempty strictly decreasing a_1 > ... > a_d >= 0 with sum 2*a_i + 2*d <= max_size."""
-
-    def rec(budget: int, bound: int) -> Iterator[list[int]]:
-        for a in range(min(bound, (budget - 2) // 2), -1, -1):
-            head_cost = 2 * a + 2
-            yield [a]
-            for tail in rec(budget - head_cost, a - 1):
-                yield [a] + tail
-
-    yield from rec(max_size, max_size)
+    return tuple(alpha.conjugate() for alpha in symplectic_expansion_shapes(max_size))

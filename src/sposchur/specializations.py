@@ -1,13 +1,12 @@
 """Specializations of the algebra of symmetric functions.
 
 A specialization is determined by the images p_k of the Newton power sums,
-k >= 1.  Three flavors are supported:
-
-* finitely supported power sums (the generic exact case; Plancherel is
-  p_1 = theta, the rest zero),
-* a plain alphabet y_1..y_N with p_k = sum y_i^k,
-* a BC alphabet x_1, 1/x_1, ..., x_N, 1/x_N (optionally extended by the
-  letter 1) with p_k = sum (x_i^k + x_i^(-k)) (+1).
+k >= 1: either finitely supported power sums (Plancherel is p_1 = theta, the
+rest zero) or an alphabet.  An alphabet is its `letters`, the pairs (a, d)
+of its linear factors 1 - a u / d, with p_k = sum (a/d)^k: (y, 1) for each y
+of a plain alphabet, and (x, 1) and (1, x) for each x of a BC alphabet
+x^(+-1), which is the plain alphabet of its letters x, 1/x (and 1, as (1, 1),
+when the letter 1 is included).
 
 Values may be exact rationals or floats; the complete homogeneous h_n and
 elementary e_n images are derived through Newton's recurrences
@@ -36,6 +35,8 @@ import math
 import threading
 from fractions import Fraction
 from typing import Callable, Sequence
+
+_ONE = Fraction(1)  # the exact 1 of the letters (a, d): 1 / 1 would be a float
 
 
 def _coerce(value):
@@ -97,11 +98,7 @@ class Specialization:
     def from_alphabet(cls, variables: Sequence):
         """Plain alphabet y_1..y_N: p_k = sum_i y_i^k."""
         ys = [_coerce(v) for v in variables]
-        return cls(
-            lambda k: sum((y**k for y in ys), start=Fraction(0)),
-            max_support=None if ys else 0,
-            _meta={"kind": "alphabet", "y": ys},
-        )
+        return cls._of_letters([(y, _ONE) for y in ys], {"kind": "alphabet", "y": ys})
 
     @classmethod
     def from_bc_alphabet(cls, variables: Sequence, include_one: bool = False):
@@ -109,15 +106,19 @@ class Specialization:
         xs = [_coerce(v) for v in variables]
         if any(x == 0 for x in xs):
             raise ValueError("BC alphabet variables must be nonzero")
-        one = 1 if include_one else 0
+        letters = [pair for x in xs for pair in ((x, _ONE), (_ONE, x))]
+        letters += [(_ONE, _ONE)] if include_one else []
+        meta = {"kind": "bc_alphabet", "x": xs, "include_one": bool(include_one)}
+        return cls._of_letters(letters, meta)
 
-        def p(k: int):
-            return sum((x**k + x**-k for x in xs), start=Fraction(0)) + one
-
+    @classmethod
+    def _of_letters(cls, letters: list[tuple], meta: dict) -> "Specialization":
+        """The alphabet of the `letters` (a, d): p_k = sum (a/d)^k, formed as
+        a^k d^-k, so that a float x^-k is rounded once, not as (1/x)^k."""
         return cls(
-            p,
-            max_support=None if (xs or include_one) else 0,
-            _meta={"kind": "bc_alphabet", "x": xs, "include_one": include_one},
+            lambda k: sum((a**k * d**-k for a, d in letters), start=Fraction(0)),
+            max_support=None if letters else 0,
+            _meta={**meta, "letters": tuple(letters)},
         )
 
     # -- values ------------------------------------------------------------
@@ -201,17 +202,12 @@ class Specialization:
         return self._meta.get("kind", "powersums")
 
     @property
-    def variables(self) -> list | None:
-        """Alphabet letters for alphabet-backed specializations, else None."""
-        if self.kind == "alphabet":
-            return list(self._meta["y"])
-        if self.kind == "bc_alphabet":
-            return list(self._meta["x"])
-        return None
-
-    @property
-    def include_one(self) -> bool:
-        return bool(self._meta.get("include_one", False))
+    def letters(self) -> tuple[tuple, ...]:
+        """The letters a/d of an alphabet as pairs (a, d), H(rho; u) =
+        prod 1 / (1 - a u / d): (y, 1) for each y of a plain alphabet, (x, 1)
+        and (1, x) for each x of a BC alphabet, and (1, 1) for its letter 1,
+        every 1 an exact Fraction; none for other specializations."""
+        return self._meta.get("letters", ())
 
     def is_exact(self, through_degree: int = 1) -> bool:
         return all(
@@ -237,7 +233,7 @@ class Specialization:
         if kind == "bc_alphabet":
             return {
                 "x": [str(v) for v in self._meta["x"]],
-                "include_one": self.include_one,
+                "include_one": self._meta["include_one"],
             }
         raise TypeError(f"cannot serialize a specialization of kind {kind!r}")
 

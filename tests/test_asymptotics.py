@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from sposchur.asymptotics import (
     edge_cdf_discrete,
     edge_cdf_effective_s,
     edge_scan,
+    edge_site,
     fit_error_exponent,
     max_error_by_theta,
     nicholson_scan,
@@ -23,7 +25,8 @@ from sposchur.errors import DomainTooLarge
 from sposchur.special import airy_ai_vec, gauss_legendre_panels
 
 # module-level tests run at small theta to stay fast; the full theta ladders
-# {50, 200, 800} live in the acceptance suite
+# {50, 200, 800} live in the acceptance suite.  The edge gap-probability rates
+# go to theta = 12800, where a discrete CDF still costs a few milliseconds.
 
 
 def test_phi_plus_regimes():
@@ -292,6 +295,53 @@ def test_edge_cdf_discrete_tracks_tw():
 def test_edge_cdf_is_probability_like():
     val = edge_cdf_discrete("sp", 30.0, 0.0)
     assert 0.0 < val < 1.0
+
+
+_RATE_THETAS = (50.0, 200.0, 800.0, 3200.0, 12800.0)
+_RATE_S = (-2.0, -1.0, 0.0, 1.0)
+_edge_cdf = functools.cache(edge_cdf_discrete)
+
+
+@functools.cache
+def _edge_gap_errors(family: str, half_site: bool) -> dict[float, float]:
+    """theta -> max over s of |discrete gap probability - TW 2->1 limit|, the
+    limit read at `edge_cdf_effective_s` or, without its half-site term, at
+    (edge_site - 2 theta) / theta^(1/3)."""
+    sign = "+" if family == "sp" else "-"
+    errors = {}
+    for theta in _RATE_THETAS:
+        worst = 0.0
+        for s in _RATE_S:
+            if half_site:
+                eff = edge_cdf_effective_s(family, theta, s)
+            else:
+                eff = (edge_site(theta, s) - 2.0 * theta) / theta ** (1.0 / 3.0)
+            disc = _edge_cdf(family, theta, s)
+            worst = max(worst, abs(disc - tw_2to1_cdf(sign, eff)))
+        errors[theta] = worst
+    return errors
+
+
+@pytest.mark.parametrize("family", ["sp", "o"])
+def test_edge_gap_errors_fall_at_every_theta(family):
+    errors = [_edge_gap_errors(family, True)[t] for t in _RATE_THETAS]
+    assert all(later < earlier for earlier, later in zip(errors, errors[1:])), errors
+
+
+@pytest.mark.parametrize("family, window", [("sp", (-0.75, -0.6)), ("o", (-0.85, -0.65))])
+def test_edge_gap_rate_exponent(family, window):
+    # sp: the theta^(-2/3) rate of the half-site-corrected cutoff (measured
+    # -0.666); o: the measured exponent -0.755, with no theoretical rate yet
+    exponent = fit_error_exponent(_edge_gap_errors(family, True))
+    assert window[0] <= exponent <= window[1], exponent
+
+
+@pytest.mark.parametrize("family, window", [("sp", (-0.75, -0.6)), ("o", (-0.85, -0.65))])
+def test_edge_gap_rate_needs_the_half_site_term(family, window):
+    # without it the cutoff is off by half a site, and the error falls only
+    # like theta^(-1/3) (measured -0.329 for sp, -0.341 for o)
+    exponent = fit_error_exponent(_edge_gap_errors(family, False))
+    assert not window[0] <= exponent <= window[1], exponent
 
 
 def test_tw_truncation_guard():

@@ -736,3 +736,29 @@ def test_empty_alphabet_takes_the_power_sum_route():
         assert np.array_equal(empty(z), trivial(z)), family
         (w_e, m_e, _), (w_t, m_t, _) = empty.modes(False), trivial.modes(False)
         assert w_e == w_t and np.array_equal(m_e, m_t), family
+
+
+def test_int_radii_give_the_bits_of_float_radii():
+    F = SymbolF.plancherel(1.0)
+    for family in ("sp", "o"):
+        for a, b in ((2, 2), (-2, 1)):
+            as_int = kernel_contour(KernelConfig(r_z=1, r_w=0.5), F, family, a, b)
+            assert as_int == kernel_contour(KernelConfig(r_z=1.0, r_w=0.5), F, family, a, b)
+
+
+def test_non_integer_kernel_sites_are_rejected():
+    with pytest.raises(ValueError, match="2.7"):
+        kernel_bessel(1.0, "sp", 2.7, 0)
+    with pytest.raises(ValueError, match="0.5"):
+        kernel_bessel(1.0, "o", np.arange(3), np.array([1.0, 0.5]))
+    with pytest.raises(ValueError, match="1.5"):
+        kernel_contour(CFG, SymbolF.plancherel(1.0), "sp", 1.5, 0)
+    # integer-valued floats are integers
+    assert kernel_bessel(1.0, "sp", 2.0, 0) == kernel_bessel(1.0, "sp", 2, 0)
+
+
+def test_non_integer_correlation_points_are_rejected():
+    kernel = lattice_kernel("sp", theta=1.0)
+    with pytest.raises(ValueError, match="0.5"):
+        correlation_det(kernel, [0.5, 1.7])
+    assert correlation_det(kernel, [0.0, 1.0]) == correlation_det(kernel, [0, 1])

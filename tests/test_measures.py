@@ -88,6 +88,18 @@ def test_single_set_equals_batch_of_one():
             assert single == batch, (theta, pts)
 
 
+def test_non_integer_bruteforce_points_are_rejected():
+    spec = plancherel_measure("sp", Fraction(1, 2))
+    with pytest.raises(ValueError, match="0.5"):
+        correlation_bruteforce(spec, [0.5])
+    with pytest.raises(ValueError, match="0.5"):
+        hole_probability_bruteforce(spec, 0.5)
+    with pytest.raises(ValueError, match="1.5"):
+        correlation_bruteforce_batch(spec, [[0], [1.5]])
+    # integer-valued floats are integers
+    assert correlation_bruteforce(spec, [0.0]).value == correlation_bruteforce(spec, [0]).value
+
+
 def test_float_power_sum_beyond_the_eighth_sums_in_floats():
     # a float p_9 makes the weights of partitions of size >= 9 floats, so the
     # sum runs in floats, as for the all-float specialization

@@ -123,21 +123,14 @@ def test_expansion_shapes():
 
 
 def test_expansion_shapes_complete():
-    # brute-force oracle: filter all partitions by the Frobenius condition
-    want_sp = {
-        lam.parts
-        for lam in enumerate_partitions(10)
-        if all(b == a + 1 for a, b in lam.frobenius())
-    }
-    got_sp = {s.parts for s in symplectic_expansion_shapes(10)}
-    assert got_sp == want_sp
-    want_o = {
-        lam.parts
-        for lam in enumerate_partitions(10)
-        if all(a == b + 1 for a, b in lam.frobenius())
-    }
-    got_o = {s.parts for s in orthogonal_expansion_shapes(10)}
-    assert got_o == want_o
+    # independent oracle: a shape (a_1, ..., a_d | a_1+1, ..., a_d+1) has size
+    # 2 sum (a_i + 1), so the shapes of size 2n are as many as the partitions
+    # of n into distinct parts, q(n); no shape has odd size
+    distinct_parts = [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10]  # q(0..10)
+    sp = symplectic_expansion_shapes(20)
+    assert Counter(s.size() for s in sp) == {2 * n: q for n, q in enumerate(distinct_parts)}
+    assert len(set(sp)) == len(sp)
+    assert orthogonal_expansion_shapes(20) == tuple(s.conjugate() for s in sp)
 
 
 def test_configuration_positions():

@@ -36,6 +36,22 @@ def test_single_variable_alphabet():
     assert rho.e(2) == 0 and rho.e(3) == 0
 
 
+def test_alphabets_are_their_letters():
+    one = Fraction(1)
+    y = Specialization.from_alphabet(["1/3", 0.25])
+    assert y.letters == ((Fraction(1, 3), one), (0.25, one))
+    x = Specialization.from_bc_alphabet(["2/3"], include_one=True)
+    assert x.letters == ((Fraction(2, 3), one), (one, Fraction(2, 3)), (one, one))
+    # the 1s are exact, so exact letters keep exact power sums
+    assert all(isinstance(v, Fraction) for pair in x.letters for v in pair)
+    for rho in (y, x):
+        for k in range(1, 7):
+            assert rho.p(k) == sum(((a / d) ** k for a, d in rho.letters), start=Fraction(0))
+    assert x.p(3) == Fraction(8, 27) + Fraction(27, 8) + 1
+    for rho in (Specialization.plancherel(Fraction(1, 2)), x.omega(), Specialization.from_alphabet([])):
+        assert rho.letters == ()
+
+
 def test_bc_alphabet_powersums_and_e2():
     x = Fraction(5, 2)
     rho = Specialization.from_bc_alphabet([x])
