@@ -307,10 +307,11 @@ def _contour_data(F: SymbolF, r_z: float, r_w: float, n: int):
 
 
 def _contour_matrix(
-    F: SymbolF, family: str, a, b, r_z: float, r_w: float, n: int
+    F: SymbolF, family: str, a, b, r_z: float, r_w: float, n: int, paired: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """The n-node trapezoid value of the double contour integral, [K_n(a_i, b_j)],
-    and the size of the largest term of each entry's sum.
+    and the size of the largest term of each entry's sum; with `paired`, the
+    same for [K_n(a_i, b_i)], each the row-wise product of the two factors.
 
     The sum over node pairs (j, k) of B[b, j] A[a, k] C(w_j, z_k) is applied
     without the n x n coupling C.  The coupling 1 / ((1 - w z)(1 - w / z)) is
@@ -338,10 +339,41 @@ def _contour_matrix(
     amat = a_fac * z**a_pow
     bmat = b_fac * w**b_pow
     left = n * np.fft.ifft(amat * gz) * c - np.fft.fft(amat * g_over_z) * d
-    value = left @ (n * np.fft.ifft(bmat)).T
+    right = n * np.fft.ifft(bmat)
     # max |A[a, .]| max |B[b, .]| max |coupling|, the coupling largest at z = w = r
-    terms = (np.abs(a_fac).max() * r_z**a_pow) @ (np.abs(b_fac).max() * r_w**b_pow).T
+    a_terms, b_terms = np.abs(a_fac).max() * r_z**a_pow, np.abs(b_fac).max() * r_w**b_pow
+    if paired:
+        value, terms = np.sum(left * right, axis=1), (a_terms * b_terms)[:, 0]
+    else:
+        value, terms = left @ right.T, a_terms @ b_terms.T
     return value / n**2, terms / ((1.0 - r_w * r_z) * (1.0 - r_w / r_z))
+
+
+def _contour_sums(
+    cfg: KernelConfig, F: SymbolF, family: str, a: np.ndarray, b: np.ndarray, paired: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """The converged `_contour_matrix` values at the site arrays and their last
+    moves, under the stopping rule of `kernel_contour_with_error`."""
+    _check_family(family)
+    r_z, r_w = float(cfg.r_z), float(cfg.r_w)  # int radii would keep r_z**a_pow in ints
+    F.check_contours(r_z, r_w)
+    n = _MIN_NODES
+    prev, _ = _contour_matrix(F, family, a, b, r_z, r_w, n, paired)
+    while n < _MAX_NODES:
+        n *= 2
+        cur, terms = _contour_matrix(F, family, a, b, r_z, r_w, n, paired)
+        delta = np.abs(cur - prev)
+        scale = np.maximum(1.0, np.abs(cur))
+        if np.all(delta <= _CONTOUR_TOL * scale):
+            bad = np.argwhere(np.abs(cur.imag) > 1e-12 * np.maximum(scale, terms))
+            if bad.size:
+                entry = tuple(bad[0])  # (i, j), or (i,) for paired sites
+                raise QuadratureNotConverged(
+                    f"imaginary residue {cur[entry].imag} at (a,b)=({a[entry[0]]},{b[entry[-1]]})"
+                )
+            return cur.real, delta
+        prev = cur
+    raise QuadratureNotConverged(f"no convergence to {_CONTOUR_TOL} within {_MAX_NODES} nodes")
 
 
 def kernel_contour_with_error(cfg: KernelConfig, F: SymbolF, family: str, a, b):
@@ -356,29 +388,11 @@ def kernel_contour_with_error(cfg: KernelConfig, F: SymbolF, family: str, a, b):
     trapezoid sum raises QuadratureNotConverged, as does a grid not converged
     by 2^14 nodes.
     """
-    _check_family(family)
-    r_z, r_w = float(cfg.r_z), float(cfg.r_w)  # int radii would keep r_z**a_pow in ints
-    F.check_contours(r_z, r_w)
     a, b, scalar = _site_arrays(a, b)
-    n = _MIN_NODES
-    prev, _ = _contour_matrix(F, family, a, b, r_z, r_w, n)
-    while n < _MAX_NODES:
-        n *= 2
-        cur, terms = _contour_matrix(F, family, a, b, r_z, r_w, n)
-        delta = np.abs(cur - prev)
-        scale = np.maximum(1.0, np.abs(cur))
-        if np.all(delta <= _CONTOUR_TOL * scale):
-            bad = np.argwhere(np.abs(cur.imag) > 1e-12 * np.maximum(scale, terms))
-            if bad.size:
-                i, j = bad[0]
-                raise QuadratureNotConverged(
-                    f"imaginary residue {cur[i, j].imag} at (a,b)=({a[i]},{b[j]})"
-                )
-            if scalar:
-                return float(cur[0, 0].real), float(delta[0, 0])
-            return cur.real, delta
-        prev = cur
-    raise QuadratureNotConverged(f"no convergence to {_CONTOUR_TOL} within {_MAX_NODES} nodes")
+    value, delta = _contour_sums(cfg, F, family, a, b)
+    if scalar:
+        return float(value[0, 0]), float(delta[0, 0])
+    return value, delta
 
 
 def kernel_contour(cfg: KernelConfig, F: SymbolF, family: str, a, b):
@@ -411,8 +425,9 @@ def _site_arrays(a, b) -> tuple[np.ndarray, np.ndarray, bool]:
     return a.astype(np.int64), b.astype(np.int64), scalar
 
 
-def _bessel_sums(theta: float, family: str, a: np.ndarray, b: np.ndarray):
-    """The matrix [K(a_i, b_j)] by truncated Bessel sums, and the truncation order N.
+def _bessel_sums(theta: float, family: str, a: np.ndarray, b: np.ndarray, paired: bool = False):
+    """The matrix [K(a_i, b_j)] by truncated Bessel sums, and the truncation order N;
+    with `paired`, the 1-D array [K(a_i, b_i)] of equally long site arrays.
 
     With d = b - a and s = a + b, K_sp = T1 + T2 and K_o = J_a J_b + T1 - T2
     for the tail sums over the orders in [-N, N], with the truncation order
@@ -427,7 +442,9 @@ def _bessel_sums(theta: float, family: str, a: np.ndarray, b: np.ndarray):
     terms in the same order whatever else is asked for, and for sites within
     [-N, N] the J lookup's cache bucket depends on theta alone (N and the
     bucket add the same `_turning_margin`), so matrix entries then have the
-    bits of the scalar values.
+    bits of the scalar values.  The paired form keys each pair (a_i, b_i) by
+    its own diagonal and anti-diagonal and reads the same running sums, so
+    [K(s_i, s_i)] has the bits of the diagonal of the matrix over s.
     """
     _check_family(family)
     if theta < 0:
@@ -447,9 +464,11 @@ def _bessel_sums(theta: float, family: str, a: np.ndarray, b: np.ndarray):
     Z = np.zeros(5 * m + 3)
     Z[3 * m + 2 : 4 * m + 2] = J[lo - j_lo : upper - j_lo + 1]
     Z[m + 1 : 2 * m + 1] = Z[3 * m + 2 : 4 * m + 2][::-1]
-    keys = np.empty((2, len(a), len(b)), dtype=np.int64)  # row starts
-    np.subtract.outer(a, b, out=keys[0])
-    np.add.outer(a - lo - upper, b, out=keys[1])
+    a_i, b_j = (a, b) if paired else (a[:, None], b)
+    shape = (2,) + np.broadcast_shapes(a_i.shape, b_j.shape)
+    keys = np.empty(shape, dtype=np.int64)  # row starts
+    np.subtract(a_i, b_j, out=keys[0])
+    np.add(a_i - lo - upper, b_j, out=keys[1])
     np.minimum(np.maximum(keys, -m, out=keys), m, out=keys)
     keys[0] += m
     keys[1] += 3 * m + 1
@@ -457,9 +476,9 @@ def _bessel_sums(theta: float, family: str, a: np.ndarray, b: np.ndarray):
     used[keys.ravel()] = True
     starts = np.flatnonzero(used)  # the rows in use, and each entry's row
     rows = np.searchsorted(starts, keys)
-    cols = np.empty((2, len(a), len(b)), dtype=np.int64)  # T1 sums orders > a, T2 >= b
-    cols[0] = (upper - a)[:, None]
-    cols[1] = upper + 1 - b
+    cols = np.empty(shape, dtype=np.int64)  # T1 sums orders > a, T2 >= b
+    cols[0] = upper - a_i
+    cols[1] = upper + 1 - b_j
     np.minimum(np.maximum(cols, 0, out=cols), m, out=cols)
     width = min(m, max(0, upper - a_lo, upper + 1 - b_lo)) + 1  # cols.max() + 1
     # windows[i] = Z[i : i + width], a strided view
@@ -476,7 +495,7 @@ def _bessel_sums(theta: float, family: str, a: np.ndarray, b: np.ndarray):
     if family == "sp":
         value = t1 + t2
     else:
-        value = J[a - j_lo][:, None] * J[b - j_lo] + t1 - t2
+        value = J[a_i - j_lo] * J[b_j - j_lo] + t1 - t2
     return value, upper
 
 
@@ -523,8 +542,19 @@ def kernel_fourier_with_error(F: SymbolF, family: str, a, b):
     one estimate for the whole call, 4 times the largest boundary mode of the
     two windows (see `SymbolF.modes`), in every entry.
     """
-    _check_family(family)
     a, b, scalar = _site_arrays(a, b)
+    value, err = _fourier_sums(F, family, a, b)
+    if scalar:
+        return float(value[0, 0]), err
+    return value, np.full(value.shape, err)
+
+
+def _fourier_sums(
+    F: SymbolF, family: str, a: np.ndarray, b: np.ndarray, paired: bool = False
+) -> tuple[np.ndarray, float]:
+    """The matrix [K(a_i, b_j)] of `kernel_fourier_with_error` and its one error
+    estimate; with `paired`, [K(a_i, b_i)], each sum over j taken row-wise."""
+    _check_family(family)
     a_far, b_far = int(np.abs(a).max()), int(np.abs(b).max())
     need = max(a_far, b_far) + 16
     wc, cvals, err_c = F.modes(False, min_order=need)
@@ -533,14 +563,12 @@ def kernel_fourier_with_error(F: SymbolF, family: str, a, b):
     j = np.arange(1 if family == "sp" else 0, jmax + 1)
     c_up, c_down = cvals[wc + a[:, None] + j], cvals[wc + a[:, None] - j]
     d_tail = dvals[wd - b[:, None] - j]
+    c_sum = c_up + c_down if family == "sp" else c_up - c_down
+    value = np.sum(c_sum * d_tail, axis=1) if paired else c_sum @ d_tail.T
     if family == "sp":
-        value = np.outer(cvals[wc + a], dvals[wd - b]) + (c_up + c_down) @ d_tail.T
-    else:
-        value = (c_up - c_down) @ d_tail.T
-    err = max(err_c, err_d) * 4.0
-    if scalar:
-        return float(value[0, 0]), err
-    return value, np.full(value.shape, err)
+        c0, d0 = cvals[wc + a], dvals[wd - b]
+        value = (c0 * d0 if paired else np.outer(c0, d0)) + value
+    return value, max(err_c, err_d) * 4.0
 
 
 def kernel_fourier(F: SymbolF, family: str, a, b):
@@ -587,6 +615,7 @@ def dual_lattice_kernel(spec: MeasureSpec) -> Callable:
         value = np.equal.outer(a_sites, b_sites) - base(-1 - a_sites, -1 - b_sites)
         return float(value[0, 0]) if scalar else value
 
+    kernel.diagonal = lambda sites: 1.0 - base.diagonal(-1 - _site_arrays(sites, sites)[0])
     return kernel
 
 
@@ -601,24 +630,38 @@ def lattice_kernel(
     K_sp natively governs {lambda_i - i + 1}, so its arguments shift by one;
     K_o already lives on {lambda_i - i}.  The function returned maps sites
     (a, b) to K(a, b): a float for integer sites, the matrix [K(a_i, b_j)]
-    for 1-D site arrays, from one kernel evaluation either way.  The Bessel
-    route needs theta; the contour route (at the symbol's `default_config`)
-    and the Fourier route need a symbol.
+    for 1-D site arrays, from one kernel evaluation either way.  Its
+    `diagonal(sites)` is the 1-D array [K(s_i, s_i)], computed without the
+    matrix: on the Bessel route with the bits of the matrix diagonal, on the
+    Fourier and contour routes as row-wise sums that agree with it to
+    rounding (the contour entries under the same per-entry stopping rule).
+    The Bessel route needs theta; the contour route (at the symbol's
+    `default_config`) and the Fourier route need a symbol.
     """
     _check_family(family)
     shift = 1 if family == "sp" else 0
     if representation == "bessel":
         if theta is None:
             raise ValueError("bessel representation needs theta")
-        return lambda a, b: kernel_bessel(theta, family, np.add(a, shift), np.add(b, shift))
-    if representation not in ("contour", "fourier"):
+        matrix = lambda a, b: kernel_bessel(theta, family, a, b)
+        paired = lambda s: _bessel_sums(theta, family, s, s, paired=True)[0]
+    elif representation not in ("contour", "fourier"):
         raise ValueError(f"unknown representation {representation!r}")
-    if symbol is None:
+    elif symbol is None:
         raise ValueError(f"{representation} representation needs a symbol")
-    if representation == "contour":
+    elif representation == "contour":
         cfg = symbol.default_config()
-        return lambda a, b: kernel_contour(cfg, symbol, family, np.add(a, shift), np.add(b, shift))
-    return lambda a, b: kernel_fourier(symbol, family, np.add(a, shift), np.add(b, shift))
+        matrix = lambda a, b: kernel_contour(cfg, symbol, family, a, b)
+        paired = lambda s: _contour_sums(cfg, symbol, family, s, s, paired=True)[0]
+    else:
+        matrix = lambda a, b: kernel_fourier(symbol, family, a, b)
+        paired = lambda s: _fourier_sums(symbol, family, s, s, paired=True)[0]
+
+    def kernel(a, b):
+        return matrix(np.add(a, shift), np.add(b, shift))
+
+    kernel.diagonal = lambda sites: paired(_site_arrays(sites, sites)[0] + shift)
+    return kernel
 
 
 def correlation_det(kernel: Callable, points: Sequence[int]) -> float:

@@ -48,6 +48,11 @@ def _coerce(value):
     raise TypeError(f"cannot use {type(value).__name__} as a power-sum value")
 
 
+def _json_value(value):
+    """A float as itself (a JSON number), a Fraction as its string."""
+    return value if isinstance(value, float) else str(value)
+
+
 class Specialization:
     """Algebra homomorphism from symmetric functions, given by its power sums."""
 
@@ -225,14 +230,16 @@ class Specialization:
     # -- serialization ----------------------------------------------------------
 
     def to_json(self) -> dict:
+        """The document `from_json` reads back: Fractions as strings, floats as
+        JSON numbers, so each value keeps its type and bits."""
         kind = self.kind
         if kind == "powersums":
-            return {"powersums": {str(k): str(v) for k, v in self._meta["table"].items()}}
+            return {"powersums": {str(k): _json_value(v) for k, v in self._meta["table"].items()}}
         if kind == "alphabet":
-            return {"y": [str(v) for v in self._meta["y"]]}
+            return {"y": [_json_value(v) for v in self._meta["y"]]}
         if kind == "bc_alphabet":
             return {
-                "x": [str(v) for v in self._meta["x"]],
+                "x": [_json_value(v) for v in self._meta["x"]],
                 "include_one": self._meta["include_one"],
             }
         raise TypeError(f"cannot serialize a specialization of kind {kind!r}")

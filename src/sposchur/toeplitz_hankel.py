@@ -75,6 +75,7 @@ class Symbol:
         self.rho_plus = rho_plus
         self.rho_minus = rho_minus
         self.plancherel_theta: float | None = None
+        self._bo_kernels: dict[str, Callable] = {}  # family -> `bo_kernel`
         f = SymbolF.product([(rho_plus, "h", "z", 1), (rho_minus, "h", "1/z", 1)], "f")
         self.f = f
         self.f_tilde = SymbolF(
@@ -86,6 +87,21 @@ class Symbol:
         sym = cls(Specialization.plancherel(2 * theta), Specialization.plancherel(theta))
         sym.plancherel_theta = float(theta)
         return sym
+
+    def bo_kernel(self, family: str) -> Callable:
+        """The configuration kernel K-hat of `bo_check`, built once per family:
+        the Bessel kernel for symbols built by `Symbol.plancherel`, and the
+        Fourier-mode kernel of the sp/o symbol `SymbolF.from_measure`
+        otherwise, whose Laurent modes are then computed once per symbol."""
+        kernel = self._bo_kernels.get(family)
+        if kernel is None:
+            if self.plancherel_theta is not None:
+                kernel = lattice_kernel(family, theta=self.plancherel_theta)
+            else:
+                F = SymbolF.from_measure(MeasureSpec(family, self.rho_plus, self.rho_minus))
+                kernel = lattice_kernel(family, symbol=F, representation="fourier")
+            self._bo_kernels[family] = kernel
+        return kernel
 
     # -- Fourier coefficients --------------------------------------------------
 
@@ -193,42 +209,47 @@ def gap_probability(
     """det(1 - K) over configuration sites {m, m+1, ...} by finite section.
 
     `kernel` is a configuration kernel as `lattice_kernel` and
-    `dual_lattice_kernel` return it: integer sites give a float, 1-D site
-    arrays the matrix [K(a_i, b_j)].  Returns (determinant, tail bound,
-    window used).  Without a configured window, the window is the first
-    multiple of 8 (up to 400) at which |K(m + w, m + w)| falls to
-    tail_tol/100.  The "tail bound" is twice the diagonal mass sum |K(s, s)|
-    beyond the window.  The kernel is signed and not Hermitian, so this is an
-    estimate of the truncation error, not a bound; TruncationInsufficient is
-    raised if it exceeds the configured tolerance.  The kernel is called once
-    per block of 8 candidate widths, once per block of 32 tail sites and once
-    for the window matrix.
+    `dual_lattice_kernel` return it: 1-D site arrays give the matrix
+    [K(a_i, b_j)], and `kernel.diagonal(sites)` gives [K(s_i, s_i)].
+    Returns (determinant, tail bound, window used).  Without a configured
+    window, the window is the first multiple of 8 (up to 400) at which
+    |K(m + w, m + w)| falls to tail_tol/100.  The "tail bound" is twice the
+    diagonal mass sum |K(s, s)| from s = m + window through the first value
+    below 1e-22, or through s = m + window + 401.  The kernel is signed and
+    not Hermitian, so this is an estimate of the truncation error, not a
+    bound; TruncationInsufficient is raised if it exceeds the configured
+    tolerance.  The diagonal is read over one run of sites from m + 8 (from
+    m + window when the window is configured), its length doubling from 64
+    until it covers the search and the tail; then the window matrix is
+    formed once.
     """
     fred = fred or FredholmConfig()
-    if fred.window is not None:
+    first = 8 if fred.window is None else fred.window
+    diag = np.abs(kernel.diagonal(np.arange(m + first, m + first + 64)))  # sites m + first + i
+    while True:
         width = fred.window
-    else:
-        widths = np.arange(8, _MAX_WINDOW + 8, 8)  # 8, 16, ..., _MAX_WINDOW
-        width = int(widths[-1])
-        for block in np.split(widths, range(8, len(widths), 8)):
-            small = np.abs(np.diagonal(kernel(m + block, m + block))) <= fred.tail_tol / 100
-            if small.any():
-                width = int(block[np.argmax(small)])
+        if width is None:
+            # |K(m + w, m + w)| at the candidate widths w = 8, 16, ..., _MAX_WINDOW
+            candidates = diag[: _MAX_WINDOW - 7 : 8]
+            small = np.flatnonzero(candidates <= fred.tail_tol / 100)
+            if small.size:
+                width = 8 * int(small[0] + 1)
+            elif len(candidates) == _MAX_WINDOW // 8:
+                width = _MAX_WINDOW
+        if width is not None:
+            tail = diag[width - first : width - first + _MAX_WINDOW + 2]
+            below = np.flatnonzero(tail < 1e-22)
+            if below.size:
+                tail = tail[: below[0] + 1]
                 break
-    # |K(s, s)| from s = m + width through the first value below 1e-22,
-    # or through s = m + width + _MAX_WINDOW + 1
-    tail = 0.0
-    s, last = m + width, m + width + _MAX_WINDOW + 1
-    while s <= last:
-        block = np.arange(s, min(s + 32, last + 1))
-        d = np.abs(np.diagonal(kernel(block, block)))
-        below = np.flatnonzero(d < 1e-22)
-        if below.size:
-            tail += float(np.sum(d[: below[0] + 1]))
-            break
-        tail += float(np.sum(d))
-        s += 32
-    tail_bound = 2.0 * tail
+            if len(tail) == _MAX_WINDOW + 2:
+                break
+        more = np.arange(m + first + len(diag), m + first + 2 * len(diag))
+        diag = np.concatenate([diag, np.abs(kernel.diagonal(more))])
+    mass = 0.0
+    for i in range(0, len(tail), 32):  # one fixed order, 32 sites at a time, pins the bits
+        mass += float(np.sum(tail[i : i + 32]))
+    tail_bound = 2.0 * mass
     if tail_bound > fred.tail_tol:
         raise TruncationInsufficient(
             f"tail bound {tail_bound} exceeds {fred.tail_tol} at window {width}"
@@ -243,18 +264,12 @@ def bo_check(
 ) -> BOCheckResult:
     """Compare the determinant (D2_m or half D4_m) with Z * det(1 - K-hat).
 
-    K-hat is the Bessel kernel for symbols built by `Symbol.plancherel` and
-    the Fourier-mode kernel of the sp/o symbol otherwise.
+    K-hat is `Symbol.bo_kernel(family)`.
     """
     if family not in ("sp", "o"):
         raise ValueError("family must be 'sp' or 'o'")
     lhs, z = szego_normalized_det(sym, "D2" if family == "sp" else "D4", m)
-    if sym.plancherel_theta is not None:
-        kernel = lattice_kernel(family, theta=sym.plancherel_theta)
-    else:
-        F = SymbolF.from_measure(MeasureSpec(family, sym.rho_plus, sym.rho_minus))
-        kernel = lattice_kernel(family, symbol=F, representation="fourier")
-    det, tail_bound, window = gap_probability(kernel, m, fred)
+    det, tail_bound, window = gap_probability(sym.bo_kernel(family), m, fred)
     rhs = z * det
     return BOCheckResult(
         lhs=lhs, rhs=rhs, gap=lhs - rhs, tail_bound=tail_bound, window=window

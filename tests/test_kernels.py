@@ -482,6 +482,34 @@ def test_contour_and_dual_matrices_match_entries():
                 assert mat[i, j] == pytest.approx(k(int(a), int(b)), abs=1e-12)
 
 
+@pytest.mark.parametrize("theta", [0.5, 2.0, 200.0, 12800.0])
+def test_bessel_diagonal_has_the_bits_of_the_matrix_diagonal(theta):
+    upper = math.ceil(2 * theta + 16 * max(2 * theta, 1) ** (1 / 3) + 60)  # N
+    edge = round(2 * theta)
+    sites = np.array([-upper - 7, -upper, -5, -1, 0, 3, edge - 2, edge + 9, upper, upper + 6])
+    for family in ("sp", "o"):
+        k = lattice_kernel(family, theta=theta)
+        diagonal = k.diagonal(sites)
+        assert diagonal.shape == sites.shape
+        assert diagonal.tobytes() == np.diagonal(k(sites, sites)).copy().tobytes(), family
+
+
+def test_fourier_contour_and_dual_diagonals_match_their_matrices():
+    sites = np.arange(-4, 6)
+    plus = Specialization.from_powersums({1: Fraction(1, 3), 2: Fraction(-1, 5)})
+    minus = Specialization.from_powersums({1: Fraction(1, 4), 3: Fraction(-1, 7)})
+    for family in ("sp", "o"):
+        F = SymbolF.from_measure(MeasureSpec(family, plus, minus))
+        for rep in ("fourier", "contour"):
+            k = lattice_kernel(family, symbol=F, representation=rep)
+            assert np.abs(k.diagonal(sites) - np.diagonal(k(sites, sites))).max() <= 1e-14
+    x = Specialization.from_bc_alphabet([Fraction(9, 10)])
+    y = Specialization.from_alphabet([Fraction(3, 10)])
+    for family in ("sp-dual", "o-dual"):
+        k = dual_lattice_kernel(MeasureSpec(family, x, y))
+        assert np.abs(k.diagonal(sites) - np.diagonal(k(sites, sites))).max() <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # determinantal correlations against the brute-force oracle
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -290,6 +291,19 @@ def test_measure_spec_json_roundtrip():
     assert back.family == "sp"
     assert back.rho_plus.p(1) == 1
     assert back.rho_minus.p(1) == Fraction(1, 2)
+
+
+def test_float_measure_spec_json_roundtrip():
+    m = MeasureSpec(
+        "o", Specialization.from_bc_alphabet([0.3]), Specialization.from_powersums({1: 0.25, 2: 0.1})
+    )
+    back = MeasureSpec.from_json(json.loads(json.dumps(m.to_json())))
+    assert back.to_json() == m.to_json()
+    assert type(back.rho_plus.p(1)) is float and type(back.rho_minus.p(2)) is float
+    for k in range(1, 5):
+        for rho, rho_back in ((m.rho_plus, back.rho_plus), (m.rho_minus, back.rho_minus)):
+            assert type(rho_back.p(k)) is type(rho.p(k)) and rho_back.p(k) == rho.p(k)
+    assert back.z() == m.z()
 
 
 def test_unknown_family_rejected():

@@ -117,6 +117,44 @@ def test_json_roundtrip():
         Specialization.from_json({"nonsense": 1})
 
 
+def _same_images(a, b, degree=6):
+    for k in range(1, degree + 1):
+        pa, pb = a.p(k), b.p(k)
+        assert type(pa) is type(pb) and pa == pb, (k, pa, pb)
+
+
+def test_float_json_roundtrip_keeps_floats():
+    # a float is written as a JSON number, so it reads back as the same float,
+    # not as the exact decimal Fraction of its string
+    specs = [
+        Specialization.from_alphabet([0.3, -0.7]),
+        Specialization.from_bc_alphabet([0.3, -1.3], include_one=True),
+        Specialization.from_powersums({1: 0.1, 3: -0.25}),
+        Specialization.from_alphabet(["1/3", 0.2]),
+    ]
+    for rho in specs:
+        text = json.dumps(rho.to_json())
+        back = Specialization.from_json(text)
+        _same_images(rho, back)
+        assert back.letters == rho.letters
+        assert json.dumps(back.to_json()) == text
+    assert specs[0].to_json() == {"y": [0.3, -0.7]}
+    assert specs[3].to_json() == {"y": ["1/3", 0.2]}
+
+
+def test_exact_json_documents_are_unchanged():
+    docs = {
+        '{"powersums": {"1": "3/2", "4": "-1/7"}}':
+            Specialization.from_powersums({1: "3/2", 4: Fraction(-1, 7)}),
+        '{"y": ["1/3", "-1/4", "2"]}': Specialization.from_alphabet(["1/3", "-1/4", 2]),
+        '{"x": ["1/2", "-3"], "include_one": true}':
+            Specialization.from_bc_alphabet(["1/2", -3], include_one=True),
+    }
+    for text, rho in docs.items():
+        assert json.dumps(rho.to_json()) == text
+        _same_images(rho, Specialization.from_json(text))
+
+
 def test_integer_tables_have_nested_denominators():
     rhos = [
         Specialization.from_powersums({1: Fraction(-2, 3), 2: Fraction(5, 4), 4: Fraction(1, 6)}),

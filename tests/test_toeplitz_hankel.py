@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sposchur import asymptotics
 from sposchur.characters import TH_PATTERNS, th_pattern
 from sposchur.errors import ContourViolation, TruncationInsufficient
 from sposchur.identities import character_sum_series
@@ -360,6 +361,108 @@ def test_fredholm_truncation_error():
         gap_probability(
             lattice_kernel("sp", theta=0.5), 2, FredholmConfig(window=2, tail_tol=1e-14)
         )
+
+
+def _block_scan(kernel, m, fred):
+    """`gap_probability` as it was before the diagonal read: 8 x 8 kernel blocks
+    for the width search, 32 x 32 blocks for the tail, read for their diagonals."""
+    if fred.window is not None:
+        width = fred.window
+    else:
+        widths = np.arange(8, 408, 8)
+        width = int(widths[-1])
+        for block in np.split(widths, range(8, len(widths), 8)):
+            small = np.abs(np.diagonal(kernel(m + block, m + block))) <= fred.tail_tol / 100
+            if small.any():
+                width = int(block[np.argmax(small)])
+                break
+    tail = 0.0
+    s, last = m + width, m + width + 401
+    while s <= last:
+        block = np.arange(s, min(s + 32, last + 1))
+        d = np.abs(np.diagonal(kernel(block, block)))
+        below = np.flatnonzero(d < 1e-22)
+        if below.size:
+            tail += float(np.sum(d[: below[0] + 1]))
+            break
+        tail += float(np.sum(d))
+        s += 32
+    tail_bound = 2.0 * tail
+    if tail_bound > fred.tail_tol:
+        raise TruncationInsufficient(
+            f"tail bound {tail_bound} exceeds {fred.tail_tol} at window {width}"
+        )
+    sites = np.arange(m, m + width)
+    det = float(np.linalg.det(np.eye(width) - kernel(sites, sites))) if width else 1.0
+    return det, tail_bound, width
+
+
+def _outcome(section, kernel, m, fred):
+    """(det, tail bound, width) with the floats by their bits, or the error raised."""
+    try:
+        det, tail_bound, width = section(kernel, m, fred)
+    except TruncationInsufficient as exc:
+        return str(exc)
+    return det.hex(), tail_bound.hex(), width
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
+def test_gap_probability_has_the_bits_of_the_block_scan(theta):
+    for family in ("sp", "o"):
+        kernel = lattice_kernel(family, theta=theta)
+        for m in range(1, 9):
+            fred = FredholmConfig()
+            new = _outcome(gap_probability, kernel, m, fred)
+            assert new == _outcome(_block_scan, kernel, m, fred), (family, m)
+            assert not isinstance(new, str)
+        # configured windows below the first search width
+        for window in range(8):
+            fred = FredholmConfig(window=window)
+            new = _outcome(gap_probability, kernel, 2, fred)
+            assert new == _outcome(_block_scan, kernel, 2, fred), (family, window)
+
+
+def test_edge_sections_have_the_bits_of_the_block_scan(monkeypatch):
+    # the edge_cdf_discrete inputs of the seed-1 edge-fredholm benchmark pass
+    inputs = {
+        "sp": (-6.0, -4.025176, -1.946577, 0.076932),
+        "o": (-6.0, -3.972571, -2.057713, -0.03876),
+    }
+    pairs = []
+
+    def both(kernel, m, fred):
+        pairs.append(
+            (_outcome(gap_probability, kernel, m, fred), _outcome(_block_scan, kernel, m, fred))
+        )
+        return gap_probability(kernel, m, fred)
+
+    monkeypatch.setattr(asymptotics, "gap_probability", both)
+    for family, grid in inputs.items():
+        for s in grid:
+            asymptotics.edge_cdf_discrete(family, 200.0, s)
+    assert len(pairs) == 8
+    for new, old in pairs:
+        assert new == old and not isinstance(new, str)
+
+
+def test_long_tails_have_the_bits_of_the_block_scan():
+    # tails of 82 (sp) and 81 (o) sites at theta = 200, whose sums depend on
+    # the order the 32-site blocks add them in
+    for family, m in (("sp", 371), ("o", 373)):
+        kernel = lattice_kernel(family, theta=200.0)
+        fred = FredholmConfig(window=10, tail_tol=10.0)
+        new = _outcome(gap_probability, kernel, m, fred)
+        assert new == _outcome(_block_scan, kernel, m, fred) and not isinstance(new, str)
+
+
+def test_window_search_to_400_raises_like_the_block_scan():
+    # deep in the bulk at theta = 200 no candidate width reaches tail_tol/100,
+    # so the search ends at 400 and the tail from site 400 on is far too heavy
+    kernel = lattice_kernel("sp", theta=200.0)
+    fred = FredholmConfig()
+    new = _outcome(gap_probability, kernel, 0, fred)
+    assert new == _outcome(_block_scan, kernel, 0, fred)
+    assert new.endswith("at window 400")
 
 
 def test_bo_nonplancherel_symbol():
