@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainTooLarge, QuadratureNotConverged, TruncationInsufficient
-from .kernels import kernel_bessel, lattice_kernel
+from .kernels import _check_family, kernel_bessel, lattice_kernel
 from .special import airy_ai_vec, gauss_legendre_panels
 from .toeplitz_hankel import FredholmConfig, gap_probability
 
@@ -328,6 +328,7 @@ def edge_cdf_effective_s(family: str, theta: float, s: float) -> float:
     kernels; with it the discrete gap probabilities match the continuum
     distributions to O(theta^(-2/3)) instead of O(theta^(-1/3)).
     """
+    _check_family(family)
     half = 0.5 if family == "sp" else -0.5
     return (edge_site(theta, s) + half - 2.0 * theta) / theta ** (1.0 / 3.0)
 

@@ -11,12 +11,13 @@ specialization rho:
                   = (1/2) det[e_{l'_i-i+j} + e_{l'_i-i-j+2}]  (size = l_1)
 
 with h_n = e_n = 0 for n < 0.  The four sp/o forms are the patterns D1..D4
-of `TH_PATTERNS` (sp h-form D1, sp e-form D2, o h-form D3, o e-form D4), all
-built by `th_rows`; with zero shifts and the Fourier coefficients of f or f~
-in place of h or e, the same patterns are the Gessel matrices of
-`toeplitz_hankel`.  The sp and o characters also admit signed
-skew-Schur expansions over self-conjugate-adjacent Frobenius shapes, which we
-expose as an independent second route for testing.
+of `TH_PATTERNS` (sp h-form D1, sp e-form D2, o h-form D3, o e-form D4),
+whose rows `_character` builds from slices of the images; with zero shifts
+and the Fourier coefficients of f or f~ in place of h or e, the same
+patterns are the Gessel matrices of `toeplitz_hankel`, built by `th_rows`.
+The sp and o characters also admit signed skew-Schur expansions over
+self-conjugate-adjacent Frobenius shapes, which we expose as an independent
+second route for testing.
 
 Exact characters are integer on arrival: a row whose largest index is m
 holds its entries times den[m], the lcm of the denominators of the images
@@ -183,13 +184,12 @@ def th_pattern(which: str) -> THPattern:
     return TH_PATTERNS[which]
 
 
-def th_rows(which: str, shifts, g: Callable) -> list[list]:
-    """[[g(s_i - i + j) +/- g(s_i - i - j - offset)]], 0-indexed, one row per shift."""
+def th_rows(which: str, size: int, g: Callable) -> list[list]:
+    """The Gessel matrix [[g(-i + j) +/- g(-i - j - offset)]], 0-indexed, size x size."""
     pattern = th_pattern(which)
-    n = len(shifts)
     return [
-        [pattern.combine(g(s - i + j), g(s - i - j - pattern.offset)) for j in range(n)]
-        for i, s in enumerate(shifts)
+        [pattern.combine(g(j - i), g(-i - j - pattern.offset)) for j in range(size)]
+        for i in range(size)
     ]
 
 

@@ -262,6 +262,8 @@ def cmd_th_dets(args) -> int:
 
 
 def cmd_bo(args) -> int:
+    if not 0 < args.tol < math.inf:
+        raise ValueError(f"--tol must be a positive finite number, got {args.tol}")
     sym = _load_symbol(args)
     ms = _parse_int_range(args.m, "m")
     fred = FredholmConfig(tail_tol=min(1e-10, args.tol / 10))

@@ -438,31 +438,30 @@ def _bessel_sums(theta: float, family: str, a: np.ndarray, b: np.ndarray, paired
     Each is one running sum from order N down along the diagonal d or the
     anti-diagonal s, shared by every entry on it, so a W x W window costs
     O(W (W + N)) products instead of O(W^2 N).  Only the diagonals the sites
-    use are formed, about _SUM_BLOCK elements at a time.  An entry adds its
-    terms in the same order whatever else is asked for, and for sites within
-    [-N, N] the J lookup's cache bucket depends on theta alone (N and the
-    bucket add the same `_turning_margin`), so matrix entries then have the
-    bits of the scalar values.  The paired form keys each pair (a_i, b_i) by
-    its own diagonal and anti-diagonal and reads the same running sums, so
-    [K(s_i, s_i)] has the bits of the diagonal of the matrix over s.
+    use are formed, about _SUM_BLOCK elements at a time.  One J lookup, over
+    orders in [-N, N] only, serves both sums and the o term J_a J_b, which is
+    0 outside them as the sums are; its cache bucket depends on theta alone
+    (N and the bucket add the same `_turning_margin`), and an entry adds its
+    terms in the same order whatever else is asked for, so matrix entries
+    have the bits of the scalar values.  The paired form keys each pair
+    (a_i, b_i) by its own diagonal and anti-diagonal and reads the same
+    running sums, so [K(s_i, s_i)] has the bits of the matrix diagonal.
     """
     _check_family(family)
     if theta < 0:
         raise ValueError("theta must be >= 0")
     x = 2.0 * float(theta)
     upper = int(math.ceil(x + _turning_margin(x) + 60))
-    a_lo, b_lo, a_hi, b_hi = int(a.min()), int(b.min()), int(a.max()), int(b.max())
+    a_lo, b_lo = int(a.min()), int(b.min())
     # every term has its orders in [lo, N]: T1 above min(a, b), T2 from a + b - N
     lo = max(-upper, min(a_lo, b_lo, a_lo + b_lo - upper, upper))
     m = upper - lo + 1
-    j_lo = min(lo, a_lo, b_lo)
-    J = bessel_j_values(np.arange(j_lo, max(upper, a_hi, b_hi) + 1), x)
     # Z = m + 1 zeros, J_N .. J_lo, m + 1 zeros, J_lo .. J_N, m + 1 zeros.  Column
     # c of a row is the term of order k = N + 1 - c: Z[m + c] = J_k times
     # Z[m - d + c] = J_{k+d} (T1) or Z[3m + 1 + s - lo - N + c] = J_{s-k} (T2).
     # Rows past +-m from those offsets hold no nonzero term and are clipped.
     Z = np.zeros(5 * m + 3)
-    Z[3 * m + 2 : 4 * m + 2] = J[lo - j_lo : upper - j_lo + 1]
+    Z[3 * m + 2 : 4 * m + 2] = bessel_j_values(np.arange(lo, upper + 1), x)
     Z[m + 1 : 2 * m + 1] = Z[3 * m + 2 : 4 * m + 2][::-1]
     a_i, b_j = (a, b) if paired else (a[:, None], b)
     shape = (2,) + np.broadcast_shapes(a_i.shape, b_j.shape)
@@ -495,7 +494,9 @@ def _bessel_sums(theta: float, family: str, a: np.ndarray, b: np.ndarray, paired
     if family == "sp":
         value = t1 + t2
     else:
-        value = J[a_i - j_lo] * J[b_j - j_lo] + t1 - t2
+        pad = Z[3 * m + 1 : 4 * m + 3]  # 0, J_lo .. J_N, 0: order k at k - lo + 1
+        j_a = np.take(pad, a_i - (lo - 1), mode="clip")
+        value = j_a * np.take(pad, b_j - (lo - 1), mode="clip") + t1 - t2
     return value, upper
 
 

@@ -40,7 +40,9 @@ _ONE = Fraction(1)  # the exact 1 of the letters (a, d): 1 / 1 would be a float
 
 
 def _coerce(value):
-    """ints and strings become Fractions; Fractions and floats pass through."""
+    """ints and strings become Fractions; Fractions and finite floats pass through."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"specialization values must be finite, got {value}")
     if isinstance(value, (Fraction, float)):
         return value
     if isinstance(value, (int, str)):

@@ -53,12 +53,19 @@ _MAX_WINDOW = 400  # widest finite section the window search tries
 class FredholmConfig:
     """Truncation policy for discrete Fredholm determinants.
 
-    `window` and `tail_tol` drive the finite sections (sites beyond the cut;
-    None lets the kernel decay pick the width).
+    `window` (sites beyond the cut, an int >= 0, or None to let the kernel
+    decay pick the width) and `tail_tol` (positive, finite) drive the finite
+    sections; other values raise ValueError.
     """
 
     window: int | None = None
     tail_tol: float = 1e-10
+
+    def __post_init__(self):
+        if not (self.window is None or isinstance(self.window, int) and self.window >= 0):
+            raise ValueError(f"window must be None or an int >= 0, got {self.window!r}")
+        if not 0 < self.tail_tol < math.inf:
+            raise ValueError(f"tail_tol must be a positive finite number, got {self.tail_tol}")
 
 
 class Symbol:
@@ -66,7 +73,9 @@ class Symbol:
 
     `f` and `f_tilde` are the SymbolF functions f(z) = H(rho+; z) H(rho-; 1/z)
     and f~(z) = 1/f(-z), of power sums or alphabets; f~ has the annuli
-    (0, inf).  `plancherel_theta` is theta for the symbols built by
+    (0, inf).  `F` is the kernel symbol H(rho+; z) / (H(rho-; z) H(rho-; 1/z))
+    of `bo_check`, one for both families and their Laurent modes.
+    `plancherel_theta` is theta for the symbols built by
     `Symbol.plancherel(theta)`, whose kernels have the Bessel form, and None
     otherwise.
     """
@@ -75,33 +84,18 @@ class Symbol:
         self.rho_plus = rho_plus
         self.rho_minus = rho_minus
         self.plancherel_theta: float | None = None
-        self._bo_kernels: dict[str, Callable] = {}  # family -> `bo_kernel`
         f = SymbolF.product([(rho_plus, "h", "z", 1), (rho_minus, "h", "1/z", 1)], "f")
         self.f = f
         self.f_tilde = SymbolF(
             lambda z: 1.0 / f(-z), (0.0, math.inf), (0.0, math.inf), label="f_tilde"
         )
+        self.F = SymbolF.from_measure(MeasureSpec("sp", rho_plus, rho_minus))
 
     @classmethod
     def plancherel(cls, theta) -> "Symbol":
         sym = cls(Specialization.plancherel(2 * theta), Specialization.plancherel(theta))
         sym.plancherel_theta = float(theta)
         return sym
-
-    def bo_kernel(self, family: str) -> Callable:
-        """The configuration kernel K-hat of `bo_check`, built once per family:
-        the Bessel kernel for symbols built by `Symbol.plancherel`, and the
-        Fourier-mode kernel of the sp/o symbol `SymbolF.from_measure`
-        otherwise, whose Laurent modes are then computed once per symbol."""
-        kernel = self._bo_kernels.get(family)
-        if kernel is None:
-            if self.plancherel_theta is not None:
-                kernel = lattice_kernel(family, theta=self.plancherel_theta)
-            else:
-                F = SymbolF.from_measure(MeasureSpec(family, self.rho_plus, self.rho_minus))
-                kernel = lattice_kernel(family, symbol=F, representation="fourier")
-            self._bo_kernels[family] = kernel
-        return kernel
 
     # -- Fourier coefficients --------------------------------------------------
 
@@ -149,7 +143,7 @@ def th_det(sym: Symbol, which: str, size: int):
         raise ValueError("size must be >= 0")
     lo = 2 - 2 * size - pattern.offset  # the lowest (Hankel) index
     coeffs = sym.fourier_coeffs(pattern.symbol, lo, size - 1)
-    rows = th_rows(which, [0] * size, lambda k: float(coeffs[k - lo]))
+    rows = th_rows(which, size, lambda k: float(coeffs[k - lo]))
     return float(th_determinant(rows))
 
 
@@ -160,7 +154,7 @@ def th_det_series(sym: Symbol, which: str, size: int, degree: int) -> GradedScal
         raise ValueError("size must be >= 0")
     lo = 2 - 2 * size - pattern.offset  # the lowest (Hankel) index
     coeffs = sym.graded_coeffs(pattern.symbol, lo, size - 1, degree)
-    return th_determinant(th_rows(which, [0] * size, lambda k: coeffs[k - lo]), degree)
+    return th_determinant(th_rows(which, size, lambda k: coeffs[k - lo]), degree)
 
 
 def gessel_check(sym: Symbol, which: str, size: int, degree: int) -> bool:
@@ -264,12 +258,17 @@ def bo_check(
 ) -> BOCheckResult:
     """Compare the determinant (D2_m or half D4_m) with Z * det(1 - K-hat).
 
-    K-hat is `Symbol.bo_kernel(family)`.
+    K-hat is the Bessel kernel for symbols built by `Symbol.plancherel`, and
+    the Fourier-mode kernel of `sym.F` otherwise.
     """
     if family not in ("sp", "o"):
         raise ValueError("family must be 'sp' or 'o'")
     lhs, z = szego_normalized_det(sym, "D2" if family == "sp" else "D4", m)
-    det, tail_bound, window = gap_probability(sym.bo_kernel(family), m, fred)
+    if sym.plancherel_theta is not None:
+        kernel = lattice_kernel(family, theta=sym.plancherel_theta)
+    else:
+        kernel = lattice_kernel(family, symbol=sym.F, representation="fourier")
+    det, tail_bound, window = gap_probability(kernel, m, fred)
     rhs = z * det
     return BOCheckResult(
         lhs=lhs, rhs=rhs, gap=lhs - rhs, tail_bound=tail_bound, window=window

@@ -293,6 +293,13 @@ def test_edge_cdf_discrete_tracks_tw():
             assert disc == pytest.approx(lim, abs=5e-3), (family, s)
 
 
+def test_edge_cdf_effective_s_refuses_other_families():
+    assert edge_cdf_effective_s("sp", 200, 0.0) == -edge_cdf_effective_s("o", 200, 0.0)
+    for family in ("sp-dual", "bogus"):
+        with pytest.raises(ValueError, match="'sp' or 'o'"):
+            edge_cdf_effective_s(family, 200, 0.0)
+
+
 def test_edge_cdf_is_probability_like():
     val = edge_cdf_discrete("sp", 30.0, 0.0)
     assert 0.0 < val < 1.0

@@ -356,6 +356,31 @@ def test_correlations_tol_that_cannot_be_met_exits_2(tmp_path, capsys, monkeypat
     assert "tol must be a positive finite number" in err
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_bo_tol_that_is_not_positive_and_finite_exits_2(tmp_path, capsys, monkeypatch, tol):
+    # refused before any symbol or window is built
+    monkeypatch.setattr(cli, "bo_check", None)
+    err = _config_error(tmp_path, capsys, "bo-check", "--theta", "0.5", f"--tol={tol}")
+    assert "--tol must be a positive finite number" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("correlations", "--theta=inf", "--points", "0"),
+        ("correlations", "--theta=nan", "--points", "0"),
+        ("th-dets", "--theta=nan"),
+        ("bo-check", "--theta=-inf"),
+        ("kernel-eval", "--theta=nan"),
+    ],
+)
+def test_non_finite_theta_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # a small budget makes an enumeration that would never stop fail fast instead
+    monkeypatch.setattr(measures, "_PARTITION_BUDGET", 10)
+    err = _config_error(tmp_path, capsys, *argv)
+    assert "specialization values must be finite" in err
+
+
 def test_single_integer_and_comma_list_ranges(tmp_path):
     code, text = run_cli(tmp_path, "th-dets", "--theta", "0.25", "--which", "D1", "--sizes", "3")
     assert code == 0

@@ -373,6 +373,20 @@ def test_scalar_bessel_call_is_the_one_by_one_matrix():
                 assert value == kernel_bessel(theta, family, [a], [b])[0, 0]
 
 
+@pytest.mark.parametrize("theta", [0.5, 2.0, 200.0])
+def test_bessel_entries_do_not_depend_on_the_rest_of_the_window(theta):
+    # one far site, inside or past +-N, once changed the last bits of most
+    # entries through the J lookup's cache bucket; the entries of a site past
+    # +-N are zeros, whose sign may differ
+    near = np.concatenate([np.arange(-5, 6), round(2 * theta) + np.arange(-5, 6)])
+    for far in (-1500, -300, 300, 1500):
+        sites = np.append(near, far)
+        for family in ("sp", "o"):
+            mat = kernel_bessel(theta, family, sites, sites)
+            entries = [[kernel_bessel(theta, family, a, b) for b in sites] for a in sites]
+            assert np.array_equal(mat, entries), (far, family)
+
+
 @pytest.mark.parametrize("theta", [0.5, 2.0])
 @pytest.mark.parametrize("family", ["sp", "o"])
 def test_error_arrays_have_one_entry_per_site_pair(theta, family):

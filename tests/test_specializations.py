@@ -102,6 +102,20 @@ def test_float_mode():
     assert rho.h(3) == pytest.approx(0.5**3 / 6)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_values_are_refused(bad):
+    # a nan or infinite theta used to reach the enumerations, which then ran
+    # for minutes before failing to stabilize
+    for build in (
+        lambda: Specialization.from_powersums({1: Fraction(1, 2), 2: bad}),
+        lambda: Specialization.plancherel(bad),
+        lambda: Specialization.from_alphabet([0.5, bad]),
+        lambda: Specialization.from_bc_alphabet([bad]),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            build()
+
+
 def test_json_roundtrip():
     rho = Specialization.from_powersums({1: "3/2", 2: 0})
     doc = rho.to_json()

@@ -471,10 +471,34 @@ def test_bo_nonplancherel_symbol():
         Specialization.from_powersums({1: Fraction(2, 5), 2: Fraction(1, 10)}),
         Specialization.from_powersums({1: Fraction(1, 4)}),
     )
+    points = []  # sizes of F's evaluations, which only its Laurent modes make
+    evaluate = sym.F._evaluate
+    sym.F._evaluate = lambda z: points.append(z.size) or evaluate(z)
     res = bo_check(sym, "sp", 3)
     assert abs(res.gap) < 1e-8, res
+    after_sp = list(points)
     res_o = bo_check(sym, "o", 3)
     assert abs(res_o.gap) < 1e-8, res_o
+    # one kernel symbol serves both families: o reads the modes sp computed
+    assert after_sp and points == after_sp
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"window": -3},
+        {"window": 2.5},
+        {"tail_tol": math.nan},
+        {"tail_tol": -1.0},
+        {"tail_tol": 0.0},
+        {"tail_tol": math.inf},
+    ],
+)
+def test_fredholm_config_refuses_bad_truncation_policies(fields):
+    # a negative window read the diagonal from m - 3 and a nan tail_tol
+    # skipped the tail check
+    with pytest.raises(ValueError, match="window|tail_tol"):
+        FredholmConfig(**fields)
 
 
 def test_window_search_uses_the_diagonal_magnitude():
