@@ -1,8 +1,8 @@
 """Symplectic and orthogonal Schur measures.
 
 Exact symmetric-function engine (partitions, specializations, Jacobi-Trudi
-characters, Cauchy identities), determinantal correlation kernels in three
-representations, Toeplitz+Hankel determinant identities (Gessel, Szego,
+characters, Cauchy identities), determinantal correlation kernels by three
+routes, Toeplitz+Hankel determinant identities (Gessel, Szego,
 Borodin-Okounkov), and bulk/edge asymptotics (discrete sine, Airy 2->1),
 with a CLI front-end (``sposchur``).
 """
@@ -19,7 +19,6 @@ from .kernels import (
     KernelConfig,
     SymbolF,
     correlation_det,
-    dual_lattice_kernel,
     kernel_bessel,
     kernel_contour,
     kernel_fourier,
@@ -61,7 +60,6 @@ __all__ = [
     "bulk_scan",
     "correlation_bruteforce",
     "correlation_det",
-    "dual_lattice_kernel",
     "edge_scan",
     "enumerate_partitions",
     "gessel_check",

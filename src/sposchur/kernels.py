@@ -1,5 +1,5 @@
-"""Correlation kernels in three representations: double contour integral,
-Bessel sums, and Fourier modes.
+"""Correlation kernels by three routes: double contour integral, Bessel sums,
+and Fourier modes.
 
 All three evaluate the same integer-lattice kernels
 
@@ -23,7 +23,8 @@ error of its form: a float for integer sites, an array of the matrix's shape
 for site arrays.  The contour and Bessel errors are per entry (the measured
 move under node doubling; 1e-15 sqrt(n1 + n2) for the entry's term counts
 n1 = max(1, N - min(a, b)) and n2 = max(1, N - b + 1)); the Fourier error is
-one mode-window estimate in every entry.  Dual-family kernels are contour-only.
+one mode-window estimate in every entry.  `lattice_kernel`, for all four
+families, is the one place that picks a route, from the symbol's content.
 
 The Bessel route sums each entry as two tail sums, along a diagonal and an
 anti-diagonal of the products J_k J_l, one running sum per diagonal.
@@ -107,8 +108,9 @@ def _evaluator(terms: list, linear: list) -> Callable[[np.ndarray], np.ndarray]:
 class SymbolF:
     """The function F(z) driving a kernel, with Laurent-mode caches.
 
-    Every symbol the package builds is a `product` of H/E factors; for an
-    sp/o measure F = H(rho+; z) / (H(rho-; z) H(rho-; 1/z)).
+    Every symbol the package builds is a `product` of H/E factors (see
+    `from_measure`).  `theta` is theta >= 0 when F is exactly
+    exp(theta (z - 1/z)), the symbol of the Bessel route, and None otherwise.
     """
 
     def __init__(
@@ -117,11 +119,13 @@ class SymbolF:
         annulus_z: tuple[float, float],
         annulus_w: tuple[float, float],
         label: str = "symbol",
+        theta: float | None = None,
     ):
         self._evaluate = evaluate
         self.annulus_z = annulus_z  # open interval of admissible |z|
         self.annulus_w = annulus_w
         self.label = label
+        self.theta = theta
         self._mode_cache: dict[bool, tuple[int, np.ndarray, float]] = {}
         # (r_z, r_w, nodes) -> the contour nodes, F on them and the vectors
         # of the FFT application (see `_contour_data`)
@@ -142,6 +146,10 @@ class SymbolF:
         converges, |z| < min |d/a| over a != 0 (infinity if none) for u = z
         and |z| > max |a/d| for u = 1/z; an E factor bounds only the contour
         on which it is inverted, z for power -1 and w for power +1.
+
+        `theta` is set when the collected Laurent terms of log F are
+        theta (z - 1/z), theta >= 0, and nothing else; for (pl_2theta,
+        pl_theta) the z term is 2 theta - theta, exact in floats.
         """
         terms, linear_h, linear_e = [], [], []
         z_lo = w_lo = 0.0
@@ -169,7 +177,15 @@ class SymbolF:
                 ([(sign * a, d) for a, d in pairs], side, (form == "h") == (power > 0))
             )
         ev = _evaluator(terms, linear_h + linear_e)
-        return cls(ev, (z_lo, z_hi), (w_lo, w_hi), label=label)
+        laurent: dict[int, float] = {}  # power n of z -> its coefficient in log F
+        for c, k, paired in terms:
+            for n in (k, -k) if paired else (k,):
+                laurent[n] = laurent.get(n, 0.0) + c / abs(k)
+        theta = laurent.pop(1, 0.0)
+        bessel = not (linear_h or linear_e) and theta >= 0 and laurent.pop(-1, 0.0) == -theta
+        if not bessel or any(laurent.values()):  # any(): another power of z
+            theta = None
+        return cls(ev, (z_lo, z_hi), (w_lo, w_hi), label=label, theta=theta)
 
     @classmethod
     def plancherel(cls, theta: float) -> "SymbolF":
@@ -180,16 +196,13 @@ class SymbolF:
 
     @classmethod
     def from_measure(cls, spec: MeasureSpec) -> "SymbolF":
-        """F = H(rho+; z) / (H(rho-; z) H(rho-; 1/z)) of an sp or o measure.
-
-        Dual families take their kernels from `dual_lattice_kernel`, through
-        the base symbol of `dual_base_symbol`.
+        """F = H(rho+; z) / (H(rho-; z) H(rho-; 1/z)) of an sp or o measure, and
+        for a dual family E(rho+; z) = H(omega rho+; z) in place of H(rho+; z):
+        conjugation maps m'_sp(.; rho+, rho-) to m_o(.; omega(rho+), rho-) and
+        m'_o to m_sp, whose kernels `lattice_kernel` reflects.
         """
-        if spec.dual:
-            raise ValueError(
-                f"from_measure takes sp/o measures; use dual_lattice_kernel for {spec.family!r}"
-            )
-        factors = [(spec.rho_plus, "h", "z", 1), (spec.rho_minus, "h", "both", -1)]
+        plus = "e" if spec.dual else "h"
+        factors = [(spec.rho_plus, plus, "z", 1), (spec.rho_minus, "h", "both", -1)]
         return cls.product(factors, "F")
 
     # -- evaluation and contours ------------------------------------------------
@@ -211,6 +224,11 @@ class SymbolF:
         if not (lo < r_w < hi):
             raise ContourViolation(f"r_w={r_w} outside admissible ({lo}, {hi})")
 
+    def on_unit_circle(self) -> bool:
+        """Whether |z| = 1 lies in both annuli, where the Laurent modes of F
+        and 1/F give this kernel (the Fourier route)."""
+        return all(lo < 1.0 < hi for lo, hi in (self.annulus_z, self.annulus_w))
+
     def default_config(self) -> KernelConfig:
         z_lo, z_hi = self.annulus_z
         if math.isinf(z_hi):
@@ -224,7 +242,7 @@ class SymbolF:
             r_w = (z_lo + min(1.0, 0.95 / r_z)) / 2.0
             cfg = KernelConfig(r_z=r_z, r_w=r_w)
         w_lo, w_hi = self.annulus_w
-        if not w_lo < cfg.r_w < w_hi:  # a narrower w-annulus (dual base symbols)
+        if not w_lo < cfg.r_w < w_hi:  # a narrower w-annulus (dual symbols)
             cfg = KernelConfig(r_z=cfg.r_z, r_w=(w_lo + min(w_hi, 1.0 / cfg.r_z)) / 2.0)
         return cfg
 
@@ -270,7 +288,7 @@ class SymbolF:
 
 
 # ---------------------------------------------------------------------------
-# contour representation
+# contour route
 # ---------------------------------------------------------------------------
 
 
@@ -405,7 +423,7 @@ kernel_contour_grid = kernel_contour
 
 
 # ---------------------------------------------------------------------------
-# Bessel representation (Plancherel symbols)
+# Bessel route (Plancherel symbols)
 # ---------------------------------------------------------------------------
 
 
@@ -497,7 +515,7 @@ def _bessel_sums(theta: float, family: str, a: np.ndarray, b: np.ndarray, paired
         pad = Z[3 * m + 1 : 4 * m + 3]  # 0, J_lo .. J_N, 0: order k at k - lo + 1
         j_a = np.take(pad, a_i - (lo - 1), mode="clip")
         value = j_a * np.take(pad, b_j - (lo - 1), mode="clip") + t1 - t2
-    return value, upper
+    return value + 0.0, upper  # -0.0 -> 0.0: one sign for the zeros past N in any window
 
 
 def kernel_bessel_with_error(theta: float, family: str, a, b):
@@ -527,7 +545,7 @@ def kernel_bessel(theta: float, family: str, a, b):
 
 
 # ---------------------------------------------------------------------------
-# Fourier-mode representation
+# Fourier-mode route
 # ---------------------------------------------------------------------------
 
 
@@ -554,13 +572,23 @@ def _fourier_sums(
     F: SymbolF, family: str, a: np.ndarray, b: np.ndarray, paired: bool = False
 ) -> tuple[np.ndarray, float]:
     """The matrix [K(a_i, b_j)] of `kernel_fourier_with_error` and its one error
-    estimate; with `paired`, [K(a_i, b_i)], each sum over j taken row-wise."""
+    estimate; with `paired`, [K(a_i, b_i)], each sum over j taken row-wise.
+    The sums stop at jmax, the last j whose modes lie in both windows, and the
+    windows grow until every d_{-b-j} past jmax is below 1e-15 of 1/F's
+    largest mode (a site b far below 0 needs j up to about |b|).
+    """
     _check_family(family)
     a_far, b_far = int(np.abs(a).max()), int(np.abs(b).max())
-    need = max(a_far, b_far) + 16
-    wc, cvals, err_c = F.modes(False, min_order=need)
-    wd, dvals, err_d = F.modes(True, min_order=need)
-    jmax = min(wc - a_far, wd - b_far) - 1  # >= 15, as both windows reach `need`
+    need = max(a_far, b_far)  # c_a and d_-b lie inside the windows
+    while True:
+        wc, cvals, err_c = F.modes(False, min_order=need)
+        wd, dvals, err_d = F.modes(True, min_order=need)
+        jmax = min(wc - a_far, wd - b_far) - 1
+        mags = np.abs(dvals)
+        lowest = int(np.flatnonzero(mags > _MODE_TOL * mags.max())[0]) - wd  # of the d_n kept
+        if int(b.min()) + jmax + lowest >= 0:  # -b - j < lowest for every j > jmax
+            break
+        need = max(wc, wd) + 1
     j = np.arange(1 if family == "sp" else 0, jmax + 1)
     c_up, c_down = cvals[wc + a[:, None] + j], cvals[wc + a[:, None] - j]
     d_tail = dvals[wd - b[:, None] - j]
@@ -582,81 +610,51 @@ def kernel_fourier(F: SymbolF, family: str, a, b):
 # ---------------------------------------------------------------------------
 
 
-def dual_base_symbol(spec: MeasureSpec) -> SymbolF:
-    """Symbol of the non-dual measure underlying a dual family.
-
-    Conjugating lambda is the omega involution on the character side:
-    m'_sp(.; rho+, rho-) is the image of m_o(.; omega(rho+), rho-) under
-    conjugation, and vice versa for m'_o.  The base symbol is therefore the
-    plain H-form F with the plus side omega-twisted, i.e. H(omega rho+; z) =
-    E(rho+; z): E(rho+; z) / (H(rho-; z) H(rho-; 1/z)).
-    """
-    if not spec.dual:
-        raise ValueError("dual_base_symbol needs a dual-family measure")
-    factors = [(spec.rho_plus, "e", "z", 1), (spec.rho_minus, "h", "both", -1)]
-    return SymbolF.product(factors, "dual base F")
-
-
-def dual_lattice_kernel(spec: MeasureSpec) -> Callable:
-    """Configuration kernel of a dual-family measure on {lambda_i - i}.
-
-    Conjugation acts on configurations as the reflected particle-hole map
-    a -> -1-a, so the kernel is delta(a,b) - K_base(-1-a, -1-b) with the base
-    family swapped (sp-dual rests on an o measure and conversely), by the
-    contour route at the base symbol's `default_config`.  Like
-    `lattice_kernel`, it takes integer sites or 1-D site arrays.
-    """
-    if not spec.dual:
-        raise ValueError("dual_lattice_kernel needs a dual-family measure")
-    base_family = "o" if spec.family == "sp-dual" else "sp"
-    base = lattice_kernel(base_family, symbol=dual_base_symbol(spec), representation="contour")
-
-    def kernel(a, b):
-        a_sites, b_sites, scalar = _site_arrays(a, b)
-        value = np.equal.outer(a_sites, b_sites) - base(-1 - a_sites, -1 - b_sites)
-        return float(value[0, 0]) if scalar else value
-
-    kernel.diagonal = lambda sites: 1.0 - base.diagonal(-1 - _site_arrays(sites, sites)[0])
-    return kernel
-
-
 def lattice_kernel(
-    family: str,
-    theta: float | None = None,
-    symbol: SymbolF | None = None,
-    representation: str = "bessel",
+    family: str, theta: float | None = None, symbol: SymbolF | None = None
 ) -> Callable:
-    """Kernel re-indexed to the configuration {lambda_i - i}.
+    """Kernel of any of the four families on the configuration {lambda_i - i},
+    from theta or from a symbol (`SymbolF.from_measure`), whose content picks
+    the route: Bessel sums when `symbol.theta` is set, Fourier modes when
+    `symbol.on_unit_circle()`, and otherwise the contour at `default_config`.
 
     K_sp natively governs {lambda_i - i + 1}, so its arguments shift by one;
-    K_o already lives on {lambda_i - i}.  The function returned maps sites
-    (a, b) to K(a, b): a float for integer sites, the matrix [K(a_i, b_j)]
-    for 1-D site arrays, from one kernel evaluation either way.  Its
-    `diagonal(sites)` is the 1-D array [K(s_i, s_i)], computed without the
-    matrix: on the Bessel route with the bits of the matrix diagonal, on the
-    Fourier and contour routes as row-wise sums that agree with it to
+    K_o already lives on {lambda_i - i}.  Conjugation acts on configurations
+    as a -> -1-a, so a dual kernel is delta(a, b) - K_base(-1-a, -1-b) on the
+    same route, the base family swapped (sp-dual rests on o and conversely).
+    The function returned maps sites (a, b) to K(a, b): a float for integer
+    sites, the matrix [K(a_i, b_j)] for 1-D site arrays, from one kernel
+    evaluation either way.  Its `diagonal(sites)` is [K(s_i, s_i)] without
+    the matrix: on the Bessel route with the bits of the matrix diagonal, on
+    the Fourier and contour routes as row-wise sums that agree with it to
     rounding (the contour entries under the same per-entry stopping rule).
-    The Bessel route needs theta; the contour route (at the symbol's
-    `default_config`) and the Fourier route need a symbol.
     """
+    if family in ("sp-dual", "o-dual"):
+        base = lattice_kernel("o" if family == "sp-dual" else "sp", theta, symbol)
+
+        def dual(a, b):
+            a, b, scalar = _site_arrays(a, b)
+            value = np.equal.outer(a, b) - base(-1 - a, -1 - b)
+            return float(value[0, 0]) if scalar else value
+
+        dual.diagonal = lambda sites: 1.0 - base.diagonal(-1 - _site_arrays(sites, sites)[0])
+        return dual
     _check_family(family)
-    shift = 1 if family == "sp" else 0
-    if representation == "bessel":
-        if theta is None:
-            raise ValueError("bessel representation needs theta")
+    if (theta is None) == (symbol is None):
+        raise ValueError("lattice_kernel takes theta or a symbol, not both or neither")
+    if symbol is not None:
+        theta = symbol.theta
+    if theta is not None:
         matrix = lambda a, b: kernel_bessel(theta, family, a, b)
         paired = lambda s: _bessel_sums(theta, family, s, s, paired=True)[0]
-    elif representation not in ("contour", "fourier"):
-        raise ValueError(f"unknown representation {representation!r}")
-    elif symbol is None:
-        raise ValueError(f"{representation} representation needs a symbol")
-    elif representation == "contour":
+    elif symbol.on_unit_circle():
+        matrix = lambda a, b: kernel_fourier(symbol, family, a, b)
+        paired = lambda s: _fourier_sums(symbol, family, s, s, paired=True)[0]
+    else:
         cfg = symbol.default_config()
         matrix = lambda a, b: kernel_contour(cfg, symbol, family, a, b)
         paired = lambda s: _contour_sums(cfg, symbol, family, s, s, paired=True)[0]
-    else:
-        matrix = lambda a, b: kernel_fourier(symbol, family, a, b)
-        paired = lambda s: _fourier_sums(symbol, family, s, s, paired=True)[0]
+    shift = 1 if family == "sp" else 0
 
     def kernel(a, b):
         return matrix(np.add(a, shift), np.add(b, shift))

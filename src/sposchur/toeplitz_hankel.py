@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .characters import th_determinant, th_pattern, th_rows
-from .errors import TruncationInsufficient
+from .errors import ContourViolation, TruncationInsufficient
 from .identities import character_sum_series
 from .kernels import SymbolF, lattice_kernel
 from .measures import MeasureSpec
@@ -74,16 +74,14 @@ class Symbol:
     `f` and `f_tilde` are the SymbolF functions f(z) = H(rho+; z) H(rho-; 1/z)
     and f~(z) = 1/f(-z), of power sums or alphabets; f~ has the annuli
     (0, inf).  `F` is the kernel symbol H(rho+; z) / (H(rho-; z) H(rho-; 1/z))
-    of `bo_check`, one for both families and their Laurent modes.
-    `plancherel_theta` is theta for the symbols built by
-    `Symbol.plancherel(theta)`, whose kernels have the Bessel form, and None
-    otherwise.
+    of `bo_check`, one for both families and their Laurent modes; its content
+    picks the kernel route (`kernels.lattice_kernel`), so `Symbol.plancherel`
+    and the same pair read from JSON take the Bessel route alike.
     """
 
     def __init__(self, rho_plus: Specialization, rho_minus: Specialization):
         self.rho_plus = rho_plus
         self.rho_minus = rho_minus
-        self.plancherel_theta: float | None = None
         f = SymbolF.product([(rho_plus, "h", "z", 1), (rho_minus, "h", "1/z", 1)], "f")
         self.f = f
         self.f_tilde = SymbolF(
@@ -93,9 +91,8 @@ class Symbol:
 
     @classmethod
     def plancherel(cls, theta) -> "Symbol":
-        sym = cls(Specialization.plancherel(2 * theta), Specialization.plancherel(theta))
-        sym.plancherel_theta = float(theta)
-        return sym
+        """(pl_2theta, pl_theta), whose kernel symbol is exp(theta (z - 1/z))."""
+        return cls(Specialization.plancherel(2 * theta), Specialization.plancherel(theta))
 
     # -- Fourier coefficients --------------------------------------------------
 
@@ -202,8 +199,8 @@ def gap_probability(
 ) -> tuple[float, float, int]:
     """det(1 - K) over configuration sites {m, m+1, ...} by finite section.
 
-    `kernel` is a configuration kernel as `lattice_kernel` and
-    `dual_lattice_kernel` return it: 1-D site arrays give the matrix
+    `kernel` is a configuration kernel as `lattice_kernel` returns it, of any
+    of the four families and by any route: 1-D site arrays give the matrix
     [K(a_i, b_j)], and `kernel.diagonal(sites)` gives [K(s_i, s_i)].
     Returns (determinant, tail bound, window used).  Without a configured
     window, the window is the first multiple of 8 (up to 400) at which
@@ -258,17 +255,19 @@ def bo_check(
 ) -> BOCheckResult:
     """Compare the determinant (D2_m or half D4_m) with Z * det(1 - K-hat).
 
-    K-hat is the Bessel kernel for symbols built by `Symbol.plancherel`, and
-    the Fourier-mode kernel of `sym.F` otherwise.
+    K-hat is `lattice_kernel(family, symbol=sym.F)`, whose route F's content
+    picks.  A symbol whose annuli miss |z| = 1 raises ContourViolation: its
+    contour kernel grows like r_z^-a off the diagonal, and finite sections at
+    the searched windows lose every digit to it.
     """
     if family not in ("sp", "o"):
         raise ValueError("family must be 'sp' or 'o'")
+    if not sym.F.on_unit_circle():
+        raise ContourViolation(
+            f"the unit circle lies outside the annulus {sym.F.annulus_z} or {sym.F.annulus_w} of F"
+        )
     lhs, z = szego_normalized_det(sym, "D2" if family == "sp" else "D4", m)
-    if sym.plancherel_theta is not None:
-        kernel = lattice_kernel(family, theta=sym.plancherel_theta)
-    else:
-        kernel = lattice_kernel(family, symbol=sym.F, representation="fourier")
-    det, tail_bound, window = gap_probability(kernel, m, fred)
+    det, tail_bound, window = gap_probability(lattice_kernel(family, symbol=sym.F), m, fred)
     rhs = z * det
     return BOCheckResult(
         lhs=lhs, rhs=rhs, gap=lhs - rhs, tail_bound=tail_bound, window=window

@@ -80,6 +80,18 @@ def test_correlations_golden(tmp_path, golden, argv):
     assert text == (GOLDEN / golden).read_text()
 
 
+def test_plancherel_symbol_document_prints_the_theta_rows(tmp_path):
+    # the kernel route follows the symbol's content, so the Plancherel pair
+    # spelled out as power sums prints the rows of --theta 0.5, tail bounds
+    # of the Bessel route (~1e-21) included
+    pair = {"rho_plus": {"powersums": {"1": "1"}}, "rho_minus": {"powersums": {"1": "1/2"}}}
+    doc = json.dumps(pair)
+    code, text = run_cli(tmp_path, "bo-check", "--symbol", doc, "--m", "2:4")
+    assert code == 0
+    golden = (GOLDEN / "bo_check_plancherel.csv").read_text()
+    assert text.splitlines()[1:] == golden.splitlines()[1:]  # all but the config line
+
+
 _POWERSUM_SYMBOL = json.dumps({
     "rho_plus": {"powersums": {"1": "1/3", "2": "-1/5"}},
     "rho_minus": {"powersums": {"1": "1/4", "3": "-1/7"}},

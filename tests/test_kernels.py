@@ -8,10 +8,10 @@ from sposchur import kernels
 from sposchur.asymptotics import edge_site
 from sposchur.errors import ContourViolation, QuadratureNotConverged
 from sposchur.kernels import (
-    dual_base_symbol,
-    dual_lattice_kernel,
     KernelConfig,
     SymbolF,
+    _contour_sums,
+    _fourier_sums,
     correlation_det,
     kernel_bessel,
     kernel_bessel_with_error,
@@ -287,7 +287,7 @@ def test_contour_grid_checks_every_imaginary_residue():
 def _sp_dual_base() -> SymbolF:
     x = Specialization.from_bc_alphabet([Fraction(9, 10), Fraction(1, 2)], include_one=True)
     y = Specialization.from_alphabet([Fraction(3, 10), Fraction(1, 5)])
-    return dual_base_symbol(MeasureSpec("sp-dual", x, y))
+    return SymbolF.from_measure(MeasureSpec("sp-dual", x, y))
 
 
 def test_contour_residue_is_measured_against_the_largest_term():
@@ -376,15 +376,15 @@ def test_scalar_bessel_call_is_the_one_by_one_matrix():
 @pytest.mark.parametrize("theta", [0.5, 2.0, 200.0])
 def test_bessel_entries_do_not_depend_on_the_rest_of_the_window(theta):
     # one far site, inside or past +-N, once changed the last bits of most
-    # entries through the J lookup's cache bucket; the entries of a site past
-    # +-N are zeros, whose sign may differ
+    # entries through the J lookup's cache bucket, and the sign of the exact
+    # zeros of a site past +-N; bytes tell -0.0 from 0.0, np.array_equal not
     near = np.concatenate([np.arange(-5, 6), round(2 * theta) + np.arange(-5, 6)])
     for far in (-1500, -300, 300, 1500):
         sites = np.append(near, far)
         for family in ("sp", "o"):
             mat = kernel_bessel(theta, family, sites, sites)
             entries = [[kernel_bessel(theta, family, a, b) for b in sites] for a in sites]
-            assert np.array_equal(mat, entries), (far, family)
+            assert mat.tobytes() == np.array(entries).tobytes(), (far, family)
 
 
 @pytest.mark.parametrize("theta", [0.5, 2.0])
@@ -479,16 +479,15 @@ def test_contour_and_dual_matrices_match_entries():
     F = SymbolF.plancherel(theta)
     sites = np.array([-3, -1, 0, 2, 4])
     for family in ("sp", "o"):
-        mat = lattice_kernel(family, symbol=F, representation="contour")(sites, sites)
-        shift = 1 if family == "sp" else 0
+        mat = kernel_contour(CFG, F, family, sites, sites)
         for i, a in enumerate(sites):
             for j, b in enumerate(sites):
-                entry = kernel_contour(CFG, F, family, int(a) + shift, int(b) + shift)
+                entry = kernel_contour(CFG, F, family, int(a), int(b))
                 assert mat[i, j] == pytest.approx(entry, abs=1e-12)
     x = Specialization.from_bc_alphabet([Fraction(9, 10)])
     y = Specialization.from_alphabet([Fraction(3, 10)])
     for family in ("sp-dual", "o-dual"):
-        k = dual_lattice_kernel(MeasureSpec(family, x, y))
+        k = lattice_kernel(family, symbol=SymbolF.from_measure(MeasureSpec(family, x, y)))
         assert isinstance(k(0, 0), float)
         mat = k(sites, sites)
         for i, a in enumerate(sites):
@@ -514,14 +513,18 @@ def test_fourier_contour_and_dual_diagonals_match_their_matrices():
     minus = Specialization.from_powersums({1: Fraction(1, 4), 3: Fraction(-1, 7)})
     for family in ("sp", "o"):
         F = SymbolF.from_measure(MeasureSpec(family, plus, minus))
-        for rep in ("fourier", "contour"):
-            k = lattice_kernel(family, symbol=F, representation=rep)
-            assert np.abs(k.diagonal(sites) - np.diagonal(k(sites, sites))).max() <= 1e-14
+        cfg = F.default_config()
+        fourier = _fourier_sums(F, family, sites, sites, paired=True)[0]
+        assert np.abs(fourier - np.diagonal(kernel_fourier(F, family, sites, sites))).max() <= 1e-14
+        contour = _contour_sums(cfg, F, family, sites, sites, paired=True)[0]
+        matrix = kernel_contour(cfg, F, family, sites, sites)
+        assert np.abs(contour - np.diagonal(matrix)).max() <= 1e-14
     x = Specialization.from_bc_alphabet([Fraction(9, 10)])
     y = Specialization.from_alphabet([Fraction(3, 10)])
-    for family in ("sp-dual", "o-dual"):
-        k = dual_lattice_kernel(MeasureSpec(family, x, y))
-        assert np.abs(k.diagonal(sites) - np.diagonal(k(sites, sites))).max() <= 1e-14
+    for rp, rm in ((x, y), (plus, minus)):  # the contour and the Fourier route
+        for family in ("sp-dual", "o-dual"):
+            k = lattice_kernel(family, symbol=SymbolF.from_measure(MeasureSpec(family, rp, rm)))
+            assert np.abs(k.diagonal(sites) - np.diagonal(k(sites, sites))).max() <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +576,8 @@ def test_alphabet_measure_correlation_vs_bruteforce():
     y = Specialization.from_alphabet([Fraction(1, 4)])
     spec = MeasureSpec("sp", x, y)
     F = SymbolF.from_measure(spec)
-    k = lattice_kernel("sp", symbol=F, representation="contour")
+    assert not F.on_unit_circle()  # so the contour route
+    k = lattice_kernel("sp", symbol=F)
     for pts in ([0], [-1, 1]):
         res = correlation_bruteforce(spec, pts, tol=1e-9)
         assert correlation_det(k, pts) == pytest.approx(
@@ -586,7 +590,7 @@ def test_dual_alphabet_measure_correlation_vs_bruteforce():
     y = Specialization.from_alphabet([Fraction(3, 10)])
     for family in ("sp-dual", "o-dual"):
         spec = MeasureSpec(family, x, y)
-        k = dual_lattice_kernel(spec)
+        k = lattice_kernel(family, symbol=SymbolF.from_measure(spec))
         for pts in ([0], [-1, 0], [-3, 1]):
             res = correlation_bruteforce(spec, pts, tol=1e-8)
             assert correlation_det(k, pts) == pytest.approx(
@@ -601,8 +605,9 @@ def test_dual_kernel_keeps_r_w_inside_the_poles_of_one_over_e():
     y = Specialization.from_alphabet([Fraction(1, 10)])
     for family in ("sp-dual", "o-dual"):
         spec = MeasureSpec(family, x, y)
-        assert dual_base_symbol(spec).annulus_w == pytest.approx((0.1, 0.2))
-        k = dual_lattice_kernel(spec)
+        F = SymbolF.from_measure(spec)
+        assert F.annulus_w == pytest.approx((0.1, 0.2))
+        k = lattice_kernel(family, symbol=F)
         for pts in ([0], [-1, 0]):
             res = correlation_bruteforce(spec, pts, tol=1e-9)
             assert correlation_det(k, pts) == pytest.approx(
@@ -619,15 +624,17 @@ def test_fourier_route_raises_off_the_unit_circle_annulus():
     sites = np.arange(-5, 4)
     cases = [
         ("sp", SymbolF.from_measure(MeasureSpec("sp", x, y))),
-        ("o", dual_base_symbol(MeasureSpec("sp-dual", x, y))),
-        ("o", dual_base_symbol(MeasureSpec("sp-dual", x_one, y))),
+        ("o", SymbolF.from_measure(MeasureSpec("sp-dual", x, y))),
+        ("o", SymbolF.from_measure(MeasureSpec("sp-dual", x_one, y))),
     ]
     for family, F in cases:
         with pytest.raises(ContourViolation, match="unit circle"):
             kernel_fourier(F, family, sites, sites)
-        with pytest.raises(ContourViolation, match="unit circle"):
-            lattice_kernel(family, symbol=F, representation="fourier")(0, 0)
-        kernel_contour(F.default_config(), F, family, sites, sites)  # the contour route works
+        # the contour route works, and lattice_kernel takes it
+        contour = kernel_contour(F.default_config(), F, family, sites, sites)
+        shift = 1 if family == "sp" else 0
+        chosen = lattice_kernel(family, symbol=F)(sites - shift, sites - shift)
+        assert np.array_equal(chosen, contour)
     # the dual base symbol's w-circle must stay inside the pole -x of 1/E(x; w)
     G = cases[1][1]
     assert G.annulus_w == pytest.approx((0.25, 0.8))
@@ -636,15 +643,20 @@ def test_fourier_route_raises_off_the_unit_circle_annulus():
 
 
 def test_dual_powersum_measure_correlation_vs_bruteforce():
+    # the dual symbol E(rho+; z) / (H(rho-; z) H(rho-; 1/z)) of power sums is
+    # analytic on C*, so the dual kernels take the Fourier route, negative
+    # sites included
     rp = Specialization.from_powersums({1: Fraction(1, 2), 2: Fraction(1, 5)})
     rm = Specialization.from_powersums({1: Fraction(1, 3)})
     for family in ("sp-dual", "o-dual"):
         spec = MeasureSpec(family, rp, rm)
-        k = dual_lattice_kernel(spec)
-        for pts in ([0], [0, 1]):
+        F = SymbolF.from_measure(spec)
+        assert F.theta is None and F.on_unit_circle()
+        k = lattice_kernel(family, symbol=F)
+        for pts in ([0], [0, 1], [-1], [-4], [-2, 1], [-3, -1, 0]):
             res = correlation_bruteforce(spec, pts, tol=1e-8)
             assert correlation_det(k, pts) == pytest.approx(
-                res.value, abs=res.tail_estimate + 1e-7
+                res.value, abs=res.tail_estimate + 1e-13
             ), (family, pts)
 
 
@@ -656,23 +668,11 @@ def test_power_sum_symbols_need_finite_support():
     for spec in (
         MeasureSpec("sp", x.omega(), x.omega()),
         MeasureSpec("o", plancherel, x.omega()),
+        MeasureSpec("o-dual", x.omega(), plancherel),
+        MeasureSpec("sp-dual", x.omega(), plancherel),
     ):
         with pytest.raises(ValueError, match="finitely supported power sums"):
             SymbolF.from_measure(spec)
-    with pytest.raises(ValueError, match="finitely supported power sums"):
-        dual_base_symbol(MeasureSpec("o-dual", x.omega(), plancherel))
-    with pytest.raises(ValueError, match="finitely supported power sums"):
-        dual_lattice_kernel(MeasureSpec("sp-dual", x.omega(), plancherel))
-
-
-def test_from_measure_rejects_dual_families():
-    x = Specialization.from_bc_alphabet([Fraction(9, 10)])
-    y = Specialization.from_alphabet([Fraction(3, 10)])
-    rho = Specialization.from_powersums({1: Fraction(1, 2)})
-    for family in ("sp-dual", "o-dual"):
-        for rp, rm in ((x, y), (rho, rho)):
-            with pytest.raises(ValueError, match="dual_lattice_kernel"):
-                SymbolF.from_measure(MeasureSpec(family, rp, rm))
 
 
 def test_alphabet_symbols_are_the_product_form():
@@ -683,13 +683,8 @@ def test_alphabet_symbols_are_the_product_form():
     for include_one in (False, True):
         x = Specialization.from_bc_alphabet(xs, include_one=include_one)
         y = Specialization.from_alphabet(ys)
-        for family, build, sign in (
-            ("sp", SymbolF.from_measure, -1),
-            ("o", SymbolF.from_measure, -1),
-            ("sp-dual", dual_base_symbol, 1),
-            ("o-dual", dual_base_symbol, 1),
-        ):
-            F = build(MeasureSpec(family, x, y))
+        for family, sign in (("sp", -1), ("o", -1), ("sp-dual", 1), ("o-dual", 1)):
+            F = SymbolF.from_measure(MeasureSpec(family, x, y))
             for z in zs:
                 plus = math.prod((1 + sign * float(v) * z) * (1 + sign * z / float(v)) for v in xs)
                 plus *= (1 + sign * z) if include_one else 1
@@ -711,7 +706,7 @@ def test_bc_alphabet_annuli_take_the_float_letters():
             r_z=0.3 + 0.65 * (0.9 - 0.3), r_w=0.3 + 0.35 * (0.9 - 0.3)
         )
         # E(x; z) is entire, so only the w-contour, where it is inverted, is bounded
-        G = dual_base_symbol(MeasureSpec("sp-dual", x, y))
+        G = SymbolF.from_measure(MeasureSpec("sp-dual", x, y))
         assert G.annulus_z == (0.3, 1.0 / 0.3) and G.annulus_w == (0.3, 0.9)
 
 
@@ -727,8 +722,9 @@ def test_mixed_kind_symbols_match_the_brute_force_oracle():
     for family in ("sp", "o"):
         for spec in (MeasureSpec(family, plancherel, y), MeasureSpec(family, plain, rho)):
             F = SymbolF.from_measure(spec)
-            contour = lattice_kernel(family, symbol=F, representation="contour")
-            fourier = lattice_kernel(family, symbol=F, representation="fourier")
+            shift, cfg = (1 if family == "sp" else 0), F.default_config()
+            contour = lambda a, b: kernel_contour(cfg, F, family, a + shift, b + shift)
+            fourier = lambda a, b: kernel_fourier(F, family, a + shift, b + shift)
             assert np.abs(contour(sites, sites) - fourier(sites, sites)).max() < 1e-12, family
             for pts in ([0], [-1, 1]):
                 res = correlation_bruteforce(spec, pts, tol=1e-9)
@@ -738,7 +734,7 @@ def test_mixed_kind_symbols_match_the_brute_force_oracle():
                     ), (family, pts)
     for family in ("sp-dual", "o-dual"):
         spec = MeasureSpec(family, plain, rho)
-        k = dual_lattice_kernel(spec)
+        k = lattice_kernel(family, symbol=SymbolF.from_measure(spec))
         for pts in ([0], [-1, 0], [-3, 1]):
             res = correlation_bruteforce(spec, pts, tol=1e-9)
             assert correlation_det(k, pts) == pytest.approx(
@@ -765,13 +761,10 @@ def test_empty_alphabet_takes_the_power_sum_route():
     # an empty plain alphabet is the trivial specialization, like from_powersums({})
     z = 0.9 * np.exp(1j * np.linspace(0.0, 6.0, 13))
     plancherel = Specialization.plancherel(Fraction(1, 2))
-    for family, build in (
-        ("sp", SymbolF.from_measure),
-        ("o", SymbolF.from_measure),
-        ("sp-dual", dual_base_symbol),
-    ):
-        empty = build(MeasureSpec(family, plancherel, Specialization.from_alphabet([])))
-        trivial = build(MeasureSpec(family, plancherel, Specialization.from_powersums({})))
+    for family in ("sp", "o", "sp-dual"):
+        build = lambda minus: SymbolF.from_measure(MeasureSpec(family, plancherel, minus))
+        empty = build(Specialization.from_alphabet([]))
+        trivial = build(Specialization.from_powersums({}))
         assert empty.label == trivial.label
         assert empty.annulus_z == trivial.annulus_z
         assert empty.annulus_w == trivial.annulus_w
@@ -804,3 +797,79 @@ def test_non_integer_correlation_points_are_rejected():
     with pytest.raises(ValueError, match="0.5"):
         correlation_det(kernel, [0.5, 1.7])
     assert correlation_det(kernel, [0.0, 1.0]) == correlation_det(kernel, [0, 1])
+
+
+# ---------------------------------------------------------------------------
+# route choice from the symbol's content
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0, Fraction(1, 2), 0.1, Fraction(2, 7), 200.0])
+def test_symbol_theta_is_read_bit_exactly_from_the_power_sums(theta):
+    # F = H(pl_2theta; z) / (H(pl_theta; z) H(pl_theta; 1/z)) = exp(theta (z - 1/z)),
+    # and E(pl; z) = H(pl; z), so the dual symbols are the same
+    for family in ("sp", "o", "sp-dual", "o-dual"):
+        assert SymbolF.from_measure(plancherel_measure(family, theta)).theta == float(theta)
+    assert SymbolF.plancherel(theta).theta == float(theta)
+
+
+def test_symbol_theta_is_none_unless_f_is_exactly_the_bessel_symbol():
+    pl = Specialization.plancherel
+    x = Specialization.from_bc_alphabet([Fraction(9, 10)])
+    y = Specialization.from_alphabet([Fraction(3, 10)])
+    for plus, minus in [
+        (pl(1), pl(Fraction(1, 3))),  # exp(z (2/3) - 1 / (3 z)): another ratio
+        (pl(-1), pl(Fraction(-1, 2))),  # theta = -1/2
+        (Specialization.from_powersums({1: 1, 2: Fraction(1, 9)}), pl(Fraction(1, 2))),
+        (pl(1), y),
+        (x, y),
+    ]:
+        assert SymbolF.from_measure(MeasureSpec("sp", plus, minus)).theta is None
+    # no power sum at all is F = 1, theta = 0
+    zero = Specialization.zero()
+    assert SymbolF.from_measure(MeasureSpec("o", zero, zero)).theta == 0.0
+
+
+def test_lattice_kernel_picks_the_route_from_the_symbol():
+    sites = np.arange(-4, 5)
+    x = Specialization.from_bc_alphabet([Fraction(9, 10)])
+    y = Specialization.from_alphabet([Fraction(3, 10)])
+    rho = Specialization.from_powersums({1: Fraction(1, 3), 2: Fraction(-1, 7)})
+    for family in ("sp", "o"):
+        shift = 1 if family == "sp" else 0
+        plancherel = SymbolF.from_measure(plancherel_measure(family, Fraction(1, 2)))
+        powersum = SymbolF.from_measure(MeasureSpec(family, rho, rho))
+        alphabet = SymbolF.from_measure(MeasureSpec(family, x, y))
+        cfg = alphabet.default_config()
+        for symbol, route in [
+            (plancherel, lambda a, b: kernel_bessel(0.5, family, a, b)),
+            (powersum, lambda a, b: kernel_fourier(powersum, family, a, b)),
+            (alphabet, lambda a, b: kernel_contour(cfg, alphabet, family, a, b)),
+        ]:
+            value = lattice_kernel(family, symbol=symbol)(sites, sites)
+            assert value.tobytes() == route(sites + shift, sites + shift).tobytes()
+            # the dual family reflects the other base family on the same route
+            base = lattice_kernel("o" if family == "sp" else "sp", symbol=symbol)
+            dual = lattice_kernel(family + "-dual", symbol=symbol)(sites, sites)
+            assert dual.tobytes() == (np.eye(len(sites)) - base(-1 - sites, -1 - sites)).tobytes()
+    with pytest.raises(ValueError, match="theta or a symbol"):
+        lattice_kernel("sp")
+    with pytest.raises(ValueError, match="theta or a symbol"):
+        lattice_kernel("sp", theta=0.5, symbol=SymbolF.plancherel(0.5))
+
+
+@pytest.mark.parametrize("theta", [0.5, 2.0])
+def test_fourier_sums_reach_far_negative_and_window_edge_sites(theta):
+    # a site b far below 0 needs the sum over j to reach |b|, where the modes
+    # of F and 1/F meet (K(b, b) is ~1 there); a window from 0 to the edge of
+    # the first mode window (orders -127..127) needs more than that window
+    # holds, and a lone site 128 needs the next one
+    for sites in (np.array([-300, -129, -40, -5, 0, 3, 9]), np.arange(0, 127, 9), np.array([128])):
+        F = SymbolF.plancherel(theta)  # modes fresh from each window
+        for family in ("sp", "o"):
+            fourier = kernel_fourier(F, family, sites, sites)
+            bessel = kernel_bessel(theta, family, sites, sites)
+            assert np.abs(fourier - bessel).max() <= 1e-13, (family, sites)
+            diagonal = _fourier_sums(F, family, sites, sites, paired=True)[0]
+            assert np.abs(diagonal - np.diagonal(bessel)).max() <= 1e-13, (family, sites)
+

@@ -9,7 +9,8 @@ from sposchur import asymptotics
 from sposchur.characters import TH_PATTERNS, th_pattern
 from sposchur.errors import ContourViolation, TruncationInsufficient
 from sposchur.identities import character_sum_series
-from sposchur.kernels import lattice_kernel
+from sposchur.kernels import SymbolF, lattice_kernel
+from sposchur.measures import MeasureSpec, _sum_weights, plancherel_measure
 from sposchur.series import GradedScalar
 from sposchur.specializations import Specialization
 from sposchur.toeplitz_hankel import (
@@ -512,15 +513,46 @@ def test_window_search_uses_the_diagonal_magnitude():
         assert abs(res.gap) < 1e-8, (m, res)
 
 
-def test_plancherel_tag_selects_the_bessel_route():
-    theta = 0.5
-    tagged = Symbol.plancherel(theta)
-    assert tagged.plancherel_theta == theta
-    # the same specializations without the tag take the Fourier-mode route
-    plain = Symbol(Specialization.plancherel(2 * theta), Specialization.plancherel(theta))
-    assert plain.plancherel_theta is None
-    fred = FredholmConfig(window=12)
+def test_plancherel_content_selects_the_bessel_route():
+    # the Plancherel pair spelled out as exact power sums, as a --symbol
+    # document gives it, has the kernel symbol exp(theta (z - 1/z)) and so
+    # the Bessel route: every field of the result has the bits of
+    # Symbol.plancherel's
+    doc = {"rho_plus": {"powersums": {"1": "1"}}, "rho_minus": {"powersums": {"1": "1/2"}}}
+    spelled = Symbol(*(Specialization.from_json(doc[side]) for side in ("rho_plus", "rho_minus")))
+    assert spelled.F.theta == 0.5
     for family in ("sp", "o"):
-        via_bessel = bo_check(tagged, family, 2, fred).rhs
-        via_fourier = bo_check(plain, family, 2, fred).rhs
-        assert via_bessel == pytest.approx(via_fourier, abs=1e-12), family
+        for m in (2, 3, 5):
+            assert bo_check(spelled, family, m) == bo_check(Symbol.plancherel(0.5), family, m)
+
+
+@pytest.mark.parametrize(
+    "theta, ms", [(0.5, (1, 2, 3, 5)), (2.0, (1, 2, 3, 5)), (200.0, (396, 400, 410))]
+)
+def test_dual_gap_probabilities_of_plancherel_match_the_base_family(theta, ms):
+    # s_lambda'(pl) = s_lambda(pl), so sp-dual and sp are one measure, and
+    # o-dual and o; their gap probabilities come from two kernels, the dual
+    # one reflected about -1/2 with the other base family
+    for family in ("sp", "o"):
+        kernel, reflected = (
+            lattice_kernel(f, symbol=SymbolF.from_measure(plancherel_measure(f, theta)))
+            for f in (family, family + "-dual")
+        )
+        for m in ms:
+            det = gap_probability(kernel, m)[0]
+            assert gap_probability(reflected, m)[0] == pytest.approx(det, abs=1e-13), (family, m)
+
+
+def test_dual_gap_probabilities_of_a_power_sum_measure():
+    # the Fourier route; the oracle sums the weights of the partitions whose
+    # configuration {lambda_i - i} has no site >= m
+    rp = Specialization.from_powersums({1: Fraction(1, 3), 2: Fraction(-1, 7)})
+    rm = Specialization.from_powersums({1: Fraction(1, 5)})
+    for family in ("sp-dual", "o-dual"):
+        spec = MeasureSpec(family, rp, rm)
+        kernel = lattice_kernel(family, symbol=SymbolF.from_measure(spec))
+        for m in (1, 3):
+            no_site_past_m = lambda conf, m=m: all(site < m for site in conf)
+            res = _sum_weights(spec, [no_site_past_m], [m], 1e-12)[0]
+            det = gap_probability(kernel, m)[0]
+            assert det == pytest.approx(res.value, abs=res.tail_estimate + 1e-14), (family, m)
