@@ -23,10 +23,11 @@ Exact characters are integer on arrival: a row whose largest index is m
 holds its entries times den[m], the lcm of the denominators of the images
 0..m, sliced from row m of the specialization's `scaled_table`.  One
 fraction-free Bareiss elimination of those rows over the product of the row
-scales gives the value.  `schur`, `sp_char` and `o_char` take the h-form and
-their `_via_e` twins the e-form; the dispatchers `character` and
-`schur_factor` take the smaller determinant for exact images, the e-form
-when lambda_1 < length(lambda), and keep the h-form for float images.
+scales gives the value.  `schur`, `sp_char`, `o_char` and the graded
+`sp_char_series`/`o_char_series` take the h-form and the `_via_e` twins the
+e-form; the dispatchers `character`, `schur_factor` and `character_series`
+take the smaller determinant for exact images, the e-form when lambda_1 <
+length(lambda), and keep the h-form for float images.
 Float images (a float at the largest index) build float rows for
 `determinant`, LU via numpy.  Series determinants run
 the same integer elimination by Kronecker substitution: rows cleared of
@@ -379,20 +380,23 @@ def schur_factor(lam: Partition, rho: Specialization):
 
 
 def sp_char_series(lam: Partition, rho: Specialization, degree: int) -> GradedScalar:
-    """Graded symplectic character, via the h-form determinant over series."""
+    """Graded symplectic character, always on the h-form determinant (D1)."""
     return _character("D1", lam.parts, rho, degree)
 
 
 def o_char_series(lam: Partition, rho: Specialization, degree: int) -> GradedScalar:
-    """Graded orthogonal character, via the h-form determinant over series."""
+    """Graded orthogonal character, always on the h-form determinant (D3)."""
     return _character("D3", lam.parts, rho, degree)
 
 
 def character_series(
     family: str, lam: Partition, rho: Specialization, degree: int
 ) -> GradedScalar:
-    if family == "sp":
-        return sp_char_series(lam, rho, degree)
-    if family == "o":
-        return o_char_series(lam, rho, degree)
-    raise ValueError(f"unknown character family {family!r}")
+    """Graded 'sp' or 'o' character of lambda at rho, truncated at t^degree, on
+    the smaller determinant by the rule of `character`: D2 or D4 on lambda'
+    when lambda_1 < length(lambda), else the h-form."""
+    if family not in ("sp", "o"):
+        raise ValueError(f"unknown character family {family!r}")
+    if _e_form_is_smaller(lam, rho):
+        return _character("D2" if family == "sp" else "D4", lam.conjugate().parts, rho, degree)
+    return (sp_char_series if family == "sp" else o_char_series)(lam, rho, degree)

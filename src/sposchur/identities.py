@@ -17,11 +17,12 @@ same (length(lambda), lambda_1), so the memo of rho+ holds, per D, the
 partitions |lambda| <= D grouped by cell (one walk, shared by every family
 and rho-), and per (family, D, weight_plus, rho-) the exact sum of each cell
 computed so far.  A call adds the sums of the cells its bounds admit and
-computes only the missing ones, each as one sum of its terms over the lcm of
-their denominators.  The sums fill lazily, so the first bounded sum of a
-pair evaluates no factor outside its bound.  A cell's terms look up their
-per-partition factors in the memos too, so sums of other families or
-degrees on the same specializations evaluate each factor once.  Keys:
+computes only the missing ones, each adding its terms' numerators into one
+int vector over a running denominator.  The sums fill lazily, so the first
+bounded sum of a pair evaluates no factor outside its bound.  A cell's terms
+look up their per-partition factors in the memos too, so sums of other
+families or degrees on the same specializations evaluate each factor once.
+Keys:
 
     ("cells", D)                      at rho+: the partitions |lambda| <= D by cell
     (family, D, weight_plus, rho-)    at rho+: the sums of its cells so far
@@ -49,6 +50,7 @@ Closed forms used throughout (log of the right-hand sides):
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable
 
@@ -130,14 +132,6 @@ def _check_weight_plus(weight_plus) -> None:
         raise ValueError(f"weight_plus must be 0 or 1, got {weight_plus!r}")
 
 
-def _shifted(x: GradedScalar, power: int) -> GradedScalar:
-    """x * t^power, truncated at x's degree: a shift, not a convolution."""
-    nums = x.numerators
-    return GradedScalar.from_numerators(
-        [0] * power + list(nums[: len(nums) - power]), x.denominator
-    )
-
-
 def _cell_sum(
     family: str,
     partitions: list[Partition],
@@ -146,27 +140,36 @@ def _cell_sum(
     degree: int,
     weight_plus: int,
 ) -> GradedScalar:
-    """sum over the given partitions of (sp/o)_lambda(rho+) s_lambda(rho-)."""
+    """sum over the given partitions of (sp/o)_lambda(rho+) s_lambda(rho-).
+
+    Each term c * s is formed once and its numerators, shifted by |lambda| (the
+    Schur factor is s t^|lambda|), added into one int vector over a running
+    denominator, rescaled only when a term's denominator does not divide it.
+    """
     base = family.removesuffix("-dual")
     dual = base != family
-    terms = []
+    nums, den = [0] * (degree + 1), 1
     for lam in partitions:
         mu = lam.conjugate() if dual else lam
         s = _memoized(rho_minus, ("s", mu.parts, None), lambda: schur_factor(mu, rho_minus))
         if not s:
             continue
-        # the Schur factor is the monomial s t^|lambda|: scale, then shift
         if weight_plus:
-            c = _memoized(
-                rho_plus,
-                (base, lam.parts, degree),
-                lambda: character_series(base, lam, rho_plus, degree),
-            )
-            terms.append(_shifted(c * s, lam.size()))
+            graded = (base, lam.parts, degree)
+            c = _memoized(rho_plus, graded, lambda: character_series(base, lam, rho_plus, degree))
+            term = c * s
         else:
             c = _memoized(rho_plus, (base, lam.parts, None), lambda: character(base, lam, rho_plus))
-            terms.append(GradedScalar.monomial(c * s, lam.size(), degree))
-    return GradedScalar.sum(terms, degree)
+            term = GradedScalar.monomial(c * s, 0, degree)
+        q = term.denominator
+        if den % q:
+            grow = q // math.gcd(den, q)
+            nums = [a * grow for a in nums]
+            den *= grow
+        scale, shift = den // q, lam.size()
+        for n, a in enumerate(term.numerators[: degree + 1 - shift], shift):
+            nums[n] += a * scale
+    return GradedScalar.from_numerators(nums, den)
 
 
 def character_sum_series(

@@ -189,18 +189,12 @@ class Specialization:
             h, e = self._h_cache, self._e_cache
             while len(h) <= n:
                 m = len(h)
-                ps = [self.p(k) for k in range(1, m + 1)]
-                h.append(
-                    sum((ps[k - 1] * h[m - k] for k in range(1, m + 1)), Fraction(0))
-                    / m
-                )
-                e.append(
-                    sum(
-                        ((-1) ** (k - 1) * ps[k - 1] * e[m - k] for k in range(1, m + 1)),
-                        Fraction(0),
-                    )
-                    / m
-                )
+                # past the support p_k is an exact 0 and its terms add nothing; a
+                # float image stays a float, since the float p_k it comes from is kept
+                top = m if self.max_support is None else min(m, self.max_support)
+                ps = [(k, self.p(k)) for k in range(1, top + 1)]
+                h.append(sum((p * h[m - k] for k, p in ps), Fraction(0)) / m)
+                e.append(sum(((-1) ** (k - 1) * p * e[m - k] for k, p in ps), Fraction(0)) / m)
 
     # -- derived objects ------------------------------------------------------
 

@@ -209,10 +209,13 @@ def gap_probability(
     below 1e-22, or through s = m + window + 401.  The kernel is signed and
     not Hermitian, so this is an estimate of the truncation error, not a
     bound; TruncationInsufficient is raised if it exceeds the configured
-    tolerance.  The diagonal is read over one run of sites from m + 8 (from
-    m + window when the window is configured), its length doubling from 64
-    until it covers the search and the tail; then the window matrix is
-    formed once.
+    tolerance.  A dual kernel's diagonal 1 - K_base(-1-s, -1-s) reads 2^-52,
+    not 0, wherever K_base rounds to 1 - 2^-52, so far from the edge it never
+    falls below 1e-22: its tail bound is a rounding floor, ~1.8e-13 (twice 402
+    sites of 2.2e-16) at every m, and says nothing about truncation.  The
+    diagonal is read over one run of sites from m + 8 (from m + window when
+    the window is configured), its length doubling from 64 until it covers
+    the search and the tail; then the window matrix is formed once.
     """
     fred = fred or FredholmConfig()
     first = 8 if fred.window is None else fred.window

@@ -625,3 +625,75 @@ def test_graded_character_edge_cases():
     )
     with pytest.raises(ValueError, match="unknown character family"):
         character_series("x", lam, rho, 3)
+
+
+# ---------------------------------------------------------------------------
+# the graded dispatcher: the smaller determinant, by the rule of `character`
+# ---------------------------------------------------------------------------
+
+E_FORMS = {"sp": "D2", "o": "D4"}
+H_FORMS = {"sp": sp_char_series, "o": o_char_series}
+GRADED_E_FORM = characters._character  # the reference, out of reach of the tests' patches
+
+
+def graded_rule_specializations():
+    powersums = Specialization.from_powersums(
+        {1: Fraction(7, 3), 2: Fraction(-5, 4), 3: Fraction(2, 9)}
+    )
+    return [
+        powersums,
+        Specialization.from_alphabet([Fraction(2, 3), Fraction(-1, 4)]),
+        Specialization.from_bc_alphabet([Fraction(3, 5)], include_one=True),
+        powersums.omega(),
+    ]
+
+
+def graded_rule_mismatches(degree=8):
+    """(family, lambda, rho kind) wherever `character_series` differs from
+    the h-form or from the graded e-form on lambda'."""
+    bad = []
+    for rho in graded_rule_specializations():
+        for lam in enumerate_partitions(8):
+            for family in ("sp", "o"):
+                got = character_series(family, lam, rho, degree)
+                h_form = H_FORMS[family](lam, rho, degree)
+                e_form = GRADED_E_FORM(E_FORMS[family], lam.conjugate().parts, rho, degree)
+                if not got == h_form == e_form:
+                    bad.append((family, lam.parts, rho.kind))
+    return bad
+
+
+def test_graded_dispatch_matches_both_forms():
+    assert graded_rule_mismatches() == []
+    assert graded_rule_mismatches(degree=5) == []  # truncated below |lambda| too
+
+
+def test_graded_dispatch_takes_the_e_form_only_for_narrow_shapes(monkeypatch):
+    taken = []
+    original = characters._character
+
+    def recording(which, shifts, rho, degree=None):
+        taken.append(which)
+        return original(which, shifts, rho, degree)
+
+    monkeypatch.setattr(characters, "_character", recording)
+    for rho in graded_rule_specializations():
+        for lam in enumerate_partitions(8):
+            narrow = lam.part(1) < lam.length()
+            for family, h_which in (("sp", "D1"), ("o", "D3")):
+                taken.clear()
+                character_series(family, lam, rho, 8)
+                assert taken == [E_FORMS[family] if narrow else h_which], (family, lam)
+
+
+def test_graded_rule_check_catches_an_e_form_on_lambda(monkeypatch):
+    # the mutant hands the e-form lambda's own parts instead of lambda''s
+    original = characters._character
+
+    def mutant(which, shifts, rho, degree=None):
+        if which in E_FORMS.values() and degree is not None:
+            shifts = Partition(list(shifts)).conjugate().parts
+        return original(which, shifts, rho, degree)
+
+    monkeypatch.setattr(characters, "_character", mutant)
+    assert graded_rule_mismatches()

@@ -156,8 +156,11 @@ BOUNDS = (
 
 
 def walk_sum(family, rho_plus, rho_minus, degree, weight_plus, bounds):
-    """The unmemoized sum: one walk over |lambda| <= degree, term by term."""
+    """The unmemoized sum: one walk over |lambda| <= degree, term by term, on
+    the fixed h-form functions rather than the dispatchers the sums use."""
     base = family.removesuffix("-dual")
+    graded = {"sp": characters.sp_char_series, "o": characters.o_char_series}[base]
+    exact = {"sp": characters.sp_char, "o": characters.o_char}[base]
     out = GradedScalar.zero(degree)
     for lam in enumerate_partitions(degree):
         if lam.length() > bounds.get("length_bound", degree):
@@ -167,9 +170,9 @@ def walk_sum(family, rho_plus, rho_minus, degree, weight_plus, bounds):
         mu = lam.conjugate() if base != family else lam
         s = GradedScalar.monomial(characters.schur(mu, rho_minus), lam.size(), degree)
         if weight_plus:
-            out = out + characters.character_series(base, lam, rho_plus, degree) * s
+            out = out + graded(lam, rho_plus, degree) * s
         else:
-            out = out + s * characters.character(base, lam, rho_plus)
+            out = out + s * exact(lam, rho_plus)
     return out
 
 

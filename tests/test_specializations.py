@@ -200,3 +200,54 @@ def test_scaled_table_growth_publishes_a_new_pair():
     assert small == frozen and len(small[0]) == len(small[1]) == 3
     assert len(large[0]) == len(large[1]) == 7 and large[0][:3] == small[0]
     assert rho.scaled_table("h", 2) is large
+
+
+# ---------------------------------------------------------------------------
+# Newton's recurrences stop at the support
+# ---------------------------------------------------------------------------
+
+
+def full_range_images(rho, n):
+    """h_0..h_n and e_0..e_n by Newton's recurrences over every k <= m."""
+    h, e = [Fraction(1)], [Fraction(1)]
+    for m in range(1, n + 1):
+        ps = [rho.p(k) for k in range(1, m + 1)]
+        h.append(sum((ps[k - 1] * h[m - k] for k in range(1, m + 1)), Fraction(0)) / m)
+        e.append(
+            sum(((-1) ** (k - 1) * ps[k - 1] * e[m - k] for k in range(1, m + 1)), Fraction(0))
+            / m
+        )
+    return h, e
+
+
+def test_plancherel_images_take_one_term_each(monkeypatch):
+    theta = Fraction(2, 5)
+    rho = Specialization.plancherel(theta)
+    calls = []
+    original = rho.p
+    monkeypatch.setattr(rho, "p", lambda k: calls.append(k) or original(k))
+    for n in range(31):
+        assert rho.h(n) == rho.e(n) == theta**n / math.factorial(n), n
+        assert type(rho.h(n)) is type(rho.e(n)) is Fraction
+    assert calls == [1] * 30  # p_1 once per image, not p_1..p_m
+
+
+def test_supported_images_equal_the_full_range_recursion():
+    exact = Specialization.from_powersums(
+        {1: Fraction(7, 3), 2: Fraction(-5, 4), 4: Fraction(2, 9)}
+    )
+    floats = [
+        Specialization.from_powersums({1: 0.4, 3: Fraction(1, 3)}),
+        Specialization.from_powersums({1: Fraction(1, 2), 2: -0.25}),
+        Specialization.plancherel(-0.7),
+    ]
+    for rho in [exact, exact.omega(), *floats, *(f.omega() for f in floats)]:
+        h, e = full_range_images(rho, 16)
+        got_h, got_e = [rho.h(n) for n in range(17)], [rho.e(n) for n in range(17)]
+        # repr tells a float from a Fraction of equal value and keeps every bit
+        assert list(map(repr, got_h + got_e)) == list(map(repr, h + e)), rho.kind
+    # a float power sum keeps float images, so the integer rows stop below it
+    assert all(isinstance(floats[0].h(n), float) for n in range(1, 17))
+    assert floats[0].scaled_table("h", 1) is None and floats[0].scaled_table("e", 16) is None
+    assert isinstance(floats[1].e(1), Fraction) and isinstance(floats[1].e(2), float)
+    assert floats[1].scaled_table("e", 1) is not None and floats[1].scaled_table("e", 16) is None
