@@ -10,9 +10,9 @@ Airy 2->1 crossover kernels
 
     A±(x, y) = int_0^inf Ai(x+s) Ai(y+s) ds  ±  int_0^inf Ai(x-s) Ai(y+s) ds
 
-(+ pairs with the sp family, - with o), which also admit a double contour
-representation over rays at angles ±pi/3 (right) and ±2pi/3 (left); both are
-implemented and cross-checked.  The s-integrals run on a fixed composite
+(+ pairs with the sp family, - with o).  The tests cross-check them against
+the double contour representation over rays at angles ±pi/3 (right) and
+±2pi/3 (left).  The s-integrals run on a fixed composite
 Gauss-Legendre template over [0, 80], cut per call where every y has
 y + s > 16, and per row inside that prefix: Ai(y_j + s) and Ai(x_i + s) are
 evaluated only where their argument is <= 16 and are exact zeros past it.
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainTooLarge, QuadratureNotConverged, TruncationInsufficient
+from .errors import DomainTooLarge, TruncationInsufficient
 from .kernels import _check_family, kernel_bessel, lattice_kernel
 from .special import airy_ai_vec, gauss_legendre_panels
 from .toeplitz_hankel import FredholmConfig, gap_probability
@@ -133,51 +133,6 @@ def airy_2to1(sign: str, x, y):
     cross = (airy_ai_vec(xs[:, None] - s) * w) @ up_y.T
     value = plus + cross if sign == "+" else plus - cross
     return float(value[0, 0]) if scalar else value
-
-
-def _ray_nodes(vertex: float, angle: float):
-    """Nodes, weights and direction for one ray of length 9 from a real vertex."""
-    t, w = gauss_legendre_panels(0.0, 9.0, 36, 12)
-    direction = complex(math.cos(angle), math.sin(angle))
-    return vertex + t * direction, w, direction
-
-
-def airy_2to1_contour(sign: str, x, y):
-    """A±(x, y) by the double contour representation (cross-check route).
-
-    zeta runs over rays at ±pi/3 from +0.4 (steepest descent for exp(z^3/3)),
-    omega over rays at ±2pi/3 from -0.8; the vertex offsets keep both
-    1/(zeta - omega) and 1/(zeta + omega) away from their pole sets.  Like
-    `airy_2to1`, scalars give a float and 1-D arrays the matrix
-    [A±(x_i, y_j)], from one coupling matrix per call; every entry must come
-    out real to 1e-9 or QuadratureNotConverged is raised.
-    """
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    scalar = np.ndim(x) == 0 and np.ndim(y) == 0
-    xs, ys = np.atleast_1d(x), np.atleast_1d(y)
-    zu, wu, du = _ray_nodes(0.4, math.pi / 3.0)
-    zl, wl, dl = _ray_nodes(0.4, -math.pi / 3.0)
-    zeta = np.concatenate([zu, zl])
-    zw = np.concatenate([wu * du, -wl * dl])  # lower ray runs tip -> vertex
-    ou, vu, duo = _ray_nodes(-0.8, 2.0 * math.pi / 3.0)
-    ol, vl, dlo = _ray_nodes(-0.8, -2.0 * math.pi / 3.0)
-    omega = np.concatenate([ou, ol])
-    ow = np.concatenate([vu * duo, -vl * dlo])
-    fz = np.exp(zeta**3 / 3.0 - xs[:, None] * zeta) * zw
-    fo = np.exp(-(omega**3) / 3.0 + ys[:, None] * omega) * ow
-    diff = 1.0 / (zeta[:, None] - omega[None, :])
-    ssum = -1.0 / (zeta[:, None] + omega[None, :])
-    coupling = diff + ssum if sign == "+" else diff - ssum
-    total = fz @ coupling @ fo.T
-    value = total / (2.0j * math.pi) ** 2
-    complex_entries = np.abs(value.imag) > 1e-9 * np.maximum(1.0, np.abs(value))
-    if complex_entries.any():
-        i, j = np.argwhere(complex_entries)[0]
-        raise QuadratureNotConverged(
-            f"contour A± not real at ({xs[i]}, {ys[j]}): {value[i, j]}"
-        )
-    return float(value[0, 0].real) if scalar else value.real
 
 
 # ---------------------------------------------------------------------------

@@ -292,19 +292,18 @@ def cmd_scan(args) -> int:
 
 
 def cmd_tw(args) -> int:
+    """One limit per row: at s_eff with --theta, so abs_error = |discrete - limit|."""
     family = "sp" if args.sign == "+" else "o"
     rows = []
     for s in _parse_grid(args.s, "s"):
-        lim = asymptotics.tw_2to1_cdf(args.sign, s)
         if args.theta is None:
-            rows.append((s, 0.0, 0.0, "", lim, ""))
+            rows.append((s, "", "", asymptotics.tw_2to1_cdf(args.sign, s), ""))
             continue
+        s_eff = asymptotics.edge_cdf_effective_s(family, args.theta, s)
         disc = asymptotics.edge_cdf_discrete(family, args.theta, s)
-        lim_eff = asymptotics.tw_2to1_cdf(
-            args.sign, asymptotics.edge_cdf_effective_s(family, args.theta, s)
-        )
-        rows.append((s, 0.0, 0.0, disc, lim, abs(disc - lim_eff)))
-    _emit(args, ["s", "x", "y", "discrete", "limit", "abs_error"], rows)
+        lim = asymptotics.tw_2to1_cdf(args.sign, s_eff)
+        rows.append((s, s_eff, disc, lim, abs(disc - lim)))
+    _emit(args, ["s", "s_eff", "discrete", "limit", "abs_error"], rows)
     return EXIT_OK
 
 

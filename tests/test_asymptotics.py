@@ -7,7 +7,6 @@ import pytest
 from sposchur import asymptotics
 from sposchur.asymptotics import (
     airy_2to1,
-    airy_2to1_contour,
     bulk_scan,
     edge_cdf_discrete,
     edge_cdf_effective_s,
@@ -21,13 +20,61 @@ from sposchur.asymptotics import (
     tw_2to1_cdf,
     tw_2to1_stability,
 )
-from sposchur.errors import DomainTooLarge
+from sposchur.errors import DomainTooLarge, QuadratureNotConverged
 from sposchur.special import airy_ai_vec, gauss_legendre_panels
 
 # module-level tests run at small theta to stay fast; the full theta ladders
 # {50, 200, 800} live in the acceptance suite.  The edge gap-probability and
 # scan rates go to theta = 12800, where a discrete CDF still costs a few
 # milliseconds and a scan window less.
+
+
+# The double contour representation of A±, independent of the Airy evaluator.
+
+
+def _ray_nodes(vertex: float, angle: float):
+    """Nodes, weights and direction for one ray of length 9 from a real vertex."""
+    t, w = gauss_legendre_panels(0.0, 9.0, 36, 12)
+    direction = complex(math.cos(angle), math.sin(angle))
+    return vertex + t * direction, w, direction
+
+
+def airy_2to1_contour(sign: str, x, y):
+    """Oracle: A±(x, y) by the double contour representation.
+
+    zeta runs over rays at ±pi/3 from +0.4 (steepest descent for exp(z^3/3)),
+    omega over rays at ±2pi/3 from -0.8; the vertex offsets keep both
+    1/(zeta - omega) and 1/(zeta + omega) away from their pole sets.  Like
+    `airy_2to1`, scalars give a float and 1-D arrays the matrix
+    [A±(x_i, y_j)], from one coupling matrix per call; every entry must come
+    out real to 1e-9 or QuadratureNotConverged is raised.
+    """
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+    scalar = np.ndim(x) == 0 and np.ndim(y) == 0
+    xs, ys = np.atleast_1d(x), np.atleast_1d(y)
+    zu, wu, du = _ray_nodes(0.4, math.pi / 3.0)
+    zl, wl, dl = _ray_nodes(0.4, -math.pi / 3.0)
+    zeta = np.concatenate([zu, zl])
+    zw = np.concatenate([wu * du, -wl * dl])  # lower ray runs tip -> vertex
+    ou, vu, duo = _ray_nodes(-0.8, 2.0 * math.pi / 3.0)
+    ol, vl, dlo = _ray_nodes(-0.8, -2.0 * math.pi / 3.0)
+    omega = np.concatenate([ou, ol])
+    ow = np.concatenate([vu * duo, -vl * dlo])
+    fz = np.exp(zeta**3 / 3.0 - xs[:, None] * zeta) * zw
+    fo = np.exp(-(omega**3) / 3.0 + ys[:, None] * omega) * ow
+    diff = 1.0 / (zeta[:, None] - omega[None, :])
+    ssum = -1.0 / (zeta[:, None] + omega[None, :])
+    coupling = diff + ssum if sign == "+" else diff - ssum
+    total = fz @ coupling @ fo.T
+    value = total / (2.0j * math.pi) ** 2
+    complex_entries = np.abs(value.imag) > 1e-9 * np.maximum(1.0, np.abs(value))
+    if complex_entries.any():
+        i, j = np.argwhere(complex_entries)[0]
+        raise QuadratureNotConverged(
+            f"contour A± not real at ({xs[i]}, {ys[j]}): {value[i, j]}"
+        )
+    return float(value[0, 0].real) if scalar else value.real
 
 
 def test_phi_plus_regimes():
@@ -350,6 +397,53 @@ def test_edge_gap_rate_needs_the_half_site_term(family, window):
     # like theta^(-1/3) (measured -0.329 for sp, -0.341 for o)
     exponent = fit_error_exponent(_edge_gap_errors(family, False))
     assert not window[0] <= exponent <= window[1], exponent
+
+
+# The edge limit with no Airy code on the discrete side: at theta = n^3 and an
+# integer s the tested site 2 n^3 + s n is exact and s_eff = s +- 1/(2n), so
+# err(n) = discrete(n^3, s) - TW(s +- 1/(2n)) expands in 1/n with no 1/n term
+# (the half-site shift removes it).  Extrapolating to n = infinity leaves c0,
+# which is the error of the limit side itself; measured |c0| <= 7.7e-12, while
+# |err(64)| lies between 2.3e-8 and 1.6e-5.
+_CUBE_NS = (24, 32, 48, 64)
+_CUBE_S = (-2, 0, 2)
+
+
+def _extrapolated_edge_offset(half_site: bool = True) -> float:
+    """max over both families and s of |c0| in the fit c0 + c2/n^2 + c3/n^3 +
+    c4/n^4 of err(n), n in _CUBE_NS (four terms, four points: a solve)."""
+    ns = np.array(_CUBE_NS, dtype=float)
+    scaled = _CUBE_NS[0] / ns  # powers of 1/n, scaled to keep the solve well conditioned
+    basis = np.stack([np.ones_like(ns), scaled**2, scaled**3, scaled**4], axis=1)
+    worst = 0.0
+    for family, sign, half in (("sp", "+", 0.5), ("o", "-", -0.5)):
+        for s in _CUBE_S:
+            err = []
+            for n in _CUBE_NS:
+                assert edge_site(float(n**3), s) == 2 * n**3 + s * n
+                s_eff = s + half / n if half_site else float(s)
+                err.append(_edge_cdf(family, float(n**3), s) - tw_2to1_cdf(sign, s_eff))
+            worst = max(worst, abs(np.linalg.solve(basis, np.array(err))[0]))
+    return worst
+
+
+def test_edge_gap_probabilities_extrapolate_to_the_limit():
+    assert _extrapolated_edge_offset() <= 1e-10
+
+
+def test_edge_extrapolation_sees_a_relative_ai_error_of_1e_9(monkeypatch):
+    # Ai perturbed by 1e-9 relative on x > 0 moves c0 to ~5e-10
+    def perturbed(u):
+        u = np.asarray(u, dtype=float)
+        return airy_ai_vec(u) * np.where(u > 0.0, 1.0 + 1e-9, 1.0)
+
+    monkeypatch.setattr("sposchur.asymptotics.airy_ai_vec", perturbed)
+    assert _extrapolated_edge_offset() > 1e-10
+
+
+def test_edge_extrapolation_needs_the_half_site_shift():
+    # without it err(n) has a 1/n term the fit lacks: c0 reads up to ~2e-3
+    assert _extrapolated_edge_offset(half_site=False) > 1e-10
 
 
 @functools.cache

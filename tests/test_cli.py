@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from sposchur import cli, measures
+from sposchur import asymptotics, cli, measures
 from sposchur.cli import main
 from sposchur.kernels import kernel_bessel_with_error
 
@@ -445,8 +445,28 @@ def test_tw_command_without_theta(tmp_path):
     code, text = run_cli(tmp_path, "tw-cdf", "--sign", "+", "--s", "0:1:1")
     assert code == 0
     lines = text.strip().split("\n")
-    assert lines[1] == "s,x,y,discrete,limit,abs_error"
+    assert lines[1] == "s,s_eff,discrete,limit,abs_error"
     assert len(lines) == 4
+    # the limit is taken at s itself; no discrete side, no s_eff
+    for line in lines[2:]:
+        s, s_eff, disc, lim, err = line.split(",")
+        assert (s_eff, disc, err) == ("", "", "")
+        assert float(lim) == asymptotics.tw_2to1_cdf("+", float(s))
+
+
+def test_tw_command_rows_check_themselves(tmp_path):
+    # with --theta every row's limit is taken at its s_eff, so abs_error is
+    # |discrete - limit| of the printed columns, bit for bit
+    for sign, family in (("+", "sp"), ("-", "o")):
+        code, text = run_cli(tmp_path, "tw-cdf", "--sign", sign, "--s=-2:1:1", "--theta", "50")
+        assert code == 0
+        lines = text.strip().split("\n")
+        assert lines[1] == "s,s_eff,discrete,limit,abs_error"
+        assert len(lines) == 6
+        for line in lines[2:]:
+            s, s_eff, disc, lim, err = map(float, line.split(","))
+            assert s_eff == asymptotics.edge_cdf_effective_s(family, 50.0, s)
+            assert err == abs(disc - lim), line
 
 
 def test_config_file_defaults_with_flag_override(tmp_path):

@@ -1,11 +1,14 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sposchur.errors import DomainTooLarge, QuadratureNotConverged
 from sposchur.special import (
+    _LEFT_COEFFS,
+    _SERIES_COEFFS,
     _airy_u_coeffs,
     airy_ai,
     airy_ai_vec,
@@ -159,25 +162,25 @@ def test_airy_bits_do_not_depend_on_the_batch():
 
 # Ai bits pinned as float.hex strings: left expansion, both seams (and their
 # neighbours), the Maclaurin series, the right expansion on both sides of its
-# truncation switch at 6.869.  A reordered or reciprocal-based recurrence
-# rounds differently and fails here.
+# truncation switch at 6.869.  A reordered Horner sum or a coefficient table
+# rounded another way fails here.
 _AIRY_BITS = [
-    (-40.0, "-0x1.784a6b5e2d050p-5"),
+    (-40.0, "-0x1.784a6b5e2d04fp-5"),
     (-25.3, "-0x1.715d5ba4fcca1p-3"),
     (-12.5, "-0x1.1ae7b7f765332p-2"),
     (-7.0, "0x1.79683b0570e8ap-3"),
-    (-6.800000000000001, "0x1.8ca41bf36762dp-7"),
-    (-6.8, "0x1.8ca41bf3e89c0p-7"),
-    (-6.5, "-0x1.e7773026e69bep-3"),
+    (-6.800000000000001, "0x1.8ca41bf36762cp-7"),
+    (-6.8, "0x1.8ca41bf3ad130p-7"),
+    (-6.5, "-0x1.e7773026e4e0ap-3"),
     (-3.3, "-0x1.ab317aca273c6p-2"),
     (-1.0, "0x1.1235093d83da6p-1"),
     (-1e-08, "0x1.6b8c798ee85b0p-2"),
     (0.0, "0x1.6b8c7962715b9p-2"),
     (1e-08, "0x1.6b8c7935fa5c2p-2"),
-    (0.7, "0x1.8367939abe48ap-3"),
-    (2.5, "0x1.01a74da795e00p-6"),
-    (5.9, "0x1.abb8b60000000p-17"),
-    (6.8, "0x1.567e000000000p-20"),
+    (0.7, "0x1.8367939abe48bp-3"),
+    (2.5, "0x1.01a74da795e80p-6"),
+    (5.9, "0x1.abb8b50000000p-17"),
+    (6.8, "0x1.567de00000000p-20"),
     (6.800000000000001, "0x1.567dc4126d982p-20"),
     (6.8693, "0x1.1d09a5b09d367p-20"),
     (6.8694, "0x1.1cf64490b3ab2p-20"),
@@ -231,13 +234,64 @@ def test_airy_nan_and_non_finite_arguments():
 def test_airy_matches_scipy_and_mpmath_over_the_domain():
     scipy_special = pytest.importorskip("scipy.special")
     mpmath = pytest.importorskip("mpmath")
-    # step 0.02 over |x| <= 40; the largest error (~9e-12) sits near the
+    # step 0.02 over |x| <= 40; the largest error (~8e-12) sits near the
     # series/asymptotic switch at 6.8
     xs = np.linspace(-40.0, 40.0, 4001)
     ours = np.array([airy_ai(float(x)) for x in xs])
     assert np.max(np.abs(ours - scipy_special.airy(xs)[0])) <= 1e-10
     for x in np.linspace(-40.0, 40.0, 81):
         assert airy_ai(float(x)) == pytest.approx(float(mpmath.airyai(x)), abs=1e-10), x
+
+
+def test_airy_branches_match_mpmath_over_the_airy_2to1_range():
+    mpmath = pytest.importorskip("mpmath")
+    # airy_2to1 reads Ai on [-144, 16]: its cross factor Ai(x - s) reaches
+    # -64 - 80, and every other argument is cut at 16.  Step 0.2, plus step
+    # 0.002 around both seams, where each branch has its largest error.
+    xs = np.concatenate(
+        [np.linspace(-144.0, 16.0, 801), np.linspace(-6.9, -6.7, 101), np.linspace(6.7, 6.9, 101)]
+    )
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.airyai(float(x))) for x in xs])
+    err = np.abs(airy_ai_vec(xs) - ref)
+    # absolute bounds at 1.3-4x the worst error each branch measured at steps
+    # of 0.001-0.01
+    for part, bound in (
+        (xs <= -64.0, 1e-13),  # oscillatory expansion, far
+        ((xs > -64.0) & (xs < -6.8), 1e-12),  # oscillatory expansion
+        ((xs >= -6.8) & (xs <= 0.0), 1e-12),  # Maclaurin series
+        ((xs >= 0.0) & (xs <= 6.8), 1e-11),  # Maclaurin series, cancelling
+        (xs > 6.8, 1e-17),  # Poincare expansion
+    ):
+        assert np.max(err[part]) <= bound, (xs[part][0], np.max(err[part]))
+    right = xs > 6.8
+    assert np.max(err[right] / ref[right]) <= 3e-12
+
+
+def test_airy_coefficient_tables_are_the_exact_rationals_rounded_once():
+    # f and g coefficients from factorials, not from the divisor products the
+    # module multiplies: (3k)!/prod(3j+1) = prod (3j+2)(3j+3), and
+    # (3k+1)!/prod(3j+2) = prod (3j+3)(3j+4), over j < k
+    table = _SERIES_COEFFS[::-1, :, 0]
+    assert table.shape == (33, 2)
+    for k, (f_k, g_k) in enumerate(table):
+        f_den = math.factorial(3 * k) // math.prod(3 * j + 1 for j in range(k))
+        g_den = math.factorial(3 * k + 1) // math.prod(3 * j + 2 for j in range(k))
+        assert f_k == float(Fraction(1, f_den)), k
+        assert g_k == float(Fraction(1, g_den)), k
+    # the oscillatory table: u_k = (2k+1)(2k+3)...(6k-1) / (216^k k!), with
+    # signs alternating in k
+    left = _LEFT_COEFFS[::-1, :, 0]
+    assert left.shape == (13, 2)
+    exact = [
+        Fraction(math.prod(range(2 * k + 1, 6 * k, 2)), 216**k * math.factorial(k))
+        for k in range(26)
+    ]
+    for k, (p_k, q_k) in enumerate(left):
+        sign = (-1) ** k
+        assert p_k == pytest.approx(sign * float(exact[2 * k]), rel=1e-15), k
+        assert q_k == pytest.approx(sign * float(exact[2 * k + 1]), rel=1e-15), k
+    assert list(left.ravel()) == [(-1) ** (i // 2) * u for i, u in enumerate(_airy_u_coeffs(26))]
 
 
 @pytest.mark.parametrize("theta", [0.5, 3.0, 200.0, 1e4])
