@@ -194,14 +194,6 @@ def th_rows(which: str, size: int, g: Callable) -> list[list]:
     ]
 
 
-def th_determinant(rows: list[list], degree: int | None = None):
-    """det(rows), 1 at size 0: float entries without a degree, and series
-    truncated at `degree` with one."""
-    if degree is None:
-        return determinant(rows)
-    return series_determinant(rows) if rows else GradedScalar.one(degree)
-
-
 def _images(vals: list, lo: int, hi: int) -> list:
     """[vals[k] for lo <= k < hi], with zeros at negative k."""
     if lo >= 0:

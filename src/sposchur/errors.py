@@ -5,10 +5,6 @@ class SposchurError(Exception):
     """Base class for all package-specific errors."""
 
 
-class TruncationOverflow(SposchurError):
-    """A graded-series operation was asked for coefficients beyond its truncation degree."""
-
-
 class DivergentNormalization(SposchurError):
     """The partition-function series of a measure fails its summability condition."""
 
@@ -26,7 +22,8 @@ class QuadratureNotConverged(SposchurError):
 
 
 class TruncationInsufficient(SposchurError):
-    """A Fredholm truncation window's tail bound exceeds the requested tolerance."""
+    """A Fredholm truncation window's tail bound exceeds the requested tolerance,
+    or its kernel entries are too large for a finite section to resolve."""
 
 
 class DomainTooLarge(SposchurError):

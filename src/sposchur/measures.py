@@ -30,9 +30,8 @@ from typing import Callable
 
 from .characters import character, schur_factor
 from .errors import CutoffTooSmall, DivergentNormalization
-from .identities import FAMILIES, character_sum_series, log_z_terms, normalization_series
-from .partitions import Partition, enumerate_partitions, partitions_of_size
-from .series import GradedScalar
+from .identities import FAMILIES, log_z_terms
+from .partitions import Partition, partitions_of_size
 from .specializations import Specialization
 
 _PARTITION_BUDGET = 10**6
@@ -46,9 +45,6 @@ __all__ = [
     "correlation_bruteforce",
     "correlation_bruteforce_batch",
     "hole_probability_bruteforce",
-    "total_mass_series",
-    "enumerate_partitions",  # re-exported: partition streams belong to this module's interface
-    "Partition",
 ]
 
 
@@ -110,9 +106,6 @@ class MeasureSpec:
 
     def z(self) -> float:
         return math.exp(self.log_z())
-
-    def z_series(self, degree: int) -> GradedScalar:
-        return normalization_series(self.family, self.rho_plus, self.rho_minus, degree)
 
     # -- weights ---------------------------------------------------------------
 
@@ -302,8 +295,3 @@ def correlation_bruteforce_batch(
     sites = [p for pts in sets for p in pts]
     return _sum_weights(spec, [pts.issubset for pts in sets], sites, tol)
 
-
-def total_mass_series(spec: MeasureSpec, degree: int) -> GradedScalar:
-    """Exact graded total mass: sum of weights over |lambda| <= degree, over Z."""
-    lhs = character_sum_series(spec.family, spec.rho_plus, spec.rho_minus, degree)
-    return lhs.divide_exact(spec.z_series(degree))

@@ -10,7 +10,7 @@ by size, and within a size in reverse-lexicographic order of parts.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 class Partition:
@@ -119,24 +119,6 @@ class Partition:
 
     def __repr__(self) -> str:
         return f"Partition({list(self.parts)!r})"
-
-
-def from_frobenius(arms: Sequence[int], legs: Sequence[int]) -> Partition:
-    """Rebuild a partition from Frobenius coordinates (arms | legs)."""
-    if len(arms) != len(legs):
-        raise ValueError("arm and leg lists must have equal length")
-    d = len(arms)
-    if any(arms[i] <= arms[i + 1] for i in range(d - 1)) or any(
-        legs[i] <= legs[i + 1] for i in range(d - 1)
-    ):
-        raise ValueError("Frobenius coordinates must be strictly decreasing")
-    rows = [arms[i] + i + 1 for i in range(d)]
-    # rows below the Durfee square from the column data: lambda'_j = legs[j-1] + j
-    col_heights = [legs[j] + j + 1 for j in range(d)]
-    max_extra = (col_heights[0] - d) if d else 0
-    for i in range(d + 1, d + max_extra + 1):
-        rows.append(sum(1 for h in col_heights if h >= i))
-    return Partition(rows)
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:

@@ -25,8 +25,6 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import TruncationOverflow
-
 Rat = Fraction | int
 
 
@@ -111,13 +109,6 @@ class GradedScalar:
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as Fractions."""
         return tuple(Fraction(a, self.denominator) for a in self.numerators)
-
-    def coefficient(self, n: int) -> Fraction:
-        if n < 0:
-            return Fraction(0)
-        if n > self.degree:
-            raise TruncationOverflow(f"degree {n} beyond truncation {self.degree}")
-        return Fraction(self.numerators[n], self.denominator)
 
     def valuation(self) -> int | None:
         """Index of the lowest nonzero coefficient, None for the zero series."""

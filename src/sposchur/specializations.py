@@ -40,7 +40,9 @@ _ONE = Fraction(1)  # the exact 1 of the letters (a, d): 1 / 1 would be a float
 
 
 def _coerce(value):
-    """ints and strings become Fractions; Fractions and finite floats pass through."""
+    """ints and strings become Fractions, Fractions and finite floats pass through; bools raise."""
+    if isinstance(value, bool):
+        raise ValueError(f"specialization values must be numbers, got {value}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"specialization values must be finite, got {value}")
     if isinstance(value, (Fraction, float)):
@@ -110,12 +112,14 @@ class Specialization:
     @classmethod
     def from_bc_alphabet(cls, variables: Sequence, include_one: bool = False):
         """BC alphabet (x_1, 1/x_1, ..., x_N, 1/x_N) and optionally the letter 1."""
+        if not isinstance(include_one, bool):
+            raise ValueError(f"include_one must be true or false, got {include_one!r}")
         xs = [_coerce(v) for v in variables]
         if any(x == 0 for x in xs):
             raise ValueError("BC alphabet variables must be nonzero")
         letters = [pair for x in xs for pair in ((x, _ONE), (_ONE, x))]
         letters += [(_ONE, _ONE)] if include_one else []
-        meta = {"kind": "bc_alphabet", "x": xs, "include_one": bool(include_one)}
+        meta = {"kind": "bc_alphabet", "x": xs, "include_one": include_one}
         return cls._of_letters(letters, meta)
 
     @classmethod
@@ -249,7 +253,7 @@ class Specialization:
         if "powersums" in doc:
             return cls.from_powersums(doc["powersums"])
         if "x" in doc:
-            return cls.from_bc_alphabet(doc["x"], bool(doc.get("include_one", False)))
+            return cls.from_bc_alphabet(doc["x"], doc.get("include_one", False))
         if "y" in doc:
             return cls.from_alphabet(doc["y"])
         raise ValueError("unrecognized specialization document")

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sposchur import asymptotics
+from sposchur import asymptotics, kernels
 from sposchur.asymptotics import (
     airy_2to1,
     bulk_scan,
@@ -21,6 +21,7 @@ from sposchur.asymptotics import (
     tw_2to1_stability,
 )
 from sposchur.errors import DomainTooLarge, QuadratureNotConverged
+from sposchur.kernels import lattice_kernel
 from sposchur.special import airy_ai_vec, gauss_legendre_panels
 
 # module-level tests run at small theta to stay fast; the full theta ladders
@@ -444,6 +445,74 @@ def test_edge_extrapolation_sees_a_relative_ai_error_of_1e_9(monkeypatch):
 def test_edge_extrapolation_needs_the_half_site_shift():
     # without it err(n) has a 1/n term the fit lacks: c0 reads up to ~2e-3
     assert _extrapolated_edge_offset(half_site=False) > 1e-10
+
+
+# The same extrapolation for the kernel entries.  Site a stands for the cell
+# [a, a + 1) and reads the limit at its midpoint, shifted by the half site of
+# `edge_cdf_effective_s`: (a + 1/2 + half - 2 theta) / theta^(1/3), that is
+# x + 1/n for sp and x for o at theta = n^3 and a = 2 n^3 + x n.  Then
+# err(n) = n K(a, b) - A±(x + shift, y + shift) has no 1/n term either;
+# measured |c0| <= 3.4e-12 (sp) and 4.5e-13 (o), while max |err(72)| reads
+# 2.0e-5 and 2.7e-5.  The windows reach J_k(x) at x = 2 * 72^3 ~ 7.5e5.
+_KERNEL_NS = (16, 20, 24, 32, 40, 48, 56, 64, 72)
+_KERNEL_X = np.array([-4, -2, 0, 2])
+
+
+def _edge_kernel(family: str, n: int) -> np.ndarray:
+    sites = 2 * n**3 + _KERNEL_X * n
+    return lattice_kernel(family, theta=float(n**3))(sites, sites)
+
+
+_cached_edge_kernel = functools.cache(_edge_kernel)
+
+
+def _extrapolated_edge_kernel_offset(midpoint: bool = True) -> float:
+    """max over both families and (x, y) of |c0| in the least-squares fit
+    c0 + c2/n^2 + ... + c6/n^6 of err(n), n in _KERNEL_NS; without the
+    midpoint the limit is read at the half-site shift of the gap cutoff alone."""
+    ns = np.array(_KERNEL_NS, dtype=float)
+    scaled = _KERNEL_NS[0] / ns
+    basis = np.stack([scaled**k for k in (0, 2, 3, 4, 5, 6)], axis=1)
+    worst = 0.0
+    for family, sign, half in (("sp", "+", 0.5), ("o", "-", -0.5)):
+        err = []
+        for n in _KERNEL_NS:
+            shifted = _KERNEL_X + (half + 0.5 * midpoint) / n
+            limit = airy_2to1(sign, shifted, shifted)
+            err.append((n * _cached_edge_kernel(family, n) - limit).ravel())
+        c0 = np.linalg.lstsq(basis, np.array(err), rcond=None)[0][0]
+        worst = max(worst, float(np.max(np.abs(c0))))
+    return worst
+
+
+def test_edge_kernel_extrapolates_to_the_limit():
+    assert _extrapolated_edge_kernel_offset() <= 1e-10
+
+
+def test_edge_kernel_extrapolation_needs_the_site_midpoint():
+    # read at x +- 1/(2n), err(n) keeps a 1/n term the fit lacks: c0 ~ 1.1e-3
+    assert _extrapolated_edge_kernel_offset(midpoint=False) > 1e-10
+
+
+def test_bessel_j_matches_scipy_on_the_edge_kernel_windows(monkeypatch):
+    scipy_special = pytest.importorskip("scipy.special")
+    bessel_j_values = kernels.bessel_j_values
+    calls = []
+
+    def recording(indices, x):
+        values = bessel_j_values(indices, x)
+        calls.append((np.asarray(indices), float(x), values))
+        return values
+
+    monkeypatch.setattr(kernels, "bessel_j_values", recording)
+    for family in ("sp", "o"):
+        for n in _KERNEL_NS:
+            _edge_kernel(family, n)
+    assert max(x for _, x, _ in calls) == 2 * 72**3
+    # measured 3.7e-14 at x = 7.5e5, where the windows' |J| is at most 7.4e-3
+    for indices, x, values in calls:
+        ref = scipy_special.jv(indices.astype(float), x)
+        assert np.max(np.abs(values - ref)) <= 1e-13, x
 
 
 @functools.cache

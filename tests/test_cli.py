@@ -143,6 +143,27 @@ def test_bc_symbol_documents_have_d2_d4_rows(capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "good, bad, message",
+    [
+        # the string "false" is truthy: read as a flag it would add the letter 1
+        ({"x": ["1/2"], "include_one": False}, {"x": ["1/2"], "include_one": "false"},
+         "include_one must be true or false"),
+        # JSON true is a Python int, so it would read as the power sum 1
+        ({"powersums": {"1": 1}}, {"powersums": {"1": True}}, "must be numbers"),
+    ],
+)
+def test_symbol_documents_refuse_non_boolean_flags_and_boolean_values(good, bad, message, capsys):
+    argv = ["th-dets", "--which", "D2,D4", "--sizes", "1:3", "--symbol"]
+    rho_minus = {"y": ["1/3", "-1/4"]}
+    assert main([*argv, json.dumps({"rho_plus": good, "rho_minus": rho_minus})]) == 0
+    capsys.readouterr()
+    assert main([*argv, json.dumps({"rho_plus": bad, "rho_minus": rho_minus})]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+
+
 def _readme_commands() -> list[str]:
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]

